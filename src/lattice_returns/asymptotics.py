@@ -200,42 +200,17 @@ def eval_A_asym(d: int, n: int, m: int = 4) -> AsymValue:
     return AsymValue(log_value, mantissa, "A * (pi*n)^(d/2) / (2d)^(2n)")
 
 
-def b1_for_dimension(d: int, constants: "ConstantsBundle") -> float:
-    """The 1/n correction coefficient of the B-expansion (d >= 3, d != 4).
-
-    Odd d: b_1(3) is the explicit three-term formula; odd d >= 5 uses
-    -d/8 - d*mt/m; even d >= 6 uses -d/8 + d*mt/m (sign as printed; see
-    the bundle's empirical fit for comparison).
-    """
-    m_d = _require_m(constants, d)
-    if d == 3:
-        return -3.0 / 16 + 9.0 / (32 * m_d) - 81.0 / (16 * math.pi**2 * m_d**3)
-    mt = _require_m_tilde(constants, d)
-    if d % 2 == 1:
-        return -d / 8.0 - d * mt / m_d
-    return -d / 8.0 + d * mt / m_d
-
-
-def _require_m(constants, d: int) -> float:
+def _require_bundle(constants, d: int) -> "ConstantsBundle":
     if constants is None or getattr(constants, "dimension", None) != d:
         raise DependencyError("need a constants bundle for d=%d" % d)
-    m = getattr(constants, "m", None)
-    if m is None:
-        raise DependencyError("bundle lacks m_%d" % d)
-    return float(m.value)
-
-def _require_m_tilde(constants, d: int) -> float:
-    mt = getattr(constants, "m_tilde", None)
-    if mt is None:
-        raise DependencyError("bundle lacks m_tilde_%d (required for d=%d)" % (d, d))
-    return float(mt.value)
+    return constants
 
 
 def eval_B_asym(d: int, n: int, constants: "ConstantsBundle | None" = None) -> AsymValue:
     """B_{2n}^{(d)} to the order the expansion is stated.
 
-    d = 1 and d = 2 need no constants; d >= 3 requires the bundle for
-    m_d (and m_tilde_d when d >= 5).
+    d = 1 and d = 2 need no constants; d >= 3 reads b_d and the 1/n
+    (d = 4: log(n)/n) correction coefficient from the constants bundle.
     """
     if d < 1 or n < 2:
         raise ValueError("need d >= 1 and n >= 2 (log terms at n >= 2)")
@@ -256,13 +231,14 @@ def eval_B_asym(d: int, n: int, constants: "ConstantsBundle | None" = None) -> A
             2 * n * math.log(4) - math.log(n) - 2 * math.log(ln) + math.log(mantissa)
         )
         return AsymValue(log_value, mantissa, "B * n*log(n)^2 / 16^n")
-    m_d = _require_m(constants, d)
-    b_d = float(leading_constant_a(d)) / m_d**2
+    bundle = _require_bundle(constants, d)
     if d == 4:
-        corr = 1 - 8 / (math.pi**2 * m_d) * math.log(n) / n
+        corr = 1 + bundle.b1_log_coefficient * math.log(n) / n
+    elif bundle.b1 is None:
+        raise DependencyError("bundle lacks b_1 (needs m_tilde_%d)" % d)
     else:
-        corr = 1 + b1_for_dimension(d, constants) / n
-    mantissa = b_d * corr
+        corr = 1 + bundle.b1 / n
+    mantissa = bundle.b * corr
     log_value = (
         math.log(mantissa)
         + 2 * n * math.log(2 * d)
@@ -270,19 +246,3 @@ def eval_B_asym(d: int, n: int, constants: "ConstantsBundle | None" = None) -> A
     )
     return AsymValue(log_value, mantissa, "B * (pi*n)^(d/2) / (2d)^(2n)")
 
-
-def coefficient_table_rows(d_max: int = 8) -> list[tuple[str, int, int, int, int]]:
-    """CSV export rows (family, m, d, numerator, denominator).
-
-    The g family does not depend on d; its rows carry d = 0.
-    """
-    rows = []
-    for m in range(1, 5):
-        g = g_coeff(m)
-        rows.append(("g", m, 0, g.numerator, g.denominator))
-    for family, fn in (("r", r_coeff), ("a", a_coeff)):
-        for m in range(1, 5):
-            for d in range(1, d_max + 1):
-                c = fn(m, d)
-                rows.append((family, m, d, c.numerator, c.denominator))
-    return rows

@@ -13,24 +13,12 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from fractions import Fraction
 
 from mpmath import mp, mpf
 
 from . import asymptotics, catalog, constants, holonomy, walks
 from .errors import CapacityError, DivergenceError
-
-THREADS_ENV = "LATTICE_RETURNS_THREADS"
-
-
-def _threads() -> int:
-    try:
-        return max(1, int(os.environ.get(THREADS_ENV, "1")))
-    except ValueError:
-        return 1
-
 
 def _write(out_path: str | None, text: str) -> None:
     if out_path is None or out_path == "-":
@@ -249,15 +237,7 @@ def cmd_verify(args) -> int:
     if suite in ("singularities", "all"):
         jobs.append(_check_singularities)
 
-    threads = _threads()
-    if threads > 1 and len(jobs) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            batches = list(ex.map(lambda j: j(), jobs))
-    else:
-        batches = [j() for j in jobs]
-    reports = [r for batch in batches for r in batch]
+    reports = [r for job in jobs for r in job()]
     failed = [r for r in reports if not r.passed]
     status = "fail" if failed else "pass"
     if args.expect_fail:
@@ -420,11 +400,20 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    # Exact tables print integers of any length; the interpreter's limit
+    # on int/str conversion guards parsing, which argparse has finished.
+    limit = (sys.get_int_max_str_digits()
+             if hasattr(sys, "get_int_max_str_digits") else None)
     try:
+        if limit is not None:
+            sys.set_int_max_str_digits(0)
         return args.func(args)
     except (UsageError, ValueError, CapacityError, DivergenceError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 2
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -6,9 +6,10 @@ B-asymptotic constants b_d, b_1(d).
     p_d       = 1 - 1/m_d                              (d >= 3; p_1 = p_2 = 1)
     b_d       = a_d / m_d^2
 
-Partial sums are accumulated in mpmath (>= 128-bit equivalent precision)
-with the summands generated by stable forward iteration of the normalized
-A-recurrences for d in {3, 4, 5} and by the exact x-ladder otherwise.
+Partial sums are accumulated in mpmath (>= 128-bit equivalent precision).
+For d in {3, 4, 5} the summands, in mpf here and in float64 for the
+B-side series, come from walks.iterate_p_recurrence run forward on the
+A-recurrence with q = (2d)^2; other d fall back to the exact x-ladder.
 Tails beyond N are estimated from the four-term asymptotic integrand via
 Euler-Maclaurin at the midpoint N + 1/2 (default) or by summing the same
 expansion exactly over integers with the Hurwitz zeta function.  Error
@@ -21,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from mpmath import mp, mpf, zeta
@@ -113,40 +113,23 @@ class ConstantsBundle:
 # Summand generation: t_n = A_{2n} / (2d)^{2n} in high precision.
 # ---------------------------------------------------------------------------
 
-def _int_polys(rec) -> list[list[int]]:
-    return [[int(c) for c in poly.coeffs] for poly in rec.coefficients]
-
-
-def _int_horner(coeffs: list[int], n: int) -> int:
-    acc = 0
-    for c in reversed(coeffs):
-        acc = acc * n + c
-    return acc
+def _recurrence_summands(d: int, N: int, q) -> list:
+    """[t_0, ..., t_N] with t_n = A_{2n}^{(d)}/q^n for d in {3, 4, 5}, in
+    the number type of q, by forward iteration of the A-recurrence."""
+    rec = catalog.a_recurrence(d)
+    seeds = walks.closed_walks(d, rec.order - 1).values
+    return walks.iterate_p_recurrence(
+        rec, [s / q**i for i, s in enumerate(seeds)], N, q)
 
 
 def _normalized_a_summands_mp(d: int, N: int) -> list:
     """[t_0, ..., t_N] with t_n = A_{2n}^{(d)}/(2d)^{2n} as mpf values.
 
-    For d in {3, 4, 5} iterates the normalized P-recurrence forward: the
-    wanted solution grows like (2d)^{2n} while every other solution grows
-    like (2k)^{2n} with k < d, so relative contamination decays
-    geometrically and forward iteration is stable.  Other dimensions fall
-    back to the exact ladder, practical for N up to a few thousand.
+    d in {3, 4, 5} use the A-recurrence; other dimensions fall back to
+    the exact ladder, practical for N up to a few thousand.
     """
-    q = mpf((2 * d) ** 2)
     if d in (3, 4, 5):
-        rec = catalog.a_recurrence(d)
-        r = rec.order
-        polys = _int_polys(rec)
-        seeds = walks.closed_walks(d, r - 1).values
-        ts = [mpf(seeds[i]) / q**i for i in range(r)]
-        qpow = [q ** (k - r) for k in range(r)]
-        for n in range(0, N - r + 1):
-            acc = mpf(0)
-            for k in range(r):
-                acc += _int_horner(polys[k], n) * qpow[k] * ts[n + k]
-            ts.append(-acc / _int_horner(polys[r], n))
-        return ts
+        return _recurrence_summands(d, N, mpf((2 * d) ** 2))
     xs = walks.x_sequence(d, N).values
     dd = mpf(d * d)
     rho = mpf(1)  # C(2n,n)/4^n
@@ -269,21 +252,7 @@ def normalized_a_series(d: int, N: int) -> np.ndarray:
             rho[n] = rho[n - 1] * (2 * n - 1) / (2 * n)
         return rho if d == 1 else rho * rho
     if d in (3, 4, 5):
-        rec = catalog.a_recurrence(d)
-        r = rec.order
-        polys = _int_polys(rec)
-        q = float((2 * d) ** 2)
-        seeds = walks.closed_walks(d, r - 1).values
-        ts = np.empty(N + 1)
-        for i in range(r):
-            ts[i] = seeds[i] / q**i
-        qpow = [q ** (k - r) for k in range(r)]
-        for n in range(0, N - r + 1):
-            acc = 0.0
-            for k in range(r):
-                acc += _int_horner(polys[k], n) * qpow[k] * ts[n + k]
-            ts[n + r] = -acc / _int_horner(polys[r], n)
-        return ts
+        return np.array(_recurrence_summands(d, N, float((2 * d) ** 2)))
     xs = walks.x_sequence(d, N).values
     ts = np.empty(N + 1)
     rho = 1.0

@@ -8,6 +8,7 @@ rationals held on the nose, not to within a tolerance.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
@@ -351,9 +352,7 @@ def ode_singularities(ode: LinearODE) -> tuple[set[Rational], bool]:
     """
     lead = ode.coefficients[-1]
     # Clear denominators to integer coefficients.
-    denom_lcm = 1
-    for c in lead.coeffs:
-        denom_lcm = denom_lcm * c.denominator // _gcd(denom_lcm, c.denominator)
+    denom_lcm = math.lcm(*(c.denominator for c in lead.coeffs))
     ints = [int(c * denom_lcm) for c in lead.coeffs]
     roots: set[Fraction] = set()
     # Strip powers of z (root zero).
@@ -388,12 +387,6 @@ def ode_singularities(ode: LinearODE) -> tuple[set[Rational], bool]:
     return roots, False
 
 
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
-
-
 def _divisors(n: int) -> list[int]:
     out = []
     i = 1
@@ -423,12 +416,10 @@ def _deflate(ints: Sequence[int], root: Fraction) -> list[int]:
     out: list[Fraction] = [Fraction(0)] * (len(cs) - 1)
     carry = Fraction(0)
     for i in range(len(cs) - 1, 0, -1):
-        carry = cs[i] + carry * root if i == len(cs) - 1 else cs[i] + carry * root
+        carry = cs[i] + carry * root
         out[i - 1] = carry
     # Synthetic division from the top: out[i-1] holds the quotient coeff.
-    denom_lcm = 1
-    for c in out:
-        denom_lcm = denom_lcm * c.denominator // _gcd(denom_lcm, c.denominator)
+    denom_lcm = math.lcm(*(c.denominator for c in out))
     return [int(c * denom_lcm) for c in out]
 
 

@@ -1,5 +1,5 @@
 """Exact arithmetic kernel: big integers, rationals, univariate polynomials,
-and a row-cached binomial table.
+and binomial coefficients.
 
 Walk counts are plain Python ints (arbitrary precision, never rounded);
 rational values are fractions.Fraction, always in lowest terms with a
@@ -10,39 +10,24 @@ counts and coefficients rather than machine types.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
 BigCount = int
 Rational = Fraction
 
 RationalLike = Union[int, Fraction]
 
-# Row cache for binomial coefficients, n -> tuple (C(n,0), ..., C(n,n)).
-# Grown on demand; concurrent readers may race to fill the same row, which
-# is harmless (both compute the identical tuple and dict assignment is
-# atomic under the GIL).
-_BINOMIAL_ROWS: dict[int, tuple[int, ...]] = {0: (1,)}
-
 
 def binomial_row(n: int) -> tuple[int, ...]:
-    """Return the full Pascal row (C(n,0), ..., C(n,n)), cached."""
+    """Return the full Pascal row (C(n,0), ..., C(n,n))."""
     if n < 0:
         raise ValueError("binomial_row requires n >= 0, got %d" % n)
-    row = _BINOMIAL_ROWS.get(n)
-    if row is None:
-        # Build from the highest cached row below n; multiplicative filling
-        # of each missing row is O(n) per row.
-        known = max(k for k in _BINOMIAL_ROWS if k <= n)
-        row = _BINOMIAL_ROWS[known]
-        for m in range(known + 1, n + 1):
-            prev = row
-            row = tuple(
-                (prev[k - 1] if k > 0 else 0) + (prev[k] if k < m else 0)
-                for k in range(m + 1)
-            )
-            _BINOMIAL_ROWS[m] = row
-    return row
+    row = [1]
+    for k in range(n):
+        row.append(row[k] * (n - k) // (k + 1))
+    return tuple(row)
 
 
 def binomial(n: int, k: int) -> BigCount:
@@ -51,7 +36,7 @@ def binomial(n: int, k: int) -> BigCount:
         raise ValueError("binomial requires n >= 0, got %d" % n)
     if k < 0 or k > n:
         return 0
-    return binomial_row(n)[k]
+    return math.comb(n, k)
 
 
 class UniPoly:
@@ -192,8 +177,3 @@ def legendre_poly(n: int) -> UniPoly:
                   - Fraction(m, m + 1) * p_prev)
         p_prev, p_cur = p_cur, p_next
     return p_cur
-
-
-def poly_from_integer_coeffs(coeffs: Sequence[int]) -> UniPoly:
-    """Convenience constructor used by the recurrence/ODE catalog."""
-    return UniPoly(coeffs)

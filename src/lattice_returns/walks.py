@@ -25,12 +25,13 @@ cross-checks only.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import add, mul
 from typing import Iterator
 
 import numpy as np
 
 from .errors import CapacityError
-from .kernel import BigCount, binomial, binomial_row
+from .kernel import BigCount, binomial
 
 KINDS = ("X", "A", "B")
 
@@ -127,19 +128,29 @@ class Layer:
 
 
 def x_sequence(d: int, N: int) -> SequenceTable:
-    """x_0 .. x_N in dimension d via the fundamental recurrence ladder."""
+    """x_0 .. x_N in dimension d via the fundamental recurrence ladder.
+
+    The outer loop runs over n and the inner one over the dimension
+    levels, so each Pascal row is built once, from the previous one, and
+    squared once; only row n is kept.
+    """
     if d < 1:
         raise ValueError("dimension must be >= 1")
     if N < 0:
         raise ValueError("N must be >= 0")
-    xs = [1] * (N + 1)
-    for _ in range(d - 1):
-        prev = xs
-        xs = []
-        for n in range(N + 1):
-            row = binomial_row(n)
-            xs.append(sum(row[k] * row[k] * prev[k] for k in range(n + 1)))
-    return SequenceTable(d, "X", tuple(xs))
+    if d == 1:
+        return SequenceTable(1, "X", (1,) * (N + 1))
+    # levels[j] holds x_0 .. x_n in dimension j + 1.
+    levels: list[list[BigCount]] = [[] for _ in range(d)]
+    row = [1]
+    for n in range(N + 1):
+        if n:
+            row = [1, *map(add, row, row[1:]), 1]
+        squares = [c * c for c in row]
+        levels[0].append(1)
+        for lower, upper in zip(levels, levels[1:]):
+            upper.append(sum(map(mul, squares, lower)))
+    return SequenceTable(d, "X", tuple(levels[-1]))
 
 
 def closed_walks(d: int, N: int) -> SequenceTable:
@@ -336,26 +347,58 @@ def first_returns_dp(d: int, n: int) -> BigCount:
 
 # ---------------------------------------------------------------------------
 # Fast generators: P-recurrence forward iteration for d in {3, 4, 5}.
-# O(N) big-integer steps instead of the O(d N^2) ladder; always uses exact
-# division by the leading coefficient (which must divide -- anything else
-# is a bug and raises).
+# O(N) big-integer steps instead of the O(d N^2) ladder.
 # ---------------------------------------------------------------------------
 
-def _iterate_p_recurrence(rec, seeds: list[BigCount], N: int) -> list[BigCount]:
-    """Extend seeds to indices 0..N using sum_k P_k(n) u_{n+k} = 0."""
+def _integer_coeffs(poly) -> list[int]:
+    """Ascending coefficients of poly as ints; ValueError on a fraction."""
+    out = []
+    for c in poly.coeffs:
+        if c.denominator != 1:
+            raise ValueError("recurrence coefficient %s is not an integer" % c)
+        out.append(c.numerator)
+    return out
+
+
+def _horner(coeffs: list[int], n: int) -> int:
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * n + c
+    return acc
+
+
+def iterate_p_recurrence(rec, seeds: list, N: int, q=1) -> list:
+    """Extend seeds u_0 .. u_{r-1} to u_0 .. u_N, where u_n = v_n / q^n
+    and sum_k P_k(n) v_{n+k} = 0 (r = rec.order).
+
+    With integer seeds and q = 1 the values are exact and the division by
+    the leading coefficient must be exact (anything else is a bug and
+    raises ArithmeticError).  With mpf or float seeds the arithmetic is
+    rounded; run on an A-recurrence with q = (2d)^2 it yields the
+    normalised summands A_{2n}/(2d)^{2n}, and since the wanted solution
+    grows like (2d)^{2n} while every other one grows like (2k)^{2n} with
+    k < d, forward iteration is stable.  Every coefficient must be an
+    integer (ValueError otherwise).
+    """
     r = rec.order
+    polys = [_integer_coeffs(p) for p in rec.coefficients]
     vals = list(seeds)
+    exact = q == 1 and all(isinstance(v, int) for v in vals)
+    qpow = [1] * r if exact else [q ** (k - r) for k in range(r)]
     for n in range(0, N - r + 1):
         acc = 0
         for k in range(r):
-            acc += int(rec.coefficients[k](n)) * vals[n + k]
-        lead = int(rec.coefficients[r](n))
-        q, rem = divmod(-acc, lead)
-        if rem:
-            raise ArithmeticError(
-                "P-recurrence division not exact at n=%d" % n
-            )
-        vals.append(q)
+            acc += _horner(polys[k], n) * qpow[k] * vals[n + k]
+        lead = _horner(polys[r], n)
+        if exact:
+            quo, rem = divmod(-acc, lead)
+            if rem:
+                raise ArithmeticError(
+                    "P-recurrence division not exact at n=%d" % n
+                )
+            vals.append(quo)
+        else:
+            vals.append(-acc / lead)
     return vals
 
 
@@ -368,7 +411,7 @@ def x_sequence_fast(d: int, N: int) -> SequenceTable:
         return x_sequence(d, N)
     rec = catalog.x_recurrence(d)
     seeds = list(x_sequence(d, rec.order - 1).values)
-    return SequenceTable(d, "X", tuple(_iterate_p_recurrence(rec, seeds, N)))
+    return SequenceTable(d, "X", tuple(iterate_p_recurrence(rec, seeds, N)))
 
 
 def closed_walks_fast(d: int, N: int) -> SequenceTable:
@@ -379,7 +422,7 @@ def closed_walks_fast(d: int, N: int) -> SequenceTable:
         return closed_walks(d, N)
     rec = catalog.a_recurrence(d)
     seeds = list(closed_walks(d, rec.order - 1).values)
-    return SequenceTable(d, "A", tuple(_iterate_p_recurrence(rec, seeds, N)))
+    return SequenceTable(d, "A", tuple(iterate_p_recurrence(rec, seeds, N)))
 
 
 def first_returns_fast(d: int, N: int) -> SequenceTable:

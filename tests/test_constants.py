@@ -13,6 +13,7 @@ from mpmath import mp, mpf
 import lattice_returns as lr
 from lattice_returns.constants import (
     _fit_b_tail,
+    _normalized_a_summands_mp,
     normalized_a_series,
     normalized_b_series,
 )
@@ -104,6 +105,17 @@ def test_normalized_a_series_against_exact():
         for n in (0, 1, 17, 60, 120):
             exact = mpf(table.value(n)) / mpf(2 * d) ** (2 * n)
             assert abs(float(exact) - arr[n]) <= 1e-12 * float(exact)
+
+
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_mp_summands_against_exact(d):
+    exact = lr.closed_walks(d, 200).values
+    with mp.workdps(40):
+        ts = _normalized_a_summands_mp(d, 200)
+        assert len(ts) == 201
+        for n, (t, a) in enumerate(zip(ts, exact)):
+            ref = mpf(a) / mpf(2 * d) ** (2 * n)
+            assert abs(t / ref - 1) < mpf("1e-35")
 
 
 def test_normalized_b_series_against_exact():

@@ -19,7 +19,6 @@ from lattice_returns.kernel import (
     binomial_row,
     legendre_poly,
     poly_eval,
-    poly_from_integer_coeffs,
 )
 
 # ---------------------------------------------------------------------------
@@ -89,8 +88,10 @@ def test_binomial_negative_n():
 
 def test_binomial_row():
     assert binomial_row(4) == (1, 4, 6, 4, 1)
-    # cache must keep rows immutable and reusable
-    assert binomial_row(4) is binomial_row(4)
+    for n in range(61):
+        assert binomial_row(n) == tuple(math.comb(n, k) for k in range(n + 1))
+    with pytest.raises(ValueError):
+        binomial_row(-1)
 
 
 @given(st.integers(1, 120), st.integers(0, 120))
@@ -132,14 +133,14 @@ def test_degree_and_normalization():
 
 
 def test_shift_and_derivative():
-    f = poly_from_integer_coeffs([1, 3, 2])  # 1 + 3x + 2x^2
+    f = UniPoly([1, 3, 2])  # 1 + 3x + 2x^2
     g = f.shift_x(2)  # x^2 * f
     assert list(g.coeffs) == [0, 0, 1, 3, 2]
     assert list(f.derivative().coeffs) == [3, 4]
 
 
 def test_pow():
-    f = poly_from_integer_coeffs([1, 1])
+    f = UniPoly([1, 1])
     assert list((f**4).coeffs) == [1, 4, 6, 4, 1]
     assert (f**0) == UniPoly([Fraction(1)])
 

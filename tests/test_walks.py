@@ -7,14 +7,18 @@ fixtures.
 """
 
 import itertools
+import math
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lattice_returns as lr
+from lattice_returns import catalog
 from lattice_returns.errors import CapacityError
+from lattice_returns.walks import iterate_p_recurrence
 
 # ---------------------------------------------------------------------------
 # oracle: explicit enumeration of all (2d)^L walks
@@ -113,6 +117,15 @@ def test_x_sequence_small_dimensions():
     assert lr.x_sequence(2, 6).values == (1, 2, 6, 20, 70, 252, 924)
 
 
+def test_x_sequence_matches_fundamental_recurrence():
+    # reference loop: one dimension level at a time, binomials from math.comb
+    xs = [1] * 31
+    for d in range(2, 8):
+        xs = [sum(math.comb(n, k) ** 2 * xs[k] for k in range(n + 1))
+              for n in range(31)]
+        assert lr.x_sequence(d, 30).values == tuple(xs)
+
+
 def test_x_sequence_d5_frozen():
     # ladder values verified by hand: x_3 = 1 + 9*4 + 9*28 + 256 = 545, etc.
     assert lr.x_sequence(5, 5).values == (1, 5, 45, 545, 7885, 127905)
@@ -138,6 +151,26 @@ def test_fast_paths_agree_with_ladder(d):
     assert lr.x_sequence_fast(d, 40).values == lr.x_sequence(d, 40).values
     assert lr.closed_walks_fast(d, 40).values == lr.closed_walks(d, 40).values
     assert lr.first_returns_fast(d, 25).values == lr.first_returns(d, 25).values
+
+
+def _perturbed(rec, delta):
+    """rec with delta added to the constant term of its first coefficient."""
+    first = lr.UniPoly([delta]) + rec.coefficients[0]
+    return lr.PRecurrence(rec.order, (first,) + rec.coefficients[1:])
+
+
+def test_iterate_p_recurrence_rejects_inexact_division():
+    rec = catalog.x_recurrence(3)
+    seeds = list(lr.x_sequence(3, 1).values)
+    assert iterate_p_recurrence(rec, seeds, 30) == list(lr.x_sequence(3, 30).values)
+    with pytest.raises(ArithmeticError):
+        iterate_p_recurrence(_perturbed(rec, 1), seeds, 30)
+
+
+def test_iterate_p_recurrence_rejects_fractional_coefficient():
+    rec = _perturbed(catalog.x_recurrence(3), Fraction(1, 2))
+    with pytest.raises(ValueError):
+        iterate_p_recurrence(rec, [1, 3], 10)
 
 
 def test_first_return_closed_form_1d():
