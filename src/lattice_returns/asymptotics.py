@@ -11,10 +11,10 @@ asking for more is an UnsupportedOrderError, never an extrapolation.
 
 The B-evaluator dispatches on dimension: odd d >= 3 uses b_d = a_d/m_d^2
 with an explicit 1/n correction; d = 4 carries a log(n)/n term; d = 2 is
-the slow pi / (n log^2 n) regime; d = 1 follows from the exact closed
-form B_{2n} = C(2n,n)/(2n-1).  (For d = 1 the 1/n coefficient is +3/8:
-that is what the closed form expands to, and what the table values
-confirm.)
+the slow log regime pi / (n (log n + gamma + 4 log 2)^2); d = 1 follows
+from the exact closed form B_{2n} = C(2n,n)/(2n-1).  (For d = 1 the 1/n
+coefficient is +3/8: that is what the closed form expands to, and what
+the table values confirm.)
 """
 
 from __future__ import annotations
@@ -31,8 +31,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from .constants import ConstantsBundle
 
 EULER_GAMMA = 0.5772156649015329
-# The 2D first-return log-regime constant, known numerically only.
-K_2D = 0.8825424
 
 _G_TABLE = (
     Fraction(-1, 8),
@@ -224,8 +222,9 @@ def eval_B_asym(d: int, n: int, constants: "ConstantsBundle | None" = None) -> A
         )
         return AsymValue(log_value, corr, "B * 2n*sqrt(pi*n) / 4^n")
     if d == 2:
+        # Resummed from A_2(z) = (2/pi) K(sqrt z); positive for every n >= 2.
         ln = math.log(n)
-        corr = 1 - 2 * (EULER_GAMMA + math.pi * K_2D) / ln
+        corr = (ln / (ln + EULER_GAMMA + 4 * math.log(2))) ** 2
         mantissa = math.pi * corr
         log_value = (
             2 * n * math.log(4) - math.log(n) - 2 * math.log(ln) + math.log(mantissa)

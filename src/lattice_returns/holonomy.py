@@ -14,14 +14,15 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
 
 from .errors import InvertibilityError
-from .kernel import Rational, UniPoly, binomial
+from .kernel import RationalLike, UniPoly, binomial, exact, poly_eval
 
 if TYPE_CHECKING:  # pragma: no cover
     from .walks import SequenceTable
 
 
 class TruncatedSeries:
-    """Prefix of a formal power series with exact rational coefficients.
+    """Prefix of a formal power series with exact coefficients (ints
+    where integral, see ``kernel.exact``).
 
     ``order`` is the exclusive truncation bound: coefficients of
     w^0 .. w^(order-1) are held.  Arithmetic never invents unknown
@@ -32,7 +33,7 @@ class TruncatedSeries:
     __slots__ = ("coeffs", "order")
 
     def __init__(self, coeffs: Sequence, order: int | None = None):
-        cs = [Fraction(c) for c in coeffs]
+        cs = [exact(c) for c in coeffs]
         if order is None:
             order = len(cs)
         if order < 0:
@@ -47,7 +48,7 @@ class TruncatedSeries:
             return NotImplemented
         return self.order == other.order and self.coeffs == other.coeffs
 
-    def __getitem__(self, n: int) -> Rational:
+    def __getitem__(self, n: int) -> RationalLike:
         return self.coeffs[n]
 
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
@@ -64,7 +65,7 @@ class TruncatedSeries:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         N = min(self.order, other.order)
-        out = [Fraction(0)] * N
+        out = [0] * N
         for i, a in enumerate(self.coeffs[:N]):
             if a:
                 for j in range(N - i):
@@ -78,7 +79,7 @@ class TruncatedSeries:
     def poly_mul(self, p: UniPoly) -> "TruncatedSeries":
         """Multiply by a polynomial.  The polynomial is exact (not a
         truncation), so the valid order is preserved."""
-        out = [Fraction(0)] * self.order
+        out = [0] * self.order
         for j, pj in enumerate(p.coeffs):
             if pj:
                 for i in range(self.order - j):
@@ -134,12 +135,10 @@ class PRecurrence:
         if not self.coefficients[-1]:
             raise ValueError("leading coefficient must not vanish identically")
 
-    def residual(self, values: Sequence[int], n: int) -> Rational:
+    def residual(self, values: Sequence[int], n: int) -> RationalLike:
         """Exact residual sum_k P_k(n) u_{n+k}; values[i] is u_i."""
-        return sum(
-            (self.coefficients[k](n) * values[n + k] for k in range(self.order + 1)),
-            Fraction(0),
-        )
+        return sum(self.coefficients[k](n) * values[n + k]
+                   for k in range(self.order + 1))
 
 
 @dataclass(frozen=True)
@@ -197,17 +196,13 @@ def series_from_sequence(table: "SequenceTable", N: int) -> TruncatedSeries:
     Kind X/A: coefficient of w^n is the table value at n.  Kind B: the
     constant term is 0 and the coefficient of w^n is B_{2n}.
     """
+    if table.n_max < N - 1:
+        raise ValueError(
+            "table holds indices through %d, need %d" % (table.n_max, N - 1)
+        )
     if table.kind == "B":
-        if table.n_max < N - 1:
-            raise ValueError(
-                "table holds indices through %d, need %d" % (table.n_max, N - 1)
-            )
         coeffs = [0] + [table.value(n) for n in range(1, N)]
     else:
-        if table.n_max < N - 1:
-            raise ValueError(
-                "table holds indices through %d, need %d" % (table.n_max, N - 1)
-            )
         coeffs = [table.value(n) for n in range(N)]
     return TruncatedSeries(coeffs)
 
@@ -225,10 +220,10 @@ def reciprocal_series(f: TruncatedSeries) -> TruncatedSeries:
     c0 = f.coeffs[0]
     if c0 == 0:
         raise InvertibilityError("series has zero constant term")
-    inv0 = Fraction(1) / c0
+    inv0 = exact(Fraction(1) / c0)
     out = [inv0]
     for n in range(1, f.order):
-        acc = Fraction(0)
+        acc = 0
         for k in range(1, n + 1):
             fk = f.coeffs[k]
             if fk:
@@ -335,14 +330,14 @@ def ode_to_recurrence(ode: LinearODE) -> PRecurrence:
             # product_{i=0..k-1} (n + (g + k - j) - i)
             poly = UniPoly([qj])
             for i in range(k):
-                poly = poly * UniPoly([Fraction(g + k - j - i), Fraction(1)])
+                poly = poly * UniPoly([g + k - j - i, 1])
             shifts[t] = shifts.get(t, UniPoly()) + poly
     max_t = max(t for t, p in shifts.items() if p)
     coeffs = tuple(shifts.get(t, UniPoly()) for t in range(max_t + 1))
     return PRecurrence(max_t, coeffs, name=(ode.name + " (translated)") if ode.name else "")
 
 
-def ode_singularities(ode: LinearODE) -> tuple[set[Rational], bool]:
+def ode_singularities(ode: LinearODE) -> tuple[set[RationalLike], bool]:
     """Rational roots of the leading coefficient, via the rational root
     theorem on the integer-cleared polynomial.
 
@@ -354,32 +349,22 @@ def ode_singularities(ode: LinearODE) -> tuple[set[Rational], bool]:
     # Clear denominators to integer coefficients.
     denom_lcm = math.lcm(*(c.denominator for c in lead.coeffs))
     ints = [int(c * denom_lcm) for c in lead.coeffs]
-    roots: set[Fraction] = set()
+    roots: set[RationalLike] = set()
     # Strip powers of z (root zero).
     v = 0
     while v < len(ints) and ints[v] == 0:
         v += 1
     if v > 0:
-        roots.add(Fraction(0))
+        roots.add(0)
     poly = ints[v:]
     # Deflate every rational root p/q with p | poly[0], q | poly[-1].
+    # Deflating by a nonzero root keeps the constant term nonzero.
     while len(poly) > 1:
-        trailing, leading = poly[0], poly[-1]
-        if trailing == 0:  # pragma: no cover - zeros already stripped
-            roots.add(Fraction(0))
-            poly = poly[1:]
-            continue
-        found = None
-        for p in _divisors(abs(trailing)):
-            for q in _divisors(abs(leading)):
-                for cand in (Fraction(p, q), Fraction(-p, q)):
-                    if _int_poly_eval(poly, cand) == 0:
-                        found = cand
-                        break
-                if found is not None:
-                    break
-            if found is not None:
-                break
+        current = UniPoly(poly)
+        found = next((cand for p in _divisors(abs(poly[0]))
+                      for q in _divisors(abs(poly[-1]))
+                      for cand in (Fraction(p, q), Fraction(-p, q))
+                      if poly_eval(current, cand) == 0), None)
         if found is None:
             return roots, True
         roots.add(found)
@@ -399,24 +384,16 @@ def _divisors(n: int) -> list[int]:
     return sorted(out)
 
 
-def _int_poly_eval(ints: Sequence[int], x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(ints):
-        acc = acc * x + c
-    return acc
-
-
 def _deflate(ints: Sequence[int], root: Fraction) -> list[int]:
     """Divide the integer polynomial by (x - root), exactly.
 
     With root = p/q, q * leading stays integral after scaling; we do the
     division over Q and clear the common denominator again.
     """
-    cs = [Fraction(c) for c in ints]
-    out: list[Fraction] = [Fraction(0)] * (len(cs) - 1)
-    carry = Fraction(0)
-    for i in range(len(cs) - 1, 0, -1):
-        carry = cs[i] + carry * root
+    out = [0] * (len(ints) - 1)
+    carry = 0
+    for i in range(len(ints) - 1, 0, -1):
+        carry = ints[i] + carry * root
         out[i - 1] = carry
     # Synthetic division from the top: out[i-1] holds the quotient coeff.
     denom_lcm = math.lcm(*(c.denominator for c in out))

@@ -1,11 +1,12 @@
 """Exact arithmetic kernel: big integers, rationals, univariate polynomials,
 and binomial coefficients.
 
-Walk counts are plain Python ints (arbitrary precision, never rounded);
-rational values are fractions.Fraction, always in lowest terms with a
-positive denominator.  Both are re-exported under the domain names
-``BigCount`` and ``Rational`` so the rest of the package can talk about
-counts and coefficients rather than machine types.
+Walk counts are plain Python ints (arbitrary precision, never rounded).
+Every exact value goes through ``exact``: an int when it is integral, a
+fractions.Fraction in lowest terms otherwise, so integer identities stay
+in int arithmetic.  Both are re-exported as ``BigCount`` and ``Rational``
+so the rest of the package can talk about counts and coefficients rather
+than machine types.
 """
 
 from __future__ import annotations
@@ -18,6 +19,14 @@ BigCount = int
 Rational = Fraction
 
 RationalLike = Union[int, Fraction]
+
+
+def exact(value) -> RationalLike:
+    """value as an int if it is integral, else as a Fraction."""
+    if isinstance(value, int):
+        return value
+    q = Fraction(value)
+    return q.numerator if q.denominator == 1 else q
 
 
 def binomial_row(n: int) -> tuple[int, ...]:
@@ -40,7 +49,7 @@ def binomial(n: int, k: int) -> BigCount:
 
 
 class UniPoly:
-    """Univariate polynomial with exact rational coefficients.
+    """Univariate polynomial with exact coefficients (see ``exact``).
 
     Coefficient index = power of the variable.  The coefficient list is
     normalized so that the trailing (highest-index) entry is nonzero
@@ -50,7 +59,7 @@ class UniPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[RationalLike] = ()):
-        cs = [Fraction(c) for c in coeffs]
+        cs = [exact(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
@@ -109,7 +118,7 @@ class UniPoly:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return UniPoly()
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
+        out = [0] * (len(a) + len(b) - 1)
         for i, ai in enumerate(a):
             if ai:
                 for j, bj in enumerate(b):
@@ -130,12 +139,12 @@ class UniPoly:
         """Multiply by x**k."""
         if not self.coeffs:
             return self
-        return UniPoly((Fraction(0),) * k + self.coeffs)
+        return UniPoly((0,) * k + self.coeffs)
 
     def derivative(self) -> "UniPoly":
         return UniPoly([i * c for i, c in enumerate(self.coeffs)][1:])
 
-    def __call__(self, x: RationalLike) -> Rational:
+    def __call__(self, x) -> RationalLike:
         return poly_eval(self, x)
 
     def __repr__(self) -> str:
@@ -150,10 +159,11 @@ def _coerce(value) -> UniPoly | None:
     return None
 
 
-def poly_eval(p: UniPoly, x: RationalLike) -> Rational:
-    """Exact Horner evaluation of p at the rational point x."""
-    x = Fraction(x)
-    acc = Fraction(0)
+def poly_eval(p: UniPoly, x) -> RationalLike:
+    """Exact Horner evaluation of p at the point x, taken exactly: an int
+    point gives an int, a float point its exact binary value."""
+    x = exact(x)
+    acc = 0
     for c in reversed(p.coeffs):
         acc = acc * x + c
     return acc

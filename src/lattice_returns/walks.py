@@ -350,17 +350,16 @@ def first_returns_dp(d: int, n: int) -> BigCount:
 # O(N) big-integer steps instead of the O(d N^2) ladder.
 # ---------------------------------------------------------------------------
 
-def _integer_coeffs(poly) -> list[int]:
-    """Ascending coefficients of poly as ints; ValueError on a fraction."""
-    out = []
+def _integer_coeffs(poly) -> tuple[int, ...]:
+    """Ascending coefficients of poly; ValueError unless all are ints
+    (``kernel.exact`` makes every integral coefficient an int)."""
     for c in poly.coeffs:
-        if c.denominator != 1:
+        if not isinstance(c, int):
             raise ValueError("recurrence coefficient %s is not an integer" % c)
-        out.append(c.numerator)
-    return out
+    return poly.coeffs
 
 
-def _horner(coeffs: list[int], n: int) -> int:
+def _horner(coeffs: tuple[int, ...], n: int) -> int:
     acc = 0
     for c in reversed(coeffs):
         acc = acc * n + c
@@ -378,7 +377,8 @@ def iterate_p_recurrence(rec, seeds: list, N: int, q=1) -> list:
     normalised summands A_{2n}/(2d)^{2n}, and since the wanted solution
     grows like (2d)^{2n} while every other one grows like (2k)^{2n} with
     k < d, forward iteration is stable.  Every coefficient must be an
-    integer (ValueError otherwise).
+    integer, and the leading coefficient must not vanish at any n the
+    iteration reaches (ValueError otherwise).
     """
     r = rec.order
     polys = [_integer_coeffs(p) for p in rec.coefficients]
@@ -390,6 +390,8 @@ def iterate_p_recurrence(rec, seeds: list, N: int, q=1) -> list:
         for k in range(r):
             acc += _horner(polys[k], n) * qpow[k] * vals[n + k]
         lead = _horner(polys[r], n)
+        if lead == 0:
+            raise ValueError("leading coefficient is 0 at n=%d" % n)
         if exact:
             quo, rem = divmod(-acc, lead)
             if rem:

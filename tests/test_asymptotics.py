@@ -165,9 +165,10 @@ def test_eval_B_asym_d1_against_closed_form():
 
 def test_eval_B_asym_d2_plumbing():
     v = lr.eval_B_asym(2, 1000, None)
-    # normalized value: pi * (1 - 2(gamma + pi K)/log n)
+    # normalized value: pi * (log n / (log n + gamma + 4 log 2))^2
     gamma = 0.5772156649015329
-    expected = math.pi * (1 - 2 * (gamma + math.pi * 0.8825424) / math.log(1000))
+    ln = math.log(1000)
+    expected = math.pi * (ln / (ln + gamma + 4 * math.log(2))) ** 2
     assert abs(v.normalized - expected) < 1e-12
 
 

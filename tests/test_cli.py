@@ -237,6 +237,17 @@ def test_asym_b_kind_uses_bundle(capsys):
         assert abs(float(exact) - float(approx)) / float(exact) < 0.01
 
 
+def test_asym_b_d2_accepts_small_n(capsys):
+    code, out, _ = run_cli(
+        capsys, "asym", "--kind", "B", "--d", "2", "--n", "2", "3", "10", "500")
+    assert code == 0
+    rows = out.splitlines()[2:]
+    assert [int(row.split(",")[0]) for row in rows] == [2, 3, 10, 500]
+    for row in rows:
+        approx = float(row.split(",")[2])
+        assert math.isfinite(approx) and approx > 0
+
+
 def test_asym_rejects_unsupported_order(capsys):
     code, _, err = run_cli(
         capsys, "asym", "--kind", "A", "--d", "3", "--m", "9", "--n", "64")

@@ -21,7 +21,8 @@ from lattice_returns.kernel import UniPoly
 # ---------------------------------------------------------------------------
 
 small_series = st.lists(
-    st.integers(-9, 9).map(Fraction), min_size=1, max_size=8
+    st.one_of(st.integers(-9, 9), st.fractions(-9, 9, max_denominator=6)),
+    min_size=1, max_size=8,
 ).map(TruncatedSeries)
 
 
@@ -69,6 +70,16 @@ def test_reciprocal_is_an_involution(f):
     assert twice.coeffs == f.coeffs
     one = TruncatedSeries([Fraction(1)] + [Fraction(0)] * (f.order - 1))
     assert (lr.reciprocal_series(f) * f).coeffs == one.coeffs
+
+
+def test_integer_series_stay_integer():
+    a = TruncatedSeries([1, 6, 90, 1860])
+    b = TruncatedSeries([Fraction(2, 2), -2, 3, 0])
+    assert all(type(c) is int for c in b.coeffs)
+    assert all(type(c) is int for c in (a * b).coeffs)
+    inv = lr.reciprocal_series(a)
+    assert all(type(c) is int for c in inv.coeffs)
+    assert (inv * a).coeffs == [1, 0, 0, 0]
 
 
 def test_series_from_sequence_offsets():

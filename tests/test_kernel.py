@@ -17,6 +17,7 @@ from lattice_returns.kernel import (
     UniPoly,
     binomial,
     binomial_row,
+    exact,
     legendre_poly,
     poly_eval,
 )
@@ -103,7 +104,7 @@ def test_pascal_rule(n, k):
 # UniPoly ring behaviour
 # ---------------------------------------------------------------------------
 
-coeff = st.integers(-9, 9).map(Fraction)
+coeff = st.one_of(st.integers(-9, 9), st.fractions(-9, 9, max_denominator=6))
 polys = st.lists(coeff, min_size=0, max_size=5).map(UniPoly)
 
 
@@ -123,6 +124,22 @@ def test_eval_is_homomorphism(f, g):
     x = Fraction(3, 2)
     assert poly_eval(f * g, x) == poly_eval(f, x) * poly_eval(g, x)
     assert poly_eval(f + g, x) == poly_eval(f, x) + poly_eval(g, x)
+
+
+def test_exact_keeps_integers_integral():
+    assert exact(7) == 7 and type(exact(7)) is int
+    two = exact(Fraction(4, 2))
+    assert two == 2 and type(two) is int
+    assert exact(0.5) == Fraction(1, 2)
+    assert exact(Fraction(1, 3)) == Fraction(1, 3)
+    assert all(type(c) is int for c in UniPoly([Fraction(2), 3.0, 1]).coeffs)
+
+
+def test_poly_eval_number_types():
+    p = UniPoly([1, 1])
+    assert poly_eval(p, 0.5) == Fraction(3, 2)
+    value = poly_eval(p, 4)
+    assert value == 5 and type(value) is int
 
 
 def test_degree_and_normalization():

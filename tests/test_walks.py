@@ -173,6 +173,15 @@ def test_iterate_p_recurrence_rejects_fractional_coefficient():
         iterate_p_recurrence(rec, [1, 3], 10)
 
 
+def test_iterate_p_recurrence_rejects_vanishing_leading_coefficient():
+    # (n - 3) u_{n+1} = (n - 3) u_n: the division fails at n = 3.
+    rec = lr.PRecurrence(1, (lr.UniPoly([3, -1]), lr.UniPoly([-3, 1])))
+    assert iterate_p_recurrence(rec, [1], 3) == [1, 1, 1, 1]
+    for seeds in ([1], [1.0]):
+        with pytest.raises(ValueError, match="n=3"):
+            iterate_p_recurrence(rec, seeds, 10)
+
+
 def test_first_return_closed_form_1d():
     b1 = lr.first_returns(1, 30)
     for n in range(1, 31):
