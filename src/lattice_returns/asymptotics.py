@@ -42,17 +42,9 @@ _G_TABLE = (
 
 @dataclass(frozen=True)
 class LeadingConstant:
-    """a_d = d^(d/2) / 2^(d-1), kept in exact (base, exponent) form."""
+    """a_d = d^(d/2) / 2^(d-1); its square is exactly rational."""
 
     d: int
-
-    @property
-    def base(self) -> int:
-        return self.d
-
-    @property
-    def exponent(self) -> Rational:
-        return Fraction(self.d, 2)
 
     @property
     def denominator(self) -> int:

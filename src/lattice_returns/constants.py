@@ -7,9 +7,12 @@ B-asymptotic constants b_d, b_1(d).
     b_d       = a_d / m_d^2
 
 Partial sums are accumulated in mpmath (>= 128-bit equivalent precision).
-For d in {3, 4, 5} the summands, in mpf here and in float64 for the
-B-side series, come from walks.iterate_p_recurrence run forward on the
-A-recurrence with q = (2d)^2; other d fall back to the exact x-ladder.
+For d in {3, 4, 5} the summands t_n = A_{2n}/(2d)^{2n} come from
+walks.iterate_p_recurrence run forward on the A-recurrence with
+q = (2d)^2; other d fall back to the exact ladder, each term the exact
+A_{2n}/(2d)^{2n} rounded once.  A constants bundle and p_d (d >= 3) are
+built from one mpf summand list: m_d and m_tilde_d are sums over it, and
+the B-side float series is its float64 copy inverted by FFT Newton.
 Tails beyond N are estimated from the four-term asymptotic integrand via
 Euler-Maclaurin at the midpoint N + 1/2 (default) or by summing the same
 expansion exactly over integers with the Hurwitz zeta function.  Error
@@ -21,6 +24,7 @@ rigorous bounds.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,21 +66,6 @@ class PolyaResult:
     p_direct: float | None = None
     partial_sum_raw: float | None = None
     m_estimate: Estimate | None = None
-
-    def to_json_obj(self) -> dict:
-        obj = {
-            "dimension": self.dimension,
-            "p": self.p,
-            "recurrent": self.recurrent,
-            "terms_used": self.terms_used,
-        }
-        if self.p_direct is not None:
-            obj["p_direct"] = self.p_direct
-        if self.partial_sum_raw is not None:
-            obj["partial_sum_raw"] = self.partial_sum_raw
-        if self.m_estimate is not None:
-            obj["m"] = self.m_estimate.to_json_obj()
-        return obj
 
 
 @dataclass(frozen=True)
@@ -122,25 +111,25 @@ def _recurrence_summands(d: int, N: int, q) -> list:
         rec, [s / q**i for i, s in enumerate(seeds)], N, q)
 
 
+def _ladder_summands(d: int, N: int, div) -> list:
+    """[t_0, ..., t_N], each the exact A_{2n}/(2d)^{2n} from the ladder
+    rounded once by div(A_{2n}, (2d)^{2n}) on ints; practical for N up
+    to a few thousand."""
+    q = (2 * d) ** 2
+    return [div(a, q**n) for n, a in enumerate(walks.closed_walks(d, N).values)]
+
+
 def _normalized_a_summands_mp(d: int, N: int) -> list:
-    """[t_0, ..., t_N] with t_n = A_{2n}^{(d)}/(2d)^{2n} as mpf values.
+    """[t_0, ..., t_N] with t_n = A_{2n}^{(d)}/(2d)^{2n} as mpf values at
+    the working precision: the one summand list that the constants of
+    dimension d are computed from.
 
     d in {3, 4, 5} use the A-recurrence; other dimensions fall back to
-    the exact ladder, practical for N up to a few thousand.
+    the exact ladder, each term correctly rounded by mp.fdiv.
     """
     if d in (3, 4, 5):
         return _recurrence_summands(d, N, mpf((2 * d) ** 2))
-    xs = walks.x_sequence(d, N).values
-    dd = mpf(d * d)
-    rho = mpf(1)  # C(2n,n)/4^n
-    ts = []
-    dpow = mpf(1)
-    for n in range(N + 1):
-        if n > 0:
-            rho = rho * (2 * n - 1) / (2 * n)
-            dpow = dpow * dd
-        ts.append(rho * mpf(xs[n]) / dpow)
-    return ts
+    return _ladder_summands(d, N, mp.fdiv)
 
 
 def _asym_tail_coeffs(d: int, weight: int) -> list[tuple[float, "mpf"]]:
@@ -190,9 +179,12 @@ def _summand_asym(d: int, n: int, weight: int):
     return sum(c * mpf(n) ** (-s) for s, c in _asym_tail_coeffs(d, weight))
 
 
-def _estimate(d: int, N: int, weight: int, dps: int, tail_method: str) -> Estimate:
+def _estimate(d: int, ts: list, weight: int, dps: int,
+              tail_method: str) -> Estimate:
+    """sum_n n^weight t_n over the summands ts = [t_0, ..., t_N] plus the
+    tail beyond N; runs at working precision dps."""
+    N = len(ts) - 1
     with mp.workdps(dps):
-        ts = _normalized_a_summands_mp(d, N)
         if weight == 0:
             partial = mp.fsum(ts)
         else:
@@ -214,14 +206,21 @@ def _estimate(d: int, N: int, weight: int, dps: int, tail_method: str) -> Estima
         return Estimate(float(value), float(bound))
 
 
+def _summands(d: int, N: int, dps: int) -> list:
+    """The mpf summands t_0..t_N at precision dps, for N large enough to
+    anchor the tail estimate."""
+    if N < 8:
+        raise ValueError("N too small to anchor the tail estimate")
+    with mp.workdps(dps):
+        return _normalized_a_summands_mp(d, N)
+
+
 def estimate_m(d: int, N: int, dps: int = 40,
                tail_method: str = "euler-maclaurin") -> Estimate:
     """m_d from N+1 exact-series terms plus an asymptotic tail."""
     if d <= 2:
         raise DivergenceError("m_d diverges for d <= 2 (recurrent walk)")
-    if N < 8:
-        raise ValueError("N too small to anchor the tail estimate")
-    return _estimate(d, N, 0, dps, tail_method)
+    return _estimate(d, _summands(d, N, dps), 0, dps, tail_method)
 
 
 def estimate_m_tilde(d: int, N: int, dps: int = 40,
@@ -229,9 +228,7 @@ def estimate_m_tilde(d: int, N: int, dps: int = 40,
     """m_tilde_d; the weighted series only converges for d >= 5."""
     if d <= 4:
         raise DivergenceError("m_tilde_d diverges for d <= 4")
-    if N < 8:
-        raise ValueError("N too small to anchor the tail estimate")
-    return _estimate(d, N, 1, dps, tail_method)
+    return _estimate(d, _summands(d, N, dps), 1, dps, tail_method)
 
 
 # ---------------------------------------------------------------------------
@@ -239,11 +236,12 @@ def estimate_m_tilde(d: int, N: int, dps: int = 40,
 # ---------------------------------------------------------------------------
 
 def normalized_a_series(d: int, N: int) -> np.ndarray:
-    """float64 array [A_0/(2d)^0, ..., A_{2N}/(2d)^{2N}].
+    """float64 array [A_0/(2d)^0, ..., A_{2N}/(2d)^{2N}] for the asym
+    tables and empirical_b1; bundles take theirs from the mpf summands.
 
     d = 1, 2 use the closed central-binomial forms; d in {3, 4, 5} the
     normalized P-recurrence (float64 forward iteration, stable); other d
-    the exact ladder (desk-scale N only).
+    the exact ladder, each term correctly rounded (desk-scale N only).
     """
     if d in (1, 2):
         rho = np.empty(N + 1)
@@ -253,15 +251,7 @@ def normalized_a_series(d: int, N: int) -> np.ndarray:
         return rho if d == 1 else rho * rho
     if d in (3, 4, 5):
         return np.array(_recurrence_summands(d, N, float((2 * d) ** 2)))
-    xs = walks.x_sequence(d, N).values
-    ts = np.empty(N + 1)
-    rho = 1.0
-    for n in range(N + 1):
-        if n > 0:
-            rho = rho * (2 * n - 1) / (2 * n)
-        # x_n itself overflows float64; x_n/d^(2n) ~ n^{-(d-1)/2} does not.
-        ts[n] = rho * math.exp(math.log(xs[n]) - 2 * n * math.log(d))
-    return ts
+    return np.array(_ladder_summands(d, N, operator.truediv))
 
 
 def _series_inverse_float(a: np.ndarray) -> np.ndarray:
@@ -288,14 +278,17 @@ def _fft_mul(a: np.ndarray, b: np.ndarray, out_len: int) -> np.ndarray:
     return np.fft.irfft(fa * fb, size)[:out_len]
 
 
+def _b_series(a: np.ndarray) -> np.ndarray:
+    """[0, b_1, ..., b_N] from a normalized A-series by B = 1 - 1/A."""
+    b = -_series_inverse_float(a)
+    b[0] = 0.0
+    return b
+
+
 def normalized_b_series(d: int, N: int) -> np.ndarray:
     """float64 array [0, B_2/(2d)^2, ..., B_{2N}/(2d)^{2N}] via the series
     identity B = 1 - 1/A applied to the normalized A-series."""
-    a = normalized_a_series(d, N)
-    inv = _series_inverse_float(a)
-    b = -inv
-    b[0] = 0.0
-    return b
+    return _b_series(normalized_a_series(d, N))
 
 
 def _fit_b_tail(d: int, b: np.ndarray, N: int):
@@ -314,6 +307,26 @@ def _fit_b_tail(d: int, b: np.ndarray, N: int):
     return bh * zeta(s, N + 1) + slope * zeta(s + 1, N + 1)
 
 
+def _polya(d: int, N: int, dps: int, tail_method: str,
+           with_m_tilde: bool = False) -> tuple[PolyaResult, Estimate | None]:
+    """p_d for d >= 3 by both routes, and m_tilde_d if asked, from one
+    summand list: m_d and m_tilde_d sum it in mpf, and its float64 copy
+    is inverted into the B-series of the direct route."""
+    ts = _summands(d, N, dps)
+    m = _estimate(d, ts, 0, dps, tail_method)
+    m_tilde = _estimate(d, ts, 1, dps, tail_method) if with_m_tilde else None
+    a = np.array(ts, dtype=float)
+    del ts  # the mpf list would otherwise stay alive through the inversion
+    b = _b_series(a)
+    raw = float(np.sum(b))
+    with mp.workdps(dps):
+        p_direct = float(raw + _fit_b_tail(d, b, N))
+    res = PolyaResult(dimension=d, p=1.0 - 1.0 / m.value, recurrent=False,
+                      terms_used=N, p_direct=p_direct, partial_sum_raw=raw,
+                      m_estimate=m)
+    return res, m_tilde
+
+
 def polya_probability(d: int, N: int, dps: int = 40,
                       tail_method: str = "euler-maclaurin") -> PolyaResult:
     """Return probability p_d with both routes reported for d >= 3.
@@ -324,32 +337,18 @@ def polya_probability(d: int, N: int, dps: int = 40,
     """
     if d < 1:
         raise ValueError("d must be >= 1")
-    b = normalized_b_series(d, N)
-    raw = float(np.sum(b))
-    if d <= 2:
-        return PolyaResult(dimension=d, p=1.0, recurrent=True,
-                           terms_used=N, partial_sum_raw=raw)
-    m = estimate_m(d, N, dps=dps, tail_method=tail_method)
-    p_m = 1.0 - 1.0 / m.value
-    with mp.workdps(dps):
-        p_direct = float(raw + _fit_b_tail(d, b, N))
-    return PolyaResult(dimension=d, p=p_m, recurrent=False, terms_used=N,
-                       p_direct=p_direct, partial_sum_raw=raw, m_estimate=m)
-
-
-@dataclass(frozen=True)
-class BConstants:
-    """First-return asymptotic constants assembled for eval_B_asym."""
-
-    dimension: int
-    b: float
-    b1: float | None
-    b1_log_coefficient: float | None
+    if d >= 3:
+        return _polya(d, N, dps, tail_method)[0]
+    raw = float(np.sum(normalized_b_series(d, N)))
+    return PolyaResult(dimension=d, p=1.0, recurrent=True, terms_used=N,
+                       partial_sum_raw=raw)
 
 
 def b_constants(d: int, m: Estimate | float,
-                m_tilde: Estimate | float | None = None) -> BConstants:
-    """b_d = a_d/m_d^2 plus the 1/n (or log n / n) correction constant.
+                m_tilde: Estimate | float | None = None
+                ) -> tuple[float, float | None, float | None]:
+    """(b, b1, b1_log_coefficient) as eval_B_asym reads them from the
+    bundle: b_d = a_d/m_d^2 plus the 1/n (or log n / n) correction constant.
 
     d = 3 uses the explicit b_1(3) formula; d = 4 has no constant 1/n
     coefficient at this order -- the correction is the log-term
@@ -361,14 +360,14 @@ def b_constants(d: int, m: Estimate | float,
     b = float(leading_constant_a(d)) / m_val**2
     if d == 3:
         b1 = -3.0 / 16 + 9.0 / (32 * m_val) - 81.0 / (16 * math.pi**2 * m_val**3)
-        return BConstants(d, b, b1, None)
+        return b, b1, None
     if d == 4:
-        return BConstants(d, b, None, -8.0 / (math.pi**2 * m_val))
+        return b, None, -8.0 / (math.pi**2 * m_val)
     if m_tilde is None:
         raise DependencyError("b_1(%d) needs m_tilde_%d" % (d, d))
     mt = getattr(m_tilde, "value", m_tilde)
     b1 = -d / 8.0 - d * mt / m_val if d % 2 == 1 else -d / 8.0 + d * mt / m_val
-    return BConstants(d, b, b1, None)
+    return b, b1, None
 
 
 def empirical_b1(d: int, m: Estimate | float, n: int = 2000) -> float:
@@ -386,19 +385,17 @@ def build_bundle(d: int, N: int, dps: int = 40,
     """The full constants bundle for dimension d >= 3."""
     if d <= 2:
         raise DivergenceError("constants bundle requires d >= 3")
-    res = polya_probability(d, N, dps=dps, tail_method=tail_method)
-    m = res.m_estimate
-    m_tilde = estimate_m_tilde(d, N, dps=dps, tail_method=tail_method) if d >= 5 else None
-    bc = b_constants(d, m, m_tilde)
+    res, m_tilde = _polya(d, N, dps, tail_method, with_m_tilde=d >= 5)
+    b, b1, b1_log_coefficient = b_constants(d, res.m_estimate, m_tilde)
     return ConstantsBundle(
         dimension=d,
-        m=m,
+        m=res.m_estimate,
         m_tilde=m_tilde,
         p=res.p,
         p_direct=res.p_direct,
-        b=bc.b,
-        b1=bc.b1,
-        b1_log_coefficient=bc.b1_log_coefficient,
+        b=b,
+        b1=b1,
+        b1_log_coefficient=b1_log_coefficient,
         terms_used=N,
         tail_method=tail_method,
     )

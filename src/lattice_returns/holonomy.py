@@ -101,9 +101,6 @@ class TruncatedSeries:
             raise ValueError("cannot extend a truncated series")
         return TruncatedSeries(self.coeffs[:order])
 
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
     def first_nonzero(self) -> int | None:
         for i, c in enumerate(self.coeffs):
             if c:

@@ -105,13 +105,6 @@ class LatticeDistribution:
         """Items in lexicographic point order (canonical serialization)."""
         return sorted(self.counts.items())
 
-    def to_json_obj(self) -> dict:
-        return {
-            "dimension": self.dimension,
-            "steps": self.steps,
-            "counts": [[list(p), str(c)] for p, c in self.sorted_items()],
-        }
-
 
 @dataclass(frozen=True)
 class Layer:

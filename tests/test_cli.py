@@ -209,6 +209,14 @@ def test_constants_d5_includes_m_tilde(capsys):
     assert obj["tail_method"] == "hurwitz-zeta"
 
 
+def test_constants_d6_ladder_bundle(capsys):
+    code, out, _ = run_cli(capsys, "constants", "--d", "6", "--N", "120")
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["m_d"]["value"] == lr.estimate_m(6, 120).value
+    assert obj["m_tilde_d"] is not None
+
+
 # ---------------------------------------------------------------------------
 # asym
 # ---------------------------------------------------------------------------

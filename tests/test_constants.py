@@ -6,11 +6,13 @@ literature anchors; everything else is checked by two-route consistency
 """
 
 import math
+from fractions import Fraction
 
 import pytest
 from mpmath import mp, mpf
 
 import lattice_returns as lr
+from lattice_returns import constants, walks
 from lattice_returns.constants import (
     _fit_b_tail,
     _normalized_a_summands_mp,
@@ -99,10 +101,14 @@ def test_polya_p4_p5_brackets():
 
 def test_normalized_a_series_against_exact():
     mp.dps = 30
-    for d in (1, 2, 3, 4, 5, 6):
+    for d in (1, 2, 3, 4, 5, 6, 7):
         arr = normalized_a_series(d, 120)
         table = lr.closed_walks(d, 120)
         for n in (0, 1, 17, 60, 120):
+            if d >= 6:
+                # the ladder fallback rounds the exact ratio once
+                assert arr[n] == float(Fraction(table.value(n), (2 * d) ** (2 * n)))
+                continue
             exact = mpf(table.value(n)) / mpf(2 * d) ** (2 * n)
             assert abs(float(exact) - arr[n]) <= 1e-12 * float(exact)
 
@@ -151,19 +157,19 @@ def test_b_tail_fit_improves_partial_sum():
 
 def test_b_constants_d3():
     m = lr.estimate_m(3, 20000)
-    bc = lr.b_constants(3, m)
-    assert abs(bc.b - float(lr.leading_constant_a(3)) / m.value**2) < 1e-15
+    b, b1, b1_log_coefficient = lr.b_constants(3, m)
+    assert abs(b - float(lr.leading_constant_a(3)) / m.value**2) < 1e-15
     # printed closed form; the empirical 1/n coefficient differs (see
     # test_empirical_b1_fit below) and is exposed separately
-    assert abs(bc.b1 - (-0.149134005531)) < 1e-9
-    assert bc.b1_log_coefficient is None
+    assert abs(b1 - (-0.149134005531)) < 1e-9
+    assert b1_log_coefficient is None
 
 
 def test_b_constants_d4_log_coefficient():
     m = lr.estimate_m(4, 20000)
-    bc = lr.b_constants(4, m)
-    assert bc.b1 is None
-    assert abs(bc.b1_log_coefficient - (-8.0 / (math.pi**2 * m.value))) < 1e-15
+    _, b1, b1_log_coefficient = lr.b_constants(4, m)
+    assert b1 is None
+    assert abs(b1_log_coefficient - (-8.0 / (math.pi**2 * m.value))) < 1e-15
 
 
 def test_b_constants_d5_needs_m_tilde():
@@ -171,8 +177,8 @@ def test_b_constants_d5_needs_m_tilde():
     with pytest.raises(DependencyError):
         lr.b_constants(5, m)
     mt = lr.estimate_m_tilde(5, 8000)
-    bc = lr.b_constants(5, m, mt)
-    assert abs(bc.b1 - (-5.0 / 8 - 5 * mt.value / m.value)) < 1e-15
+    _, b1, _ = lr.b_constants(5, m, mt)
+    assert abs(b1 - (-5.0 / 8 - 5 * mt.value / m.value)) < 1e-15
 
 
 def test_b_constants_divergent_guard():
@@ -193,9 +199,43 @@ def test_empirical_b1_matches_printed_formula_for_d5():
     # for d = 5 the printed odd-d formula does agree with the data
     m = lr.estimate_m(5, 20000)
     mt = lr.estimate_m_tilde(5, 20000)
-    bc = lr.b_constants(5, m, mt)
+    _, b1, _ = lr.b_constants(5, m, mt)
     y = lr.empirical_b1(5, m, n=2000)
-    assert abs(y - bc.b1) < 0.05
+    assert abs(y - b1) < 0.05
+
+
+def test_bundle_makes_one_summand_pass(monkeypatch):
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls.append((name,) + args)
+            return fn(*args)
+        return wrapper
+
+    def forbidden(*args):
+        raise AssertionError("the float series must come from the summands")
+
+    monkeypatch.setattr(constants, "_normalized_a_summands_mp",
+                        counted("summands", constants._normalized_a_summands_mp))
+    monkeypatch.setattr(walks, "closed_walks", counted("ladder", walks.closed_walks))
+    for name in ("normalized_a_series", "normalized_b_series"):
+        monkeypatch.setattr(constants, name, forbidden)
+
+    bundle = lr.build_bundle(5, 400)
+    assert calls.count(("summands", 5, 400)) == 1
+    assert bundle.m == lr.estimate_m(5, 400)
+    assert bundle.m_tilde == lr.estimate_m_tilde(5, 400)
+
+    calls.clear()
+    lr.polya_probability(3, 400)
+    assert [c for c in calls if c[0] == "summands"] == [("summands", 3, 400)]
+
+    calls.clear()
+    bundle6 = lr.build_bundle(6, 60)
+    assert [c for c in calls if c[:2] == ("ladder", 6)] == [("ladder", 6, 60)]
+    assert bundle6.m == lr.estimate_m(6, 60)
+    assert bundle6.m_tilde == lr.estimate_m_tilde(6, 60)
 
 
 def test_build_bundle_shapes():
