@@ -123,6 +123,13 @@ def a_recurrence(d: int) -> PRecurrence:
         raise ValueError("no known A-recurrence for d=%d" % d) from None
 
 
+# The dimensions with a known x- and A-recurrence, ascending.  The fast
+# paths, the constants summands and the verify suites read this, so a new
+# dimension is added here alone: its two recurrences above and, because
+# the verify suites check them, its two ODEs below.
+DIMENSIONS = tuple(sorted(_X_RECURRENCES.keys() & _A_RECURRENCES.keys()))
+
+
 # --------------------------------------------------------------------------
 # ODEs for the generating functions F_d (of x) and A_d (of A), d = 1..5.
 # Coefficients listed lowest derivative first.

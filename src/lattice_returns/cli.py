@@ -110,18 +110,16 @@ def cmd_layers(args) -> int:
 
 def _check_table_fixtures() -> list[holonomy.VerificationReport]:
     reports = []
-    for d in (1, 2, 3, 4):
+    for d, table_a in catalog.TABLE_A.items():
         a = walks.closed_walks(d, 8)
         b = walks.first_returns(d, 8)
-        ok_a = tuple(a.value(n) for n in range(1, 9)) == catalog.TABLE_A[d]
-        ok_b = tuple(b.value(n) for n in range(1, 9)) == catalog.TABLE_B[d]
-        status = "pass" if (ok_a and ok_b) else "fail"
+        ok = (tuple(a.value(n) for n in range(1, 9)) == table_a
+              and tuple(b.value(n) for n in range(1, 9)) == catalog.TABLE_B[d])
         reports.append(holonomy.VerificationReport(
             check="table-fixtures",
             parameters={"d": d, "oeis_A": catalog.OEIS_IDS[("A", d)],
                         "oeis_B": catalog.OEIS_IDS[("B", d)]},
-            horizon=8, status=status,
-            first_failure=None if status == "pass" else {"d": d},
+            horizon=8, first_failure=None if ok else {"d": d},
         ))
     return reports
 
@@ -130,7 +128,7 @@ def _check_precurrences(n_max: int) -> list[holonomy.VerificationReport]:
     # The sequences are built by the binomial ladder, never by iterating
     # the recurrence under test, so the check is not circular.
     reports = []
-    for d in range(1, 6):
+    for d in catalog.DIMENSIONS:
         x = walks.x_sequence(d, n_max + 3)
         reports.append(holonomy.check_p_recurrence(catalog.x_recurrence(d), x, n_max))
         a = walks.closed_walks(d, n_max + 3)
@@ -138,10 +136,12 @@ def _check_precurrences(n_max: int) -> list[holonomy.VerificationReport]:
     return reports
 
 
-def _check_odes(order: int, d: int | None = None,
-                kind: str | None = None) -> list[holonomy.VerificationReport]:
+def _check_odes(order: int, d: int | None,
+                kind: str | None) -> list[holonomy.VerificationReport]:
+    if kind == "B":
+        raise UsageError("no ODE for kind B: first returns are not holonomic")
     reports = []
-    dims = [d] if d else list(range(1, 6))
+    dims = [d] if d else catalog.DIMENSIONS
     kinds = [kind] if kind else ["X", "A"]
     for dd in dims:
         for k in kinds:
@@ -157,7 +157,7 @@ def _check_odes(order: int, d: int | None = None,
 
 def _check_lucas(d: int | None, kind: str | None,
                  p: int | None) -> list[holonomy.VerificationReport]:
-    dims = [d] if d else list(range(1, 6))
+    dims = [d] if d else catalog.DIMENSIONS
     kinds = [kind] if kind else ["X", "A"]
     primes = [p] if p else [3, 5, 7, 11, 13]
     reports = []
@@ -173,7 +173,7 @@ def _check_lucas(d: int | None, kind: str | None,
 def _check_hadamard(order: int) -> list[holonomy.VerificationReport]:
     reports = []
     a1 = holonomy.series_from_sequence(walks.closed_walks(1, order), order)
-    for d in range(1, 6):
+    for d in catalog.DIMENSIONS:
         f_d = holonomy.series_from_sequence(walks.x_sequence_fast(d, order), order)
         a_d = holonomy.series_from_sequence(walks.closed_walks_fast(d, order), order)
         b_d = holonomy.series_from_sequence(walks.first_returns_fast(d, order), order)
@@ -183,15 +183,14 @@ def _check_hadamard(order: int) -> list[holonomy.VerificationReport]:
         for name, ok in (("hadamard A=F*F2", had_ok), ("reciprocal (1-B)A=1", recip_ok)):
             reports.append(holonomy.VerificationReport(
                 check=name, parameters={"d": d, "order": order},
-                horizon=order, status="pass" if ok else "fail",
-                first_failure=None if ok else {"d": d},
+                horizon=order, first_failure=None if ok else {"d": d},
             ))
     return reports
 
 
 def _check_singularities() -> list[holonomy.VerificationReport]:
     reports = []
-    for d in range(1, 6):
+    for d in catalog.DIMENSIONS:
         for kind, ode, expected in (
             ("X", catalog.f_ode(d), catalog.expected_f_singularities(d)),
             ("A", catalog.a_ode(d), catalog.expected_a_singularities(d)),
@@ -202,8 +201,7 @@ def _check_singularities() -> list[holonomy.VerificationReport]:
                 check="singularities",
                 parameters={"kind": kind, "d": d,
                             "roots": sorted(str(r) for r in roots)},
-                horizon=0, status="pass" if ok else "fail",
-                first_failure=None if ok else {
+                horizon=0, first_failure=None if ok else {
                     "expected": sorted(str(r) for r in expected),
                     "irrational_factor": irrational,
                 },
@@ -217,27 +215,21 @@ _SUITES = ("table-fixtures", "precurrence", "ode", "lucas", "hadamard",
 
 def cmd_verify(args) -> int:
     suite = args.suite
-    jobs = []
+    # --d, --kind and --p scope a single suite; "all" runs every default.
+    d, kind, p = (None, None, None) if suite == "all" else (args.d, args.kind, args.p)
+    reports = []
     if suite in ("table-fixtures", "all"):
-        jobs.append(_check_table_fixtures)
+        reports += _check_table_fixtures()
     if suite in ("precurrence", "all"):
-        jobs.append(lambda: _check_precurrences(args.n_max))
+        reports += _check_precurrences(args.n_max)
     if suite in ("ode", "all"):
-        if suite == "ode" and (args.d or args.kind):
-            jobs.append(lambda: _check_odes(args.order, args.d, args.kind))
-        else:
-            jobs.append(lambda: _check_odes(args.order))
+        reports += _check_odes(args.order, d, kind)
     if suite in ("lucas", "all"):
-        if suite == "lucas":
-            jobs.append(lambda: _check_lucas(args.d, args.kind, args.p))
-        else:
-            jobs.append(lambda: _check_lucas(None, None, None))
+        reports += _check_lucas(d, kind, p)
     if suite in ("hadamard", "all"):
-        jobs.append(lambda: _check_hadamard(args.order if suite == "hadamard" else 200))
+        reports += _check_hadamard(args.order if suite == "hadamard" else 200)
     if suite in ("singularities", "all"):
-        jobs.append(_check_singularities)
-
-    reports = [r for job in jobs for r in job()]
+        reports += _check_singularities()
     failed = [r for r in reports if not r.passed]
     status = "fail" if failed else "pass"
     if args.expect_fail:
@@ -272,7 +264,7 @@ def cmd_constants(args) -> int:
         return 0
     bundle = constants.build_bundle(args.d, args.N, tail_method=args.tail_method)
     obj = bundle.to_json_obj()
-    if args.d in (3, 4, 5):
+    if args.d in catalog.DIMENSIONS:
         obj["b_1_empirical_fit"] = constants.empirical_b1(
             args.d, bundle.m, n=min(2000, args.N))
     _write(args.out, json.dumps(obj, indent=2) + "\n")

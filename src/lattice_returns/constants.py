@@ -7,12 +7,13 @@ B-asymptotic constants b_d, b_1(d).
     b_d       = a_d / m_d^2
 
 Partial sums are accumulated in mpmath (>= 128-bit equivalent precision).
-For d in {3, 4, 5} the summands t_n = A_{2n}/(2d)^{2n} come from
-walks.iterate_p_recurrence run forward on the A-recurrence with
-q = (2d)^2; other d fall back to the exact ladder, each term the exact
-A_{2n}/(2d)^{2n} rounded once.  A constants bundle and p_d (d >= 3) are
-built from one mpf summand list: m_d and m_tilde_d are sums over it, and
-the B-side float series is its float64 copy inverted by FFT Newton.
+For every d the catalog has a recurrence for, the summands
+t_n = A_{2n}/(2d)^{2n} come from walks.recurrence_values run forward on
+the A-recurrence with q = (2d)^2; other d fall back to the exact ladder,
+each term the exact A_{2n}/(2d)^{2n} rounded once.  A constants bundle
+and p_d (d >= 3) are built from one mpf summand list: m_d and m_tilde_d
+are sums over it, and the B-side float series is its float64 copy
+inverted by FFT Newton.
 Tails beyond N are estimated from the four-term asymptotic integrand via
 Euler-Maclaurin at the midpoint N + 1/2 (default) or by summing the same
 expansion exactly over integers with the Hurwitz zeta function.  Error
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 from mpmath import mp, mpf, zeta
 
-from . import catalog, walks
+from . import walks
 from .asymptotics import a_coeff, leading_constant_a
 from .errors import DependencyError, DivergenceError
 
@@ -102,34 +103,27 @@ class ConstantsBundle:
 # Summand generation: t_n = A_{2n} / (2d)^{2n} in high precision.
 # ---------------------------------------------------------------------------
 
-def _recurrence_summands(d: int, N: int, q) -> list:
-    """[t_0, ..., t_N] with t_n = A_{2n}^{(d)}/q^n for d in {3, 4, 5}, in
-    the number type of q, by forward iteration of the A-recurrence."""
-    rec = catalog.a_recurrence(d)
-    seeds = walks.closed_walks(d, rec.order - 1).values
-    return walks.iterate_p_recurrence(
-        rec, [s / q**i for i, s in enumerate(seeds)], N, q)
+def _normalized_summands(d: int, N: int, num) -> list:
+    """[t_0, ..., t_N] with t_n = A_{2n}^{(d)}/(2d)^{2n} in the number type
+    num (mpf or float).
 
-
-def _ladder_summands(d: int, N: int, div) -> list:
-    """[t_0, ..., t_N], each the exact A_{2n}/(2d)^{2n} from the ladder
-    rounded once by div(A_{2n}, (2d)^{2n}) on ints; practical for N up
-    to a few thousand."""
+    Every d the catalog has a recurrence for iterates the A-recurrence
+    forward at q = num((2d)^2); other d fall back to the exact ladder,
+    each term rounded once (mp.fdiv or int true division on ints;
+    practical for N up to a few thousand).
+    """
     q = (2 * d) ** 2
-    return [div(a, q**n) for n, a in enumerate(walks.closed_walks(d, N).values)]
+    ts = walks.recurrence_values("A", d, N, num(q))
+    if ts is None:
+        div = mp.fdiv if num is mpf else operator.truediv
+        ts = [div(a, q**n) for n, a in enumerate(walks.closed_walks(d, N).values)]
+    return ts
 
 
 def _normalized_a_summands_mp(d: int, N: int) -> list:
-    """[t_0, ..., t_N] with t_n = A_{2n}^{(d)}/(2d)^{2n} as mpf values at
-    the working precision: the one summand list that the constants of
-    dimension d are computed from.
-
-    d in {3, 4, 5} use the A-recurrence; other dimensions fall back to
-    the exact ladder, each term correctly rounded by mp.fdiv.
-    """
-    if d in (3, 4, 5):
-        return _recurrence_summands(d, N, mpf((2 * d) ** 2))
-    return _ladder_summands(d, N, mp.fdiv)
+    """The mpf summands t_0 .. t_N at the working precision: the one
+    summand list that the constants of dimension d are computed from."""
+    return _normalized_summands(d, N, mpf)
 
 
 def _asym_tail_coeffs(d: int, weight: int) -> list[tuple[float, "mpf"]]:
@@ -239,9 +233,10 @@ def normalized_a_series(d: int, N: int) -> np.ndarray:
     """float64 array [A_0/(2d)^0, ..., A_{2N}/(2d)^{2N}] for the asym
     tables and empirical_b1; bundles take theirs from the mpf summands.
 
-    d = 1, 2 use the closed central-binomial forms; d in {3, 4, 5} the
-    normalized P-recurrence (float64 forward iteration, stable); other d
-    the exact ladder, each term correctly rounded (desk-scale N only).
+    d = 1, 2 use the closed central-binomial forms; every other d the
+    catalog has a recurrence for the normalized P-recurrence (float64
+    forward iteration, stable); the rest the exact ladder, each term
+    correctly rounded (desk-scale N only).
     """
     if d in (1, 2):
         rho = np.empty(N + 1)
@@ -249,9 +244,7 @@ def normalized_a_series(d: int, N: int) -> np.ndarray:
         for n in range(1, N + 1):
             rho[n] = rho[n - 1] * (2 * n - 1) / (2 * n)
         return rho if d == 1 else rho * rho
-    if d in (3, 4, 5):
-        return np.array(_recurrence_summands(d, N, float((2 * d) ** 2)))
-    return np.array(_ladder_summands(d, N, operator.truediv))
+    return np.array(_normalized_summands(d, N, float))
 
 
 def _series_inverse_float(a: np.ndarray) -> np.ndarray:

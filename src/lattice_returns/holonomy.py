@@ -168,12 +168,15 @@ class VerificationReport:
     check: str
     parameters: dict
     horizon: int
-    status: str  # "pass" | "fail"
     first_failure: dict | None = field(default=None)
 
     @property
     def passed(self) -> bool:
-        return self.status == "pass"
+        return self.first_failure is None
+
+    @property
+    def status(self) -> str:
+        return "pass" if self.passed else "fail"
 
     def to_json_obj(self) -> dict:
         obj = {
@@ -254,7 +257,6 @@ def check_p_recurrence(rec: PRecurrence, seq: "SequenceTable",
         parameters={"name": rec.name, "kind": seq.kind, "d": seq.dimension,
                     "n_max": n_max},
         horizon=n_max,
-        status="pass" if first_failure is None else "fail",
         first_failure=first_failure,
     )
 
@@ -297,7 +299,6 @@ def check_ode(ode: LinearODE, f: TruncatedSeries, label: dict | None = None
         check="ode-annihilation",
         parameters=params,
         horizon=horizon,
-        status="pass" if first_failure is None else "fail",
         first_failure=first_failure,
     )
 
@@ -457,7 +458,6 @@ def lucas_check(seq: "SequenceTable", p: int, n_max: int) -> VerificationReport:
         parameters={"kind": seq.kind, "d": seq.dimension, "p": p,
                     "n_max": n_max, "vanishing_clause": vanishing_checked},
         horizon=n_max,
-        status="pass" if first_failure is None else "fail",
         first_failure=first_failure,
     )
 

@@ -13,7 +13,8 @@ Counting conventions (used everywhere in the package):
       x_n^{(d+1)} = sum_k C(n, k)^2 x_k^{(d)},   x_n^{(1)} = 1.
 
 All sequences are generated from the x-ladder (single source of truth);
-A follows by multiplying central binomials, B by the convolution
+A follows by multiplying central binomials, B by the renewal identity
+B = 1 - 1/A on the generating functions, that is
 
       B_{2n} = A_{2n} - sum_{k=1}^{n-1} B_{2k} A_{2n-2k}.
 
@@ -30,6 +31,7 @@ from typing import Iterator
 
 import numpy as np
 
+from . import catalog, holonomy
 from .errors import CapacityError
 from .kernel import BigCount, binomial
 
@@ -153,22 +155,18 @@ def closed_walks(d: int, N: int) -> SequenceTable:
     return SequenceTable(d, "A", vals)
 
 
-def _first_returns_from_a(a_values: tuple[BigCount, ...]) -> list[BigCount]:
-    """B_2 .. B_{2N} from A_0 .. A_{2N} via the convolution recurrence."""
-    N = len(a_values) - 1
-    bs: list[BigCount] = []
-    for n in range(1, N + 1):
-        b = a_values[n] - sum(bs[k - 1] * a_values[n - k] for k in range(1, n))
-        bs.append(b)
-    return bs
+def _first_returns_from_a(a: SequenceTable) -> SequenceTable:
+    """B_2 .. B_{2N} from A_0 .. A_{2N} by B = 1 - 1/A (A_0 = 1, so the
+    reciprocal stays in ints)."""
+    inverse = holonomy.reciprocal_series(holonomy.TruncatedSeries(a.values))
+    return SequenceTable(a.dimension, "B", tuple(-c for c in inverse.coeffs[1:]))
 
 
 def first_returns(d: int, N: int) -> SequenceTable:
     """B_2 .. B_{2N}: first returns to the origin."""
     if N < 1:
         raise ValueError("N must be >= 1")
-    a = closed_walks(d, N)
-    return SequenceTable(d, "B", tuple(_first_returns_from_a(a.values)))
+    return _first_returns_from_a(closed_walks(d, N))
 
 
 def first_return_closed_form_1d(n: int) -> BigCount:
@@ -339,8 +337,9 @@ def first_returns_dp(d: int, n: int) -> BigCount:
 
 
 # ---------------------------------------------------------------------------
-# Fast generators: P-recurrence forward iteration for d in {3, 4, 5}.
-# O(N) big-integer steps instead of the O(d N^2) ladder.
+# Fast generators: P-recurrence forward iteration for every d the catalog
+# has a recurrence for.  O(N) big-integer steps instead of the O(d N^2)
+# ladder.
 # ---------------------------------------------------------------------------
 
 def _integer_coeffs(poly) -> tuple[int, ...]:
@@ -397,32 +396,39 @@ def iterate_p_recurrence(rec, seeds: list, N: int, q=1) -> list:
     return vals
 
 
-def x_sequence_fast(d: int, N: int) -> SequenceTable:
-    """x-table via the known P-recurrences (d in {3,4,5}); falls back to
-    the ladder otherwise."""
-    from . import catalog
+def recurrence_values(kind: str, d: int, N: int, q=1) -> list | None:
+    """u_0 .. u_N with u_n = v_n / q^n, where v is the x-sequence (kind
+    "X") or the A-sequence (kind "A") of dimension d, by the catalog's
+    P-recurrence seeded from the ladder; None when the catalog has no
+    recurrence for d.  q = 1 gives the exact integers; an mpf or float q
+    gives rounded values in that type (see iterate_p_recurrence).
+    """
+    if d not in catalog.DIMENSIONS:
+        return None
+    if kind == "X":
+        rec, ladder = catalog.x_recurrence(d), x_sequence
+    else:
+        rec, ladder = catalog.a_recurrence(d), closed_walks
+    seeds = ladder(d, min(N, rec.order - 1)).values
+    if q != 1:
+        seeds = [s / q**i for i, s in enumerate(seeds)]
+    return iterate_p_recurrence(rec, seeds, N, q)
 
-    if d not in (3, 4, 5) or N < 4:
-        return x_sequence(d, N)
-    rec = catalog.x_recurrence(d)
-    seeds = list(x_sequence(d, rec.order - 1).values)
-    return SequenceTable(d, "X", tuple(iterate_p_recurrence(rec, seeds, N)))
+
+def x_sequence_fast(d: int, N: int) -> SequenceTable:
+    """x-table via the catalog's P-recurrence; the ladder for any other d."""
+    vals = recurrence_values("X", d, N)
+    return x_sequence(d, N) if vals is None else SequenceTable(d, "X", tuple(vals))
 
 
 def closed_walks_fast(d: int, N: int) -> SequenceTable:
-    """A-table via the known P-recurrences (d in {3,4,5})."""
-    from . import catalog
-
-    if d not in (3, 4, 5) or N < 4:
-        return closed_walks(d, N)
-    rec = catalog.a_recurrence(d)
-    seeds = list(closed_walks(d, rec.order - 1).values)
-    return SequenceTable(d, "A", tuple(iterate_p_recurrence(rec, seeds, N)))
+    """A-table via the catalog's P-recurrence; the ladder for any other d."""
+    vals = recurrence_values("A", d, N)
+    return closed_walks(d, N) if vals is None else SequenceTable(d, "A", tuple(vals))
 
 
 def first_returns_fast(d: int, N: int) -> SequenceTable:
     """B-table with the A-values generated by the fast path."""
     if N < 1:
         raise ValueError("N must be >= 1")
-    a = closed_walks_fast(d, N)
-    return SequenceTable(d, "B", tuple(_first_returns_from_a(a.values)))
+    return _first_returns_from_a(closed_walks_fast(d, N))

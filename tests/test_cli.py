@@ -5,12 +5,15 @@ covers the installed console script.
 
 import json
 import math
+import os
+import pathlib
 import subprocess
 import sys
 
 import pytest
 
 import lattice_returns as lr
+from lattice_returns import catalog
 from lattice_returns.cli import main, parse_seq_csv, parse_seq_json
 
 
@@ -153,6 +156,33 @@ def test_verify_ode_scoped(capsys):
     assert [r["parameters"]["d"] for r in obj["reports"]] == [5]
 
 
+def test_verify_ode_rejects_first_returns(capsys):
+    # B = 1 - 1/A is not holonomic: there is no B-ODE to check.
+    code, out, err = run_cli(capsys, "verify", "ode", "--kind", "B")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_verify_precurrence_checks_ladder_data(capsys, monkeypatch):
+    # A wrong catalog recurrence must fail against the ladder's terms; if
+    # the suite generated its data from the recurrence under test, the
+    # check would pass (or the exact iteration would raise).
+    from test_walks import _perturbed
+
+    for name in ("x_recurrence", "a_recurrence"):
+        lookup = getattr(catalog, name)
+        monkeypatch.setattr(
+            catalog, name,
+            lambda d, lookup=lookup: _perturbed(lookup(d), 1) if d == 3 else lookup(d))
+    code, out, _ = run_cli(capsys, "verify", "precurrence", "--n-max", "20")
+    assert code == 1
+    status = {(r["parameters"]["kind"], r["parameters"]["d"]): r["status"]
+              for r in json.loads(out)["reports"]}
+    assert status.pop(("X", 3)) == status.pop(("A", 3)) == "fail"
+    assert set(status.values()) == {"pass"}
+
+
 def test_verify_lucas_expected_failure_inverts_exit(capsys):
     code, out, _ = run_cli(
         capsys, "verify", "lucas", "--kind", "B", "--d", "3", "--p", "5")
@@ -272,3 +302,24 @@ def test_console_script_entry_point():
          "--d", "1", "--N", "3"],
         capture_output=True, text=True, check=True)
     assert out.stdout.endswith("3,20\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["seq", "--kind", "B", "--d", "3", "--N", "50"],
+    ["constants", "--d", "6", "--N", "120"],
+])
+def test_traced_launcher_matches_untraced_run(argv, tmp_path):
+    # perfbench/traced.py patches the package's functions by name; a rename
+    # in src/ must fail here rather than in the next benchmark run.
+    root = pathlib.Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
+    plain = subprocess.run([sys.executable, "-m", "lattice_returns.cli", *argv],
+                           capture_output=True, text=True, env=env)
+    traced = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "traced.py"),
+         str(tmp_path / "spans.json"), "--", *argv],
+        capture_output=True, text=True, env=env)
+    assert plain.returncode == traced.returncode == 0, traced.stderr
+    assert traced.stdout == plain.stdout
+    assert json.loads((tmp_path / "spans.json").read_text())["spans"]

@@ -127,6 +127,15 @@ def test_report_json():
     assert "first_failure" not in obj  # omitted when the check passes
 
 
+def test_report_status_follows_first_failure():
+    rep = lr.VerificationReport(check="c", parameters={}, horizon=3,
+                                first_failure={"n": 2})
+    assert rep.status == "fail" and not rep.passed
+    assert list(rep.to_json_obj()) == [
+        "check", "parameters", "horizon", "status", "first_failure"]
+    assert lr.VerificationReport("c", {}, 3).status == "pass"
+
+
 def test_footnote_recurrences():
     # d=1: x constant; d=2: central binomials
     x1 = lr.x_sequence(1, 33)
