@@ -108,43 +108,47 @@ def cmd_layers(args) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
-def _check_table_fixtures() -> list[holonomy.VerificationReport]:
+def _scoped(value, default) -> list:
+    """[value] when a flag scopes the run, else the suite's default list."""
+    return list(default) if value is None else [value]
+
+
+def _check_table_fixtures(d: int | None) -> list[holonomy.VerificationReport]:
     reports = []
-    for d, table_a in catalog.TABLE_A.items():
-        a = walks.closed_walks(d, 8)
-        b = walks.first_returns(d, 8)
-        ok = (tuple(a.value(n) for n in range(1, 9)) == table_a
-              and tuple(b.value(n) for n in range(1, 9)) == catalog.TABLE_B[d])
+    for dd in _scoped(d, catalog.TABLE_A):
+        a = walks.closed_walks(dd, 8)
+        b = walks.first_returns(dd, 8)
+        ok = (tuple(a.value(n) for n in range(1, 9)) == catalog.TABLE_A[dd]
+              and tuple(b.value(n) for n in range(1, 9)) == catalog.TABLE_B[dd])
         reports.append(holonomy.VerificationReport(
             check="table-fixtures",
-            parameters={"d": d, "oeis_A": catalog.OEIS_IDS[("A", d)],
-                        "oeis_B": catalog.OEIS_IDS[("B", d)]},
-            horizon=8, first_failure=None if ok else {"d": d},
+            parameters={"d": dd, "oeis_A": catalog.OEIS_IDS[("A", dd)],
+                        "oeis_B": catalog.OEIS_IDS[("B", dd)]},
+            horizon=8, first_failure=None if ok else {"d": dd},
         ))
     return reports
 
 
-def _check_precurrences(n_max: int) -> list[holonomy.VerificationReport]:
+def _check_precurrences(n_max: int, d: int | None,
+                        kind: str | None) -> list[holonomy.VerificationReport]:
     # The sequences are built by the binomial ladder, never by iterating
     # the recurrence under test, so the check is not circular.
     reports = []
-    for d in catalog.DIMENSIONS:
-        x = walks.x_sequence(d, n_max + 3)
-        reports.append(holonomy.check_p_recurrence(catalog.x_recurrence(d), x, n_max))
-        a = walks.closed_walks(d, n_max + 3)
-        reports.append(holonomy.check_p_recurrence(catalog.a_recurrence(d), a, n_max))
+    for dd in _scoped(d, catalog.DIMENSIONS):
+        for k in _scoped(kind, ("X", "A")):
+            if k == "X":
+                seq, rec = walks.x_sequence(dd, n_max + 3), catalog.x_recurrence(dd)
+            else:
+                seq, rec = walks.closed_walks(dd, n_max + 3), catalog.a_recurrence(dd)
+            reports.append(holonomy.check_p_recurrence(rec, seq, n_max))
     return reports
 
 
 def _check_odes(order: int, d: int | None,
                 kind: str | None) -> list[holonomy.VerificationReport]:
-    if kind == "B":
-        raise UsageError("no ODE for kind B: first returns are not holonomic")
     reports = []
-    dims = [d] if d else catalog.DIMENSIONS
-    kinds = [kind] if kind else ["X", "A"]
-    for dd in dims:
-        for k in kinds:
+    for dd in _scoped(d, catalog.DIMENSIONS):
+        for k in _scoped(kind, ("X", "A")):
             if k == "X":
                 series = holonomy.series_from_sequence(walks.x_sequence_fast(dd, order), order)
                 ode = catalog.f_ode(dd)
@@ -157,49 +161,48 @@ def _check_odes(order: int, d: int | None,
 
 def _check_lucas(d: int | None, kind: str | None,
                  p: int | None) -> list[holonomy.VerificationReport]:
-    dims = [d] if d else catalog.DIMENSIONS
-    kinds = [kind] if kind else ["X", "A"]
-    primes = [p] if p else [3, 5, 7, 11, 13]
     reports = []
-    for dd in dims:
-        for k in kinds:
-            for pp in primes:
+    for dd in _scoped(d, catalog.DIMENSIONS):
+        for k in _scoped(kind, ("X", "A")):
+            for pp in _scoped(p, (3, 5, 7, 11, 13)):
                 n_max = pp * pp + pp
                 table = _build_table(k, dd, n_max)
                 reports.append(holonomy.lucas_check(table, pp, n_max))
     return reports
 
 
-def _check_hadamard(order: int) -> list[holonomy.VerificationReport]:
+def _check_hadamard(order: int, d: int | None) -> list[holonomy.VerificationReport]:
     reports = []
     a1 = holonomy.series_from_sequence(walks.closed_walks(1, order), order)
-    for d in catalog.DIMENSIONS:
-        f_d = holonomy.series_from_sequence(walks.x_sequence_fast(d, order), order)
-        a_d = holonomy.series_from_sequence(walks.closed_walks_fast(d, order), order)
-        b_d = holonomy.series_from_sequence(walks.first_returns_fast(d, order), order)
+    for dd in _scoped(d, catalog.DIMENSIONS):
+        f_d = holonomy.series_from_sequence(walks.x_sequence_fast(dd, order), order)
+        a_d = holonomy.series_from_sequence(walks.closed_walks_fast(dd, order), order)
+        b_d = holonomy.series_from_sequence(walks.first_returns_fast(dd, order), order)
         had_ok = holonomy.hadamard(f_d, a1) == a_d
         one = holonomy.TruncatedSeries([1] + [0] * (order - 1))
         recip_ok = (one - b_d) * a_d == one
         for name, ok in (("hadamard A=F*F2", had_ok), ("reciprocal (1-B)A=1", recip_ok)):
             reports.append(holonomy.VerificationReport(
-                check=name, parameters={"d": d, "order": order},
-                horizon=order, first_failure=None if ok else {"d": d},
+                check=name, parameters={"d": dd, "order": order},
+                horizon=order, first_failure=None if ok else {"d": dd},
             ))
     return reports
 
 
-def _check_singularities() -> list[holonomy.VerificationReport]:
+def _check_singularities(d: int | None,
+                         kind: str | None) -> list[holonomy.VerificationReport]:
     reports = []
-    for d in catalog.DIMENSIONS:
-        for kind, ode, expected in (
-            ("X", catalog.f_ode(d), catalog.expected_f_singularities(d)),
-            ("A", catalog.a_ode(d), catalog.expected_a_singularities(d)),
-        ):
+    for dd in _scoped(d, catalog.DIMENSIONS):
+        for k in _scoped(kind, ("X", "A")):
+            if k == "X":
+                ode, expected = catalog.f_ode(dd), catalog.expected_f_singularities(dd)
+            else:
+                ode, expected = catalog.a_ode(dd), catalog.expected_a_singularities(dd)
             roots, irrational = holonomy.ode_singularities(ode)
             ok = roots == expected and not irrational
             reports.append(holonomy.VerificationReport(
                 check="singularities",
-                parameters={"kind": kind, "d": d,
+                parameters={"kind": k, "d": dd,
                             "roots": sorted(str(r) for r in roots)},
                 horizon=0, first_failure=None if ok else {
                     "expected": sorted(str(r) for r in expected),
@@ -209,27 +212,50 @@ def _check_singularities() -> list[holonomy.VerificationReport]:
     return reports
 
 
-_SUITES = ("table-fixtures", "precurrence", "ode", "lucas", "hadamard",
-           "singularities", "all")
+# The scope flags each suite honours, and the dimensions it has data for
+# (None: any d >= 1, as its tables come from the fast paths, which fall
+# back to the ladder).  "all" runs every suite at its defaults.
+_SCOPES = {
+    "table-fixtures": (("d",), catalog.TABLE_A),
+    "precurrence": (("d", "kind"), catalog.DIMENSIONS),
+    "ode": (("d", "kind"), catalog.DIMENSIONS),
+    "lucas": (("d", "kind", "p"), None),
+    "hadamard": (("d",), None),
+    "singularities": (("d", "kind"), catalog.DIMENSIONS),
+    "all": ((), None),
+}
+
+
+def _resolve_scope(args) -> tuple[int | None, str | None, int | None]:
+    """--d, --kind and --p, checked against what the suite can scope."""
+    flags, dims = _SCOPES[args.suite]
+    for flag in ("d", "kind", "p"):
+        if getattr(args, flag) is not None and flag not in flags:
+            raise UsageError("verify %s does not take --%s" % (args.suite, flag))
+    if args.kind == "B" and args.suite != "lucas":
+        raise UsageError("verify %s does not take --kind B: first returns are "
+                         "not holonomic" % args.suite)
+    if args.d is not None and (args.d < 1 or dims is not None and args.d not in dims):
+        raise UsageError("verify %s has no data for d=%d" % (args.suite, args.d))
+    return args.d, args.kind, args.p
 
 
 def cmd_verify(args) -> int:
     suite = args.suite
-    # --d, --kind and --p scope a single suite; "all" runs every default.
-    d, kind, p = (None, None, None) if suite == "all" else (args.d, args.kind, args.p)
+    d, kind, p = _resolve_scope(args)
     reports = []
     if suite in ("table-fixtures", "all"):
-        reports += _check_table_fixtures()
+        reports += _check_table_fixtures(d)
     if suite in ("precurrence", "all"):
-        reports += _check_precurrences(args.n_max)
+        reports += _check_precurrences(args.n_max, d, kind)
     if suite in ("ode", "all"):
         reports += _check_odes(args.order, d, kind)
     if suite in ("lucas", "all"):
         reports += _check_lucas(d, kind, p)
     if suite in ("hadamard", "all"):
-        reports += _check_hadamard(args.order if suite == "hadamard" else 200)
+        reports += _check_hadamard(args.order if suite == "hadamard" else 200, d)
     if suite in ("singularities", "all"):
-        reports += _check_singularities()
+        reports += _check_singularities(d, kind)
     failed = [r for r in reports if not r.passed]
     status = "fail" if failed else "pass"
     if args.expect_fail:
@@ -262,7 +288,7 @@ def cmd_constants(args) -> int:
         }
         _write(args.out, json.dumps(obj, indent=2) + "\n")
         return 0
-    bundle = constants.build_bundle(args.d, args.N, tail_method=args.tail_method)
+    bundle = constants.build_bundle(args.d, args.N)
     obj = bundle.to_json_obj()
     if args.d in catalog.DIMENSIONS:
         obj["b_1_empirical_fit"] = constants.empirical_b1(
@@ -298,15 +324,23 @@ def _exact_normalized_b(d: int, ns: list[int]) -> dict[int, float]:
     return out
 
 
+# The B-table reads b_d and b_1 from a bundle of this many terms.  With
+# the derived tails, m_d is within its double-precision floor at N = 1000
+# (the table is byte-identical to one built at N = 20000 for d = 3, 4, 5),
+# and for d >= 6, whose summands come from the ladder, it takes seconds.
+_ASYM_BUNDLE_N = 1000
+
+
 def cmd_asym(args) -> int:
-    if args.m > 4 or args.m < 0:
-        raise UsageError("correction order m must be within 0..4")
+    if not 0 <= args.m <= asymptotics.MAX_ORDER:
+        raise UsageError("correction order m must be within 0..%d"
+                         % asymptotics.MAX_ORDER)
     ns = sorted(set(args.n))
     if not ns or ns[0] < 2:
         raise UsageError("need sample points n >= 2")
     bundle = None
     if args.kind == "B" and args.d >= 3:
-        bundle = constants.build_bundle(args.d, args.constants_N)
+        bundle = constants.build_bundle(args.d, _ASYM_BUNDLE_N)
     if args.kind == "A":
         exact = _exact_normalized_a(args.d, ns)
         evals = {n: asymptotics.eval_A_asym(args.d, n, args.m) for n in ns}
@@ -357,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_layers)
 
     p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("suite", choices=_SUITES)
+    p.add_argument("suite", choices=tuple(_SCOPES))
     p.add_argument("--d", type=int, default=None)
     p.add_argument("--kind", choices=("X", "A", "B"), default=None)
     p.add_argument("--p", type=int, default=None)
@@ -370,8 +404,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("constants", help="emit the constants bundle as JSON")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--N", type=int, default=10000)
-    p.add_argument("--tail-method", choices=constants.TAIL_METHODS,
-                   default="euler-maclaurin", dest="tail_method")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_constants)
 
@@ -380,7 +412,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--m", type=int, default=4)
     p.add_argument("--n", type=int, nargs="+", required=True)
-    p.add_argument("--constants-N", type=int, default=20000, dest="constants_N")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_asym)
     return ap

@@ -14,12 +14,11 @@ each term the exact A_{2n}/(2d)^{2n} rounded once.  A constants bundle
 and p_d (d >= 3) are built from one mpf summand list: m_d and m_tilde_d
 are sums over it, and the B-side float series is its float64 copy
 inverted by FFT Newton.
-Tails beyond N are estimated from the four-term asymptotic integrand via
-Euler-Maclaurin at the midpoint N + 1/2 (default) or by summing the same
-expansion exactly over integers with the Hurwitz zeta function.  Error
-bounds are heuristic -- twice the estimated first omitted contribution --
-and are labeled as such; the underlying series admit no desk-scale
-rigorous bounds.
+Tails beyond N sum the asymptotic expansion of the summand, through
+TAIL_TERMS derived orders (asymptotics.a_coeffs), exactly over the
+integers with the Hurwitz zeta function.  Error bounds are heuristic --
+twice the estimated first omitted contribution -- and are labeled as
+such; the underlying series admit no desk-scale rigorous bounds.
 """
 
 from __future__ import annotations
@@ -32,10 +31,13 @@ import numpy as np
 from mpmath import mp, mpf, zeta
 
 from . import walks
-from .asymptotics import a_coeff, leading_constant_a
+from .asymptotics import a_coeffs, leading_constant_a
 from .errors import DependencyError, DivergenceError
 
-TAIL_METHODS = ("euler-maclaurin", "hurwitz-zeta")
+# Orders of the asymptotic summand that the tails sum.  With four, m~_6 at
+# N = 600 came out one ulp off; with eight, every m_d and m~_d the
+# benchmark checks is the double nearest its reference.
+TAIL_TERMS = 8
 
 
 @dataclass(frozen=True)
@@ -82,7 +84,6 @@ class ConstantsBundle:
     b1: float | None
     b1_log_coefficient: float | None
     terms_used: int
-    tail_method: str
 
     def to_json_obj(self) -> dict:
         return {
@@ -95,7 +96,6 @@ class ConstantsBundle:
             "b_1": self.b1,
             "b_1_log_coefficient": self.b1_log_coefficient,
             "terms_used": self.terms_used,
-            "tail_method": self.tail_method,
         }
 
 
@@ -129,74 +129,39 @@ def _normalized_a_summands_mp(d: int, N: int) -> list:
 def _asym_tail_coeffs(d: int, weight: int) -> list[tuple[float, "mpf"]]:
     """(exponent s_k, coefficient c_k) with the tail summand approximated
     by sum_k c_k n^{-s_k}; weight 0 for m_d, 1 for m_tilde_d."""
-    a_d = mp.sqrt(mpf(d) ** d) / 2 ** (d - 1)
-    pi_pow = mp.pi ** (mpf(d) / 2)
-    out = []
-    for k in range(5):
-        ck = mpf(1) if k == 0 else (
-            mpf(a_coeff(k, d).numerator) / a_coeff(k, d).denominator
-        )
-        s = mpf(d) / 2 + k - weight
-        out.append((s, a_d / pi_pow * ck))
-    return out
+    scale = mp.sqrt(mpf(d) ** d) / 2 ** (d - 1) / mp.pi ** (mpf(d) / 2)
+    return [(mpf(d) / 2 + k - weight, scale * c.numerator / c.denominator)
+            for k, c in enumerate(a_coeffs(d, TAIL_TERMS))]
 
 
-def _tail_estimate(d: int, N: int, weight: int, method: str):
-    """Sum of the asymptotic integrand over n > N."""
-    terms = _asym_tail_coeffs(d, weight)
-    if method == "hurwitz-zeta":
-        return sum(c * zeta(s, N + 1) for s, c in terms)
-    if method != "euler-maclaurin":
-        raise ValueError("unknown tail method %r" % method)
-    x0 = mpf(N) + mpf("0.5")
-    tail = mpf(0)
-    fprime = mpf(0)
-    f3 = mpf(0)
-    for s, c in terms:
-        tail += c * x0 ** (1 - s) / (s - 1)
-        fprime += -s * c * x0 ** (-s - 1)
-        f3 += -s * (s + 1) * (s + 2) * c * x0 ** (-s - 3)
-    # midpoint Euler-Maclaurin: integral + f'/24 - 7 f'''/5760 + ...
-    return tail + fprime / 24 - 7 * f3 / 5760
-
-
-def _em_remainder(d: int, N: int, weight: int):
-    """Magnitude of the next midpoint Euler-Maclaurin term (31 f^(5)/967680)."""
-    x0 = mpf(N) + mpf("0.5")
-    f5 = mpf(0)
-    for s, c in _asym_tail_coeffs(d, weight):
-        f5 += s * (s + 1) * (s + 2) * (s + 3) * (s + 4) * abs(c) * x0 ** (-s - 5)
-    return 31 * f5 / 967680
-
-
-def _summand_asym(d: int, n: int, weight: int):
-    return sum(c * mpf(n) ** (-s) for s, c in _asym_tail_coeffs(d, weight))
-
-
-def _estimate(d: int, ts: list, weight: int, dps: int,
-              tail_method: str) -> Estimate:
+def _estimate(d: int, ts: list, weight: int, dps: int) -> Estimate:
     """sum_n n^weight t_n over the summands ts = [t_0, ..., t_N] plus the
-    tail beyond N; runs at working precision dps."""
+    tail beyond N, the asymptotic integrand summed over n > N; runs at
+    working precision dps."""
     N = len(ts) - 1
     with mp.workdps(dps):
         if weight == 0:
             partial = mp.fsum(ts)
         else:
             partial = mp.fsum(n * t for n, t in enumerate(ts))
-        tail = _tail_estimate(d, N, weight, tail_method)
+        terms = _asym_tail_coeffs(d, weight)
+        tail = sum(c * zeta(s, N + 1) for s, c in terms)
         # Heuristic error bound: the first omitted contribution is the gap
-        # between the true summand and the 4-term integrand at the edge,
-        # extended over the tail by the matching power law (~n^{-(d/2+5-w)}),
-        # doubled; plus the precision noise floor of the summation.
-        weight_factor = mpf(N) ** weight
-        delta = abs(ts[N] * weight_factor - _summand_asym(d, N, weight))
-        s_omitted = mpf(d) / 2 + 5 - weight
-        omitted = delta * mpf(N) / (s_omitted - 1)
+        # between the true summand and the asymptotic integrand at the
+        # edge, extended over the tail by a power law and doubled; plus
+        # the precision noise floor of the summation.  The power law is
+        # that of the four-term remainder, n^{-(d/2+5-w)}, not the
+        # n^{-(d/2+TAIL_TERMS+1-w)} of the first omitted term: at small N
+        # the later orders, whose coefficients grow, still weigh in the
+        # remainder, and the slower decay covers them (against the Bessel
+        # integrals, the worst error over bound is 0.52 at d = 5, N = 8;
+        # with the faster decay it is 0.90).
+        edge = sum(c * mpf(N) ** (-s) for s, c in terms)
+        delta = abs(ts[N] * mpf(N) ** weight - edge)
+        omitted = delta * mpf(N) / (mpf(d) / 2 + 4 - weight)
         noise = mpf(N + 1) * mpf(10) ** (-dps + 2)
         value = partial + tail
         bound = 2 * omitted + noise + abs(value) * mpf(2) ** -50
-        if tail_method == "euler-maclaurin":
-            bound += 2 * _em_remainder(d, N, weight)
         return Estimate(float(value), float(bound))
 
 
@@ -209,20 +174,18 @@ def _summands(d: int, N: int, dps: int) -> list:
         return _normalized_a_summands_mp(d, N)
 
 
-def estimate_m(d: int, N: int, dps: int = 40,
-               tail_method: str = "euler-maclaurin") -> Estimate:
+def estimate_m(d: int, N: int, dps: int = 40) -> Estimate:
     """m_d from N+1 exact-series terms plus an asymptotic tail."""
     if d <= 2:
         raise DivergenceError("m_d diverges for d <= 2 (recurrent walk)")
-    return _estimate(d, _summands(d, N, dps), 0, dps, tail_method)
+    return _estimate(d, _summands(d, N, dps), 0, dps)
 
 
-def estimate_m_tilde(d: int, N: int, dps: int = 40,
-                     tail_method: str = "euler-maclaurin") -> Estimate:
+def estimate_m_tilde(d: int, N: int, dps: int = 40) -> Estimate:
     """m_tilde_d; the weighted series only converges for d >= 5."""
     if d <= 4:
         raise DivergenceError("m_tilde_d diverges for d <= 4")
-    return _estimate(d, _summands(d, N, dps), 1, dps, tail_method)
+    return _estimate(d, _summands(d, N, dps), 1, dps)
 
 
 # ---------------------------------------------------------------------------
@@ -300,14 +263,13 @@ def _fit_b_tail(d: int, b: np.ndarray, N: int):
     return bh * zeta(s, N + 1) + slope * zeta(s + 1, N + 1)
 
 
-def _polya(d: int, N: int, dps: int, tail_method: str,
-           with_m_tilde: bool = False) -> tuple[PolyaResult, Estimate | None]:
+def _polya(d: int, N: int, dps: int, with_m_tilde: bool = False) -> tuple[PolyaResult, Estimate | None]:
     """p_d for d >= 3 by both routes, and m_tilde_d if asked, from one
     summand list: m_d and m_tilde_d sum it in mpf, and its float64 copy
     is inverted into the B-series of the direct route."""
     ts = _summands(d, N, dps)
-    m = _estimate(d, ts, 0, dps, tail_method)
-    m_tilde = _estimate(d, ts, 1, dps, tail_method) if with_m_tilde else None
+    m = _estimate(d, ts, 0, dps)
+    m_tilde = _estimate(d, ts, 1, dps) if with_m_tilde else None
     a = np.array(ts, dtype=float)
     del ts  # the mpf list would otherwise stay alive through the inversion
     b = _b_series(a)
@@ -320,8 +282,7 @@ def _polya(d: int, N: int, dps: int, tail_method: str,
     return res, m_tilde
 
 
-def polya_probability(d: int, N: int, dps: int = 40,
-                      tail_method: str = "euler-maclaurin") -> PolyaResult:
+def polya_probability(d: int, N: int, dps: int = 40) -> PolyaResult:
     """Return probability p_d with both routes reported for d >= 3.
 
     d = 1, 2: exactly 1 (recurrent); the reported partial sum shows the
@@ -331,7 +292,7 @@ def polya_probability(d: int, N: int, dps: int = 40,
     if d < 1:
         raise ValueError("d must be >= 1")
     if d >= 3:
-        return _polya(d, N, dps, tail_method)[0]
+        return _polya(d, N, dps)[0]
     raw = float(np.sum(normalized_b_series(d, N)))
     return PolyaResult(dimension=d, p=1.0, recurrent=True, terms_used=N,
                        partial_sum_raw=raw)
@@ -373,12 +334,11 @@ def empirical_b1(d: int, m: Estimate | float, n: int = 2000) -> float:
     return (ratio - 1.0) * n
 
 
-def build_bundle(d: int, N: int, dps: int = 40,
-                 tail_method: str = "euler-maclaurin") -> ConstantsBundle:
+def build_bundle(d: int, N: int, dps: int = 40) -> ConstantsBundle:
     """The full constants bundle for dimension d >= 3."""
     if d <= 2:
         raise DivergenceError("constants bundle requires d >= 3")
-    res, m_tilde = _polya(d, N, dps, tail_method, with_m_tilde=d >= 5)
+    res, m_tilde = _polya(d, N, dps, with_m_tilde=d >= 5)
     b, b1, b1_log_coefficient = b_constants(d, res.m_estimate, m_tilde)
     return ConstantsBundle(
         dimension=d,
@@ -390,5 +350,4 @@ def build_bundle(d: int, N: int, dps: int = 40,
         b1=b1,
         b1_log_coefficient=b1_log_coefficient,
         terms_used=N,
-        tail_method=tail_method,
     )

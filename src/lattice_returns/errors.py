@@ -14,7 +14,7 @@ class DependencyError(Exception):
 
 
 class UnsupportedOrderError(ValueError):
-    """Asymptotic coefficients beyond m = 4 are not available."""
+    """Asymptotic coefficients beyond MAX_ORDER are not available."""
 
 
 class InvertibilityError(ZeroDivisionError):

@@ -9,9 +9,10 @@ import math
 from fractions import Fraction
 
 import pytest
+from mpmath import mp, mpf
 
 import lattice_returns as lr
-from lattice_returns.asymptotics import correction_factor
+from lattice_returns.asymptotics import MAX_ORDER, a_coeffs, correction_factor
 from lattice_returns.errors import DependencyError, UnsupportedOrderError
 
 # ---------------------------------------------------------------------------
@@ -99,11 +100,41 @@ def test_a_is_g_convolution_of_r():
 
 def test_unsupported_order():
     with pytest.raises(UnsupportedOrderError):
-        lr.r_coeff(5, 3)
+        lr.r_coeff(13, 3)
     with pytest.raises(UnsupportedOrderError):
-        lr.a_coeff(5, 3)
+        lr.a_coeff(13, 3)
     with pytest.raises(UnsupportedOrderError):
-        lr.g_coeff(5)
+        lr.g_coeff(13)
+    with pytest.raises(UnsupportedOrderError):
+        a_coeffs(3, MAX_ORDER + 1)
+
+
+def test_a_coeffs_d1_continue_central_binomial():
+    # C(2n,n) sqrt(pi n)/4^n = 1 - 1/(8n) + 1/(128n^2) + 5/(1024n^3)
+    # - 21/(32768n^4) - 399/(262144n^5) + ..., the standard expansion
+    assert a_coeffs(1, 8) == [
+        1, Fraction(-1, 8), Fraction(1, 128), Fraction(5, 1024),
+        Fraction(-21, 32768), Fraction(-399, 262144), Fraction(869, 4194304),
+        Fraction(39325, 33554432), Fraction(-334477, 2147483648)]
+    assert a_coeffs(3, MAX_ORDER)[:9] == a_coeffs(3, 8)
+
+
+@pytest.mark.parametrize("d", range(3, 9))
+def test_a_coeffs_higher_orders_match_exact_counts(d):
+    # relative error of the M-term expansion against exact A_{2n} at
+    # n = 100; eight orders gain 5e3 (d = 8) to 1e6 (d = 3) over four
+    n = 100
+    with mp.workdps(50):
+        exact = (mpf(lr.closed_walks(d, n).value(n)) * (mp.pi * n) ** (mpf(d) / 2)
+                 / mpf(2 * d) ** (2 * n) / (mp.sqrt(mpf(d) ** d) / 2 ** (d - 1)))
+
+        def rel_err(M):
+            corr = correction_factor("a", d, n, M)
+            return abs(exact * corr.denominator / corr.numerator - 1)
+
+        e4, e8 = rel_err(4), rel_err(8)
+        assert e8 <= mpf("1e-11")
+        assert e8 * 1000 <= e4
 
 
 def test_correction_factor_exact():

@@ -183,6 +183,38 @@ def test_verify_precurrence_checks_ladder_data(capsys, monkeypatch):
     assert set(status.values()) == {"pass"}
 
 
+_SCOPE_SIZES = {"precurrence": ["--n-max", "20"], "hadamard": ["--order", "20"]}
+
+
+@pytest.mark.parametrize("suite", ["table-fixtures", "precurrence", "hadamard",
+                                   "singularities"])
+def test_verify_suite_honours_or_rejects_scope(capsys, suite):
+    sizes = _SCOPE_SIZES.get(suite, [])
+    code, out, _ = run_cli(capsys, "verify", suite, "--d", "3", *sizes)
+    assert code == 0
+    assert {r["parameters"]["d"] for r in json.loads(out)["reports"]} == {3}
+
+    rejected = [["--p", "5"], ["--d", "0"], ["--kind", "B"]]
+    if suite in ("precurrence", "singularities"):
+        code, out, _ = run_cli(capsys, "verify", suite, "--kind", "X", *sizes)
+        assert code == 0
+        assert {r["parameters"]["kind"] for r in json.loads(out)["reports"]} == {"X"}
+    else:
+        rejected.append(["--kind", "A"])
+    if suite != "hadamard":
+        rejected.append(["--d", "6"])  # no catalog data or fixture for d = 6
+    for flags in rejected:
+        code, out, err = run_cli(capsys, "verify", suite, *flags, *sizes)
+        assert code == 2, flags
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_verify_all_takes_no_scope(capsys):
+    code, out, err = run_cli(capsys, "verify", "all", "--d", "3")
+    assert code == 2
+    assert out == "" and err.count("\n") == 1
+
+
 def test_verify_lucas_expected_failure_inverts_exit(capsys):
     code, out, _ = run_cli(
         capsys, "verify", "lucas", "--kind", "B", "--d", "3", "--p", "5")
@@ -229,14 +261,11 @@ def test_constants_d3_bundle(capsys):
 
 
 def test_constants_d5_includes_m_tilde(capsys):
-    code, out, _ = run_cli(
-        capsys, "constants", "--d", "5", "--N", "4000",
-        "--tail-method", "hurwitz-zeta")
+    code, out, _ = run_cli(capsys, "constants", "--d", "5", "--N", "4000")
     assert code == 0
     obj = json.loads(out)
     assert obj["m_tilde_d"]["value"] > 0
     assert obj["b_1"] is not None
-    assert obj["tail_method"] == "hurwitz-zeta"
 
 
 def test_constants_d6_ladder_bundle(capsys):
@@ -266,8 +295,7 @@ def test_asym_table_errors_shrink(capsys):
 
 def test_asym_b_kind_uses_bundle(capsys):
     code, out, _ = run_cli(
-        capsys, "asym", "--kind", "B", "--d", "3", "--n", "500", "1000",
-        "--constants-N", "4000")
+        capsys, "asym", "--kind", "B", "--d", "3", "--n", "500", "1000")
     assert code == 0
     rows = out.splitlines()[2:]
     for row in rows:
@@ -288,7 +316,7 @@ def test_asym_b_d2_accepts_small_n(capsys):
 
 def test_asym_rejects_unsupported_order(capsys):
     code, _, err = run_cli(
-        capsys, "asym", "--kind", "A", "--d", "3", "--m", "9", "--n", "64")
+        capsys, "asym", "--kind", "A", "--d", "3", "--m", "13", "--n", "64")
     assert code == 2
 
 

@@ -2,7 +2,8 @@
 
 m_3 and p_3 have well-known decimal expansions, so those are frozen as
 literature anchors; everything else is checked by two-route consistency
-(tail methods, N-stability, float-vs-exact series).
+(N-stability, float-vs-exact series) and by the error bounds against
+reference values from independent routes.
 """
 
 import math
@@ -40,11 +41,36 @@ def test_m_estimates_stable_in_N():
     assert abs(a5 - b5) < 1e-12
 
 
-def test_tail_methods_agree():
-    for d in (3, 4, 5):
-        em = lr.estimate_m(d, 3000, tail_method="euler-maclaurin").value
-        hz = lr.estimate_m(d, 3000, tail_method="hurwitz-zeta").value
-        assert abs(em - hz) < 1e-13
+# 27-digit references from perfbench/refs.json: m_3 from Watson's (1939)
+# Gamma-function closed form, the rest from the Bessel integrals
+# m_d = int_0^inf (e^{-t/d} I_0(t/d))^d dt and
+# m~_d = 1/2 int_0^inf t (e^{-t/d} I_0(t/d))^{d-1} e^{-t/d} I_1(t/d) dt.
+M_REF = {
+    3: "1.51638605915197801815601216",
+    4: "1.239467121848481712678697665",
+    5: "1.156308124840231178707135122",
+    6: "1.116963373226671843685644332",
+    7: "1.093906315587847996683271824",
+}
+M_TILDE_REF = {
+    5: "0.3893166577710599873265322814",
+    6: "0.1985922418989566050898033291",
+    7: "0.1364399269691860877817443325",
+}
+
+
+@pytest.mark.parametrize("d", range(3, 8))
+def test_error_bound_covers_reference(d):
+    # the worst |estimate - ref| / error_bound over this grid is 0.52
+    for N in (8, 20, 50, 400):
+        cases = [(lr.estimate_m, M_REF)]
+        if d >= 5:
+            cases.append((lr.estimate_m_tilde, M_TILDE_REF))
+        for estimate, refs in cases:
+            est = estimate(d, N)
+            with mp.workdps(40):
+                err = abs(mpf(est.value) - mpf(refs[d]))
+            assert err <= est.error_bound, (N, estimate.__name__)
 
 
 def test_error_bound_is_honest_at_small_N():
