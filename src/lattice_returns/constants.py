@@ -6,14 +6,13 @@ B-asymptotic constants b_d, b_1(d).
     p_d       = 1 - 1/m_d                              (d >= 3; p_1 = p_2 = 1)
     b_d       = a_d / m_d^2
 
-Partial sums are accumulated in mpmath (>= 128-bit equivalent precision).
-For every d the catalog has a recurrence for, the summands
-t_n = A_{2n}/(2d)^{2n} come from walks.recurrence_values run forward on
-the A-recurrence with q = (2d)^2; other d fall back to the exact ladder,
-each term the exact A_{2n}/(2d)^{2n} rounded once.  A constants bundle
-and p_d (d >= 3) are built from one mpf summand list: m_d and m_tilde_d
-are sums over it, and the B-side float series is its float64 copy
-inverted by FFT Newton.
+The summands t_n = A_{2n}/(2d)^{2n} of a constants bundle and of p_d
+(d >= 3) are one list of fixed-point ints U_n = round(t_n 2^bits).  For
+the d the catalog has a recurrence for they come from the A-recurrence run
+forward in ints with q = (2d)^2 (walks.recurrence_values); other d round
+the exact ladder's A_{2n} 2^bits/(2d)^{2n} once.  m_d and m_tilde_d are
+exact int sums divided once by 2^bits; the B-side float series inverts
+the list's correctly rounded float64 copy by FFT Newton.
 Tails beyond N sum the asymptotic expansion of the summand, through
 TAIL_TERMS derived orders (asymptotics.a_coeffs), exactly over the
 integers with the Hurwitz zeta function.  Error bounds are heuristic --
@@ -24,7 +23,6 @@ such; the underlying series admit no desk-scale rigorous bounds.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +31,7 @@ from mpmath import mp, mpf, zeta
 from . import walks
 from .asymptotics import a_coeffs, leading_constant_a
 from .errors import DependencyError, DivergenceError
+from .kernel import round_div
 
 # Orders of the asymptotic summand that the tails sum.  With four, m~_6 at
 # N = 600 came out one ulp off; with eight, every m_d and m~_d the
@@ -100,30 +99,31 @@ class ConstantsBundle:
 
 
 # ---------------------------------------------------------------------------
-# Summand generation: t_n = A_{2n} / (2d)^{2n} in high precision.
+# Summand generation: t_n = A_{2n} / (2d)^{2n} as floats or in fixed point.
 # ---------------------------------------------------------------------------
 
-def _normalized_summands(d: int, N: int, num) -> list:
-    """[t_0, ..., t_N] with t_n = A_{2n}^{(d)}/(2d)^{2n} in the number type
-    num (mpf or float).
-
-    Every d the catalog has a recurrence for iterates the A-recurrence
-    forward at q = num((2d)^2); other d fall back to the exact ladder,
-    each term rounded once (mp.fdiv or int true division on ints;
-    practical for N up to a few thousand).
-    """
+def _normalized_summands(d: int, N: int, bits: int | None = None) -> list:
+    """[t_0, ..., t_N], t_n = A_{2n}^{(d)}/(2d)^{2n}: float64 values, or
+    the fixed-point ints round(t_n 2^bits) when bits is given.  d without
+    a catalog recurrence falls back to the exact ladder, each term rounded
+    once (practical for N up to a few thousand)."""
     q = (2 * d) ** 2
-    ts = walks.recurrence_values("A", d, N, num(q))
+    ts = walks.recurrence_values("A", d, N, float(q) if bits is None else q, bits or 0)
     if ts is None:
-        div = mp.fdiv if num is mpf else operator.truediv
-        ts = [div(a, q**n) for n, a in enumerate(walks.closed_walks(d, N).values)]
+        ts = [a / q**n if bits is None else round_div(a << bits, q**n)
+              for n, a in enumerate(walks.closed_walks(d, N).values)]
     return ts
 
 
-def _normalized_a_summands_mp(d: int, N: int) -> list:
-    """The mpf summands t_0 .. t_N at the working precision: the one
-    summand list that the constants of dimension d are computed from."""
-    return _normalized_summands(d, N, mpf)
+def _normalized_a_summands_mp(d: int, N: int) -> tuple[list[int], int]:
+    """(U, bits), U_n = round(t_n 2^bits) for n <= N: the one summand list
+    the constants of dimension d come from.  Past mp.prec, bits holds
+    (d//2 + 2) log2 N bits for the (d/2) log2 N that t_N ~ N^{-d/2} loses
+    and the rounding errors the recurrence carries (see _estimate), and 32
+    spare: at d = 5, N = 4000, dps 40 the worst relative error is 5e-55,
+    with 8 guard bits in their place 6e-33."""
+    bits = mp.prec + (d // 2 + 2) * N.bit_length() + 32
+    return _normalized_summands(d, N, bits), bits
 
 
 def _asym_tail_coeffs(d: int, weight: int) -> list[tuple[float, "mpf"]]:
@@ -134,22 +134,19 @@ def _asym_tail_coeffs(d: int, weight: int) -> list[tuple[float, "mpf"]]:
             for k, c in enumerate(a_coeffs(d, TAIL_TERMS))]
 
 
-def _estimate(d: int, ts: list, weight: int, dps: int) -> Estimate:
-    """sum_n n^weight t_n over the summands ts = [t_0, ..., t_N] plus the
-    tail beyond N, the asymptotic integrand summed over n > N; runs at
-    working precision dps."""
-    N = len(ts) - 1
+def _estimate(d: int, us: list[int], bits: int, weight: int, dps: int) -> Estimate:
+    """sum_n n^weight t_n over the fixed-point summands us plus the tail
+    beyond N, the asymptotic integrand summed over n > N, at dps digits."""
+    N = len(us) - 1
     with mp.workdps(dps):
-        if weight == 0:
-            partial = mp.fsum(ts)
-        else:
-            partial = mp.fsum(n * t for n, t in enumerate(ts))
+        total = sum(us) if weight == 0 else sum(n * u for n, u in enumerate(us))
+        partial = mp.ldexp(total, -bits)
         terms = _asym_tail_coeffs(d, weight)
         tail = sum(c * zeta(s, N + 1) for s, c in terms)
         # Heuristic error bound: the first omitted contribution is the gap
         # between the true summand and the asymptotic integrand at the
         # edge, extended over the tail by a power law and doubled; plus
-        # the precision noise floor of the summation.  The power law is
+        # the noise of the fixed-point summands.  The power law is
         # that of the four-term remainder, n^{-(d/2+5-w)}, not the
         # n^{-(d/2+TAIL_TERMS+1-w)} of the first omitted term: at small N
         # the later orders, whose coefficients grow, still weigh in the
@@ -157,17 +154,20 @@ def _estimate(d: int, ts: list, weight: int, dps: int) -> Estimate:
         # integrals, the worst error over bound is 0.52 at d = 5, N = 8;
         # with the faster decay it is 0.90).
         edge = sum(c * mpf(N) ** (-s) for s, c in terms)
-        delta = abs(ts[N] * mpf(N) ** weight - edge)
+        delta = abs(mp.ldexp(us[N] * N**weight, -bits) - edge)
         omitted = delta * mpf(N) / (mpf(d) / 2 + 4 - weight)
-        noise = mpf(N + 1) * mpf(10) ** (-dps + 2)
+        # Noise: the int sum is exact.  Each recurrence step rounds by half a
+        # unit of 2^-bits, carried on without growth as the recurrence is
+        # stable: |U_n - t_n 2^bits| <= n units (measured <= 27 for N <= 1e4,
+        # d = 3..5), (N+1)^(2+w) units in the sum, plus 10^-dps from rounding.
         value = partial + tail
+        noise = mp.ldexp(mpf(N + 1) ** (2 + weight), -bits) + abs(value) * mpf(10) ** -dps
         bound = 2 * omitted + noise + abs(value) * mpf(2) ** -50
         return Estimate(float(value), float(bound))
 
 
-def _summands(d: int, N: int, dps: int) -> list:
-    """The mpf summands t_0..t_N at precision dps, for N large enough to
-    anchor the tail estimate."""
+def _summands(d: int, N: int, dps: int) -> tuple[list[int], int]:
+    """(U, bits) at dps digits, for N large enough to anchor the tail."""
     if N < 8:
         raise ValueError("N too small to anchor the tail estimate")
     with mp.workdps(dps):
@@ -178,14 +178,14 @@ def estimate_m(d: int, N: int, dps: int = 40) -> Estimate:
     """m_d from N+1 exact-series terms plus an asymptotic tail."""
     if d <= 2:
         raise DivergenceError("m_d diverges for d <= 2 (recurrent walk)")
-    return _estimate(d, _summands(d, N, dps), 0, dps)
+    return _estimate(d, *_summands(d, N, dps), 0, dps)
 
 
 def estimate_m_tilde(d: int, N: int, dps: int = 40) -> Estimate:
     """m_tilde_d; the weighted series only converges for d >= 5."""
     if d <= 4:
         raise DivergenceError("m_tilde_d diverges for d <= 4")
-    return _estimate(d, _summands(d, N, dps), 1, dps)
+    return _estimate(d, *_summands(d, N, dps), 1, dps)
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +194,7 @@ def estimate_m_tilde(d: int, N: int, dps: int = 40) -> Estimate:
 
 def normalized_a_series(d: int, N: int) -> np.ndarray:
     """float64 array [A_0/(2d)^0, ..., A_{2N}/(2d)^{2N}] for the asym
-    tables and empirical_b1; bundles take theirs from the mpf summands.
+    tables and empirical_b1; bundles take theirs from the fixed-point summands.
 
     d = 1, 2 use the closed central-binomial forms; every other d the
     catalog has a recurrence for the normalized P-recurrence (float64
@@ -207,7 +207,7 @@ def normalized_a_series(d: int, N: int) -> np.ndarray:
         for n in range(1, N + 1):
             rho[n] = rho[n - 1] * (2 * n - 1) / (2 * n)
         return rho if d == 1 else rho * rho
-    return np.array(_normalized_summands(d, N, float))
+    return np.array(_normalized_summands(d, N))
 
 
 def _series_inverse_float(a: np.ndarray) -> np.ndarray:
@@ -218,20 +218,15 @@ def _series_inverse_float(a: np.ndarray) -> np.ndarray:
     length = 1
     while length < n:
         length = min(2 * length, n)
-        ax = _fft_mul(a[:length], x, length)
-        two_minus = -ax
+        two_minus = -_fft_mul(a[:length], x, length)
         two_minus[0] += 2.0
         x = _fft_mul(x, two_minus, length)
     return x[:n]
 
 
 def _fft_mul(a: np.ndarray, b: np.ndarray, out_len: int) -> np.ndarray:
-    size = 1
-    while size < len(a) + len(b) - 1:
-        size *= 2
-    fa = np.fft.rfft(a, size)
-    fb = np.fft.rfft(b, size)
-    return np.fft.irfft(fa * fb, size)[:out_len]
+    size = 1 << (len(a) + len(b) - 2).bit_length()
+    return np.fft.irfft(np.fft.rfft(a, size) * np.fft.rfft(b, size), size)[:out_len]
 
 
 def _b_series(a: np.ndarray) -> np.ndarray:
@@ -265,13 +260,14 @@ def _fit_b_tail(d: int, b: np.ndarray, N: int):
 
 def _polya(d: int, N: int, dps: int, with_m_tilde: bool = False) -> tuple[PolyaResult, Estimate | None]:
     """p_d for d >= 3 by both routes, and m_tilde_d if asked, from one
-    summand list: m_d and m_tilde_d sum it in mpf, and its float64 copy
-    is inverted into the B-series of the direct route."""
-    ts = _summands(d, N, dps)
-    m = _estimate(d, ts, 0, dps)
-    m_tilde = _estimate(d, ts, 1, dps) if with_m_tilde else None
-    a = np.array(ts, dtype=float)
-    del ts  # the mpf list would otherwise stay alive through the inversion
+    summand list: m_d and m_tilde_d are its int sums, and its correctly
+    rounded float64 copy is inverted into the B-series of the direct route."""
+    us, bits = _summands(d, N, dps)
+    m = _estimate(d, us, bits, 0, dps)
+    m_tilde = _estimate(d, us, bits, 1, dps) if with_m_tilde else None
+    scale = 1 << bits
+    a = np.array([u / scale for u in us])
+    del us  # the int list would otherwise stay alive through the inversion
     b = _b_series(a)
     raw = float(np.sum(b))
     with mp.workdps(dps):

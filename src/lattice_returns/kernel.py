@@ -48,6 +48,11 @@ def binomial(n: int, k: int) -> BigCount:
     return math.comb(n, k)
 
 
+def round_div(num: int, den: int) -> int:
+    """num/den rounded to the nearest int (halves upward), in ints only."""
+    return (2 * num + den) // (2 * den)
+
+
 class UniPoly:
     """Univariate polynomial with exact coefficients (see ``exact``).
 

@@ -33,7 +33,7 @@ import numpy as np
 
 from . import catalog, holonomy
 from .errors import CapacityError
-from .kernel import BigCount, binomial
+from .kernel import BigCount, binomial, round_div
 
 KINDS = ("X", "A", "B")
 
@@ -362,21 +362,20 @@ def iterate_p_recurrence(rec, seeds: list, N: int, q=1) -> list:
     """Extend seeds u_0 .. u_{r-1} to u_0 .. u_N, where u_n = v_n / q^n
     and sum_k P_k(n) v_{n+k} = 0 (r = rec.order).
 
-    With integer seeds and q = 1 the values are exact and the division by
-    the leading coefficient must be exact (anything else is a bug and
-    raises ArithmeticError).  With mpf or float seeds the arithmetic is
-    rounded; run on an A-recurrence with q = (2d)^2 it yields the
-    normalised summands A_{2n}/(2d)^{2n}, and since the wanted solution
-    grows like (2d)^{2n} while every other one grows like (2k)^{2n} with
-    k < d, forward iteration is stable.  Every coefficient must be an
-    integer, and the leading coefficient must not vanish at any n the
-    iteration reaches (ValueError otherwise).
+    q = 1 with int seeds is exact: the division by the leading coefficient
+    must be exact (else ArithmeticError, a bug).  An int q > 1 with
+    fixed-point int seeds rounds once per step, u_{n+r} =
+    round(-sum_k P_k(n) q^k u_{n+k} / (P_r(n) q^r)); a float q gives
+    float64.  On an A-recurrence with q = (2d)^2 this yields A_{2n}/(2d)^{2n}
+    stably, as every other solution grows like (2k)^{2n} with k < d.  The
+    coefficients must be integers and the leading one nonzero at every n
+    reached (ValueError otherwise).
     """
     r = rec.order
     polys = [_integer_coeffs(p) for p in rec.coefficients]
     vals = list(seeds)
-    exact = q == 1 and all(isinstance(v, int) for v in vals)
-    qpow = [1] * r if exact else [q ** (k - r) for k in range(r)]
+    fixed = isinstance(q, int)
+    qpow = [q**k for k in range(r + 1)] if fixed else [q ** (k - r) for k in range(r)]
     for n in range(0, N - r + 1):
         acc = 0
         for k in range(r):
@@ -384,24 +383,24 @@ def iterate_p_recurrence(rec, seeds: list, N: int, q=1) -> list:
         lead = _horner(polys[r], n)
         if lead == 0:
             raise ValueError("leading coefficient is 0 at n=%d" % n)
-        if exact:
+        if not fixed:
+            vals.append(-acc / lead)
+        elif q > 1:
+            vals.append(round_div(-acc, lead * qpow[r]))
+        else:
             quo, rem = divmod(-acc, lead)
             if rem:
-                raise ArithmeticError(
-                    "P-recurrence division not exact at n=%d" % n
-                )
+                raise ArithmeticError("P-recurrence division not exact at n=%d" % n)
             vals.append(quo)
-        else:
-            vals.append(-acc / lead)
     return vals
 
 
-def recurrence_values(kind: str, d: int, N: int, q=1) -> list | None:
+def recurrence_values(kind: str, d: int, N: int, q=1, bits: int = 0) -> list | None:
     """u_0 .. u_N with u_n = v_n / q^n, where v is the x-sequence (kind
     "X") or the A-sequence (kind "A") of dimension d, by the catalog's
     P-recurrence seeded from the ladder; None when the catalog has no
-    recurrence for d.  q = 1 gives the exact integers; an mpf or float q
-    gives rounded values in that type (see iterate_p_recurrence).
+    recurrence for d.  q = 1 gives the exact integers, an int q > 1 the
+    ints round(v_n 2^bits / q^n), a float q float64 values.
     """
     if d not in catalog.DIMENSIONS:
         return None
@@ -410,8 +409,8 @@ def recurrence_values(kind: str, d: int, N: int, q=1) -> list | None:
     else:
         rec, ladder = catalog.a_recurrence(d), closed_walks
     seeds = ladder(d, min(N, rec.order - 1)).values
-    if q != 1:
-        seeds = [s / q**i for i, s in enumerate(seeds)]
+    seeds = [s / q**i if isinstance(q, float) else round_div(s << bits, q**i)
+             for i, s in enumerate(seeds)]
     return iterate_p_recurrence(rec, seeds, N, q)
 
 

@@ -126,7 +126,6 @@ def test_polya_p4_p5_brackets():
 
 
 def test_normalized_a_series_against_exact():
-    mp.dps = 30
     for d in (1, 2, 3, 4, 5, 6, 7):
         arr = normalized_a_series(d, 120)
         table = lr.closed_walks(d, 120)
@@ -135,33 +134,64 @@ def test_normalized_a_series_against_exact():
                 # the ladder fallback rounds the exact ratio once
                 assert arr[n] == float(Fraction(table.value(n), (2 * d) ** (2 * n)))
                 continue
-            exact = mpf(table.value(n)) / mpf(2 * d) ** (2 * n)
+            with mp.workdps(30):
+                exact = mpf(table.value(n)) / mpf(2 * d) ** (2 * n)
             assert abs(float(exact) - arr[n]) <= 1e-12 * float(exact)
 
 
-@pytest.mark.parametrize("d", [3, 4, 5])
+def _worst_summand_error(d: int, N: int, ns, dps: int = 40) -> Fraction:
+    """max over ns of |U_n / (A_{2n} 2^bits / (2d)^{2n}) - 1| for the
+    fixed-point summands (U, bits) at dps, in exact rationals; A comes
+    from the exact recurrence for d <= 5 and from the ladder otherwise."""
+    with mp.workdps(dps):
+        us, bits = _normalized_a_summands_mp(d, N)
+    assert len(us) == N + 1
+    exact = lr.closed_walks_fast(d, N).values
+    q = (2 * d) ** 2
+    return max(abs(Fraction(us[n] * q**n, exact[n] << bits) - 1) for n in ns)
+
+
+@pytest.mark.parametrize("d", [3, 4, 5, 6])
 def test_mp_summands_against_exact(d):
-    exact = lr.closed_walks(d, 200).values
-    with mp.workdps(40):
-        ts = _normalized_a_summands_mp(d, 200)
-        assert len(ts) == 201
-        for n, (t, a) in enumerate(zip(ts, exact)):
-            ref = mpf(a) / mpf(2 * d) ** (2 * n)
-            assert abs(t / ref - 1) < mpf("1e-35")
+    # d <= 5: the fixed-point recurrence at n <= 2000, every 7th term and
+    # the last; d = 6: the ladder route, every term
+    N = 2000 if d <= 5 else 200
+    ns = [*range(0, N, 7 if d <= 5 else 1), N]
+    assert _worst_summand_error(d, N, ns) < Fraction(1, 10**35)
+
+
+def test_summand_guard_bits():
+    # every summand keeps the working precision; with 8 guard bits in
+    # place of the N- and d-dependent ones the worst error is 6e-33 (5e-55
+    # with them)
+    assert _worst_summand_error(5, 4000, range(4001)) < Fraction(1, 10**40)
+
+
+@pytest.mark.parametrize("d", [3, 6])
+def test_bundle_float_series_correctly_rounded(d, monkeypatch):
+    # the B-series of the direct route inverts each summand correctly
+    # rounded to float64, from the recurrence (d = 3) or the ladder (d = 6)
+    seen = []
+    b_series = constants._b_series
+    monkeypatch.setattr(constants, "_b_series", lambda a: seen.append(a) or b_series(a))
+    lr.build_bundle(d, 300)
+    q = (2 * d) ** 2
+    exact = [float(Fraction(a, q**n)) for n, a in enumerate(lr.closed_walks(d, 300).values)]
+    assert len(seen) == 1 and seen[0].tolist() == exact
 
 
 def test_normalized_b_series_against_exact():
     # measured worst relative errors at n <= 300: 8e-13 (d=2), 2e-12 (d=3),
     # 3.4e-11 (d=4, absolute scale ~1e-17); bound them all by 1e-10, six
     # orders below anything the series is used to measure
-    mp.dps = 30
     for d in (2, 3, 4):
         b = normalized_b_series(d, 300)
         table = lr.first_returns(d, 300)
         worst = 0.0
         for n in range(1, 301):
-            exact = mpf(table.value(n)) / mpf(2 * d) ** (2 * n)
-            worst = max(worst, abs(float((mpf(b[n]) - exact) / exact)))
+            with mp.workdps(30):
+                exact = mpf(table.value(n)) / mpf(2 * d) ** (2 * n)
+                worst = max(worst, abs(float((mpf(b[n]) - exact) / exact)))
         assert worst < 1e-10
         assert b[0] == 0.0
 
