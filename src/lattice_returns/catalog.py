@@ -1,133 +1,33 @@
-"""Reference data: known P-recurrences, ODEs, predicted singularity sets,
-and the embedded table fixtures used by cross-checks.
+"""Reference data: the ODEs of F_d and A_d, the P-recurrences they
+imply, predicted singularity sets, and the embedded table fixtures used
+by cross-checks.
 
-Index convention (documented once, used everywhere): every recurrence
-below is written in the half-length index n of our tables -- "A_n" in a
-recurrence means the table value A_{2n}, matching the footnote forms
-(n+1)A_{n+1} = 2(2n+1)A_n etc., which only balance for the 2n-indexed
-sequence.  Recurrences apply from n = 0 with table position = index.
+The printed ODEs are the catalog.  Each P-recurrence is derived from its
+ODE by ``holonomy.ode_to_recurrence`` (the coefficient relation of
+[z^n] of the operator applied to the series), so nothing here is typed
+twice.
+
+Index convention (documented once, used everywhere): the series of A_d
+is sum_n A_{2n} z^n, so every recurrence is written in the half-length
+index n of our tables -- "A_n" in a recurrence means the table value
+A_{2n}, matching the footnote forms (n+1)A_{n+1} = 2(2n+1)A_n etc., which
+only balance for the 2n-indexed sequence.  Recurrences apply from n = 0
+with table position = index.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .holonomy import LinearODE, PRecurrence
+from .holonomy import LinearODE, PRecurrence, ode_to_recurrence
 from .kernel import UniPoly
 
-_n = UniPoly([0, 1])
 _z = UniPoly([0, 1])
 
 
 def _p(*coeffs) -> UniPoly:
     """Polynomial from ascending integer coefficients."""
     return UniPoly(coeffs)
-
-
-# --------------------------------------------------------------------------
-# P-recurrences for the x-sequences (half-length index n).
-# --------------------------------------------------------------------------
-
-_X_RECURRENCES = {
-    # x_{n+1} - x_n = 0
-    1: PRecurrence(1, (_p(-1), _p(1)), name="x d=1"),
-    # (n+1) x_{n+1} - 2(2n+1) x_n = 0
-    2: PRecurrence(1, (-2 * (2 * _n + 1), _n + 1), name="x d=2"),
-    # (n+2)^2 x_{n+2} - (10n^2+30n+23) x_{n+1} + 9(n+1)^2 x_n = 0
-    3: PRecurrence(
-        2,
-        (9 * (_n + 1) ** 2, -_p(23, 30, 10), (_n + 2) ** 2),
-        name="x d=3",
-    ),
-    # (n+2)^3 x_{n+2} - 2(2n+3)(5n^2+15n+12) x_{n+1} + 64(n+1)^3 x_n = 0
-    4: PRecurrence(
-        2,
-        (64 * (_n + 1) ** 3, -2 * (2 * _n + 3) * _p(12, 15, 5), (_n + 2) ** 3),
-        name="x d=4",
-    ),
-    # (n+3)^4 x_{n+3} - (35n^4+350n^3+1323n^2+2240n+1433) x_{n+2}
-    #   + (n+2)(259n^3+1554n^2+3134n+2124) x_{n+1}
-    #   - 225 (n+1)^2 (n+2)^2 x_n = 0
-    5: PRecurrence(
-        3,
-        (
-            -225 * (_n + 1) ** 2 * (_n + 2) ** 2,
-            (_n + 2) * _p(2124, 3134, 1554, 259),
-            -_p(1433, 2240, 1323, 350, 35),
-            (_n + 3) ** 4,
-        ),
-        name="x d=5",
-    ),
-}
-
-# --------------------------------------------------------------------------
-# P-recurrences for the A-sequences (table value at position n is A_{2n}).
-# --------------------------------------------------------------------------
-
-_A_RECURRENCES = {
-    # (n+1) A_{n+1} - 2(2n+1) A_n = 0
-    1: PRecurrence(1, (-2 * (2 * _n + 1), _n + 1), name="A d=1"),
-    # (n+1)^2 A_{n+1} - 4(2n+1)^2 A_n = 0
-    2: PRecurrence(1, (-4 * (2 * _n + 1) ** 2, (_n + 1) ** 2), name="A d=2"),
-    # (n+2)^3 A_{n+2} - 2(2n+3)(10n^2+30n+23) A_{n+1}
-    #   + 36(2n+3)(2n+1)(n+1) A_n = 0
-    3: PRecurrence(
-        2,
-        (
-            36 * (2 * _n + 3) * (2 * _n + 1) * (_n + 1),
-            -2 * (2 * _n + 3) * _p(23, 30, 10),
-            (_n + 2) ** 3,
-        ),
-        name="A d=3",
-    ),
-    # (n+2)^4 A_{n+2} - 4(2n+3)^2(5n^2+15n+12) A_{n+1}
-    #   + 256(2n+3)(2n+1)(n+1)^2 A_n = 0
-    4: PRecurrence(
-        2,
-        (
-            256 * (2 * _n + 3) * (2 * _n + 1) * (_n + 1) ** 2,
-            -4 * (2 * _n + 3) ** 2 * _p(12, 15, 5),
-            (_n + 2) ** 4,
-        ),
-        name="A d=4",
-    ),
-    # (n+3)^5 A_{n+3} - 2(2n+5)(35n^4+350n^3+1323n^2+2240n+1433) A_{n+2}
-    #   + 4(2n+5)(2n+3)(259n^3+1554n^2+3134n+2124) A_{n+1}
-    #   - 1800(2n+5)(2n+3)(2n+1)(n+1)(n+2) A_n = 0
-    5: PRecurrence(
-        3,
-        (
-            -1800 * (2 * _n + 5) * (2 * _n + 3) * (2 * _n + 1) * (_n + 1) * (_n + 2),
-            4 * (2 * _n + 5) * (2 * _n + 3) * _p(2124, 3134, 1554, 259),
-            -2 * (2 * _n + 5) * _p(1433, 2240, 1323, 350, 35),
-            (_n + 3) ** 5,
-        ),
-        name="A d=5",
-    ),
-}
-
-
-def x_recurrence(d: int) -> PRecurrence:
-    """The known P-recurrence for the x-sequence in dimension d (d <= 5)."""
-    try:
-        return _X_RECURRENCES[d]
-    except KeyError:
-        raise ValueError("no known x-recurrence for d=%d" % d) from None
-
-
-def a_recurrence(d: int) -> PRecurrence:
-    """The known P-recurrence for the A-sequence in dimension d (d <= 5)."""
-    try:
-        return _A_RECURRENCES[d]
-    except KeyError:
-        raise ValueError("no known A-recurrence for d=%d" % d) from None
-
-
-# The dimensions with a known x- and A-recurrence, ascending.  The fast
-# paths, the constants summands and the verify suites read this, so a new
-# dimension is added here alone: its two recurrences above and, because
-# the verify suites check them, its two ODEs below.
-DIMENSIONS = tuple(sorted(_X_RECURRENCES.keys() & _A_RECURRENCES.keys()))
 
 
 # --------------------------------------------------------------------------
@@ -240,6 +140,34 @@ def a_ode(d: int) -> LinearODE:
         return _A_ODES[d]
     except KeyError:
         raise ValueError("no known A-ODE for d=%d" % d) from None
+
+
+# The dimensions with known ODEs for F_d and A_d, ascending.  The fast
+# paths, the constants summands and the verify suites read this, so a new
+# dimension is its two ODEs above and nothing else.
+DIMENSIONS = tuple(sorted(_F_ODES.keys() & _A_ODES.keys()))
+
+
+def _derived(ode: LinearODE, name: str) -> PRecurrence:
+    """The recurrence of ``ode``, signed so that its leading polynomial
+    has a positive top coefficient."""
+    rec = ode_to_recurrence(ode)
+    sign = 1 if rec.coefficients[-1].coeffs[-1] > 0 else -1
+    return PRecurrence(rec.order, tuple(sign * p for p in rec.coefficients),
+                       name=name)
+
+
+def x_recurrence(d: int) -> PRecurrence:
+    """The P-recurrence of x_n in dimension d, derived from ``f_ode(d)``;
+    for d = 3 it is the Franel recurrence
+    (n+2)^2 x_{n+2} - (10n^2+30n+23) x_{n+1} + 9(n+1)^2 x_n = 0."""
+    return _derived(f_ode(d), "x d=%d" % d)
+
+
+def a_recurrence(d: int) -> PRecurrence:
+    """The P-recurrence of A_{2n} in dimension d, derived from
+    ``a_ode(d)``."""
+    return _derived(a_ode(d), "A d=%d" % d)
 
 
 def expected_f_singularities(d: int) -> set[Fraction]:

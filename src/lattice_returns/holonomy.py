@@ -310,26 +310,23 @@ def ode_to_recurrence(ode: LinearODE) -> PRecurrence:
 
         sum_{k,j} q_{k,j} * ff(n - j + k, k) * u_{n-j+k}
 
-    (ff = falling factorial).  Shifting n by the maximal degree g makes
-    all offsets nonnegative: the returned recurrence R satisfies
-    sum_t R_t(n) u_{n+t} = 0 for all n >= 0, with t ranging over
-    0 .. order + g.
+    (ff = falling factorial).  Shifting n by g = max(j - k) over the
+    nonzero q_{k,j}, the least shift that makes every offset nonnegative,
+    gives the recurrence R with sum_t R_t(n) u_{n+t} = 0 for all n >= 0,
+    t ranging over 0 .. order + g.  Because the shift is least, R_0 is
+    not identically zero unless its terms cancel.
     """
-    m, g = ode.order, ode.max_degree
-    # Build R_t(n) with t = s + g where s = k - j in [-g, m].
+    terms = [(k, j, qj) for k, q in enumerate(ode.coefficients)
+             for j, qj in enumerate(q.coeffs) if qj]
+    g = max(j - k for k, j, _ in terms)
     shifts: dict[int, UniPoly] = {}
-    for k in range(m + 1):
-        q = ode.coefficients[k]
-        for j, qj in enumerate(q.coeffs):
-            if not qj:
-                continue
-            t = k - j + g
-            # ff(n + g + s, k) as a polynomial in n where s = k - j:
-            # product_{i=0..k-1} (n + (g + k - j) - i)
-            poly = UniPoly([qj])
-            for i in range(k):
-                poly = poly * UniPoly([g + k - j - i, 1])
-            shifts[t] = shifts.get(t, UniPoly()) + poly
+    for k, j, qj in terms:
+        t = k - j + g
+        # ff(n + t, k) as a polynomial in n: product_{i<k} (n + t - i).
+        poly = UniPoly([qj])
+        for i in range(k):
+            poly = poly * UniPoly([t - i, 1])
+        shifts[t] = shifts.get(t, UniPoly()) + poly
     max_t = max(t for t, p in shifts.items() if p)
     coeffs = tuple(shifts.get(t, UniPoly()) for t in range(max_t + 1))
     return PRecurrence(max_t, coeffs, name=(ode.name + " (translated)") if ode.name else "")

@@ -12,11 +12,16 @@ Counting conventions (used everywhere in the package):
 
       x_n^{(d+1)} = sum_k C(n, k)^2 x_k^{(d)},   x_n^{(1)} = 1.
 
-All sequences are generated from the x-ladder (single source of truth);
-A follows by multiplying central binomials, B by the renewal identity
-B = 1 - 1/A on the generating functions, that is
+The x-ladder generates x for every d; A follows by multiplying central
+binomials, B by the renewal identity B = 1 - 1/A on the generating
+functions, that is
 
       B_{2n} = A_{2n} - sum_{k=1}^{n-1} B_{2k} A_{2n-2k}.
+
+The fast paths (``*_fast``) instead iterate the P-recurrences that
+``catalog`` derives from the ODEs of F_d and A_d, seeded from the
+ladder; the verify suites that check those ODEs and recurrences read the
+ladder, so they never check an ODE against itself.
 
 An independent dynamic-programming oracle (full_distribution_dp,
 first_returns_dp) convolves unit steps directly and is used for
@@ -148,11 +153,16 @@ def x_sequence(d: int, N: int) -> SequenceTable:
     return SequenceTable(d, "X", tuple(levels[-1]))
 
 
-def closed_walks(d: int, N: int) -> SequenceTable:
-    """A_0 .. A_{2N}: closed walks, A_{2n} = C(2n, n) * x_n."""
-    xs = x_sequence(d, N)
+def closed_walks_from_x(xs: SequenceTable) -> SequenceTable:
+    """The A-table of the same length as the x-table ``xs``:
+    A_{2n} = C(2n, n) * x_n."""
     vals = tuple(binomial(2 * n, n) * x for n, x in enumerate(xs.values))
-    return SequenceTable(d, "A", vals)
+    return SequenceTable(xs.dimension, "A", vals)
+
+
+def closed_walks(d: int, N: int) -> SequenceTable:
+    """A_0 .. A_{2N}: closed walks, from the x-ladder."""
+    return closed_walks_from_x(x_sequence(d, N))
 
 
 def _first_returns_from_a(a: SequenceTable) -> SequenceTable:

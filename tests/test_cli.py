@@ -183,6 +183,31 @@ def test_verify_precurrence_checks_ladder_data(capsys, monkeypatch):
     assert set(status.values()) == {"pass"}
 
 
+def test_verify_checks_the_odes_against_ladder_data(capsys, monkeypatch):
+    # F_5 with the misquoted +1 as the constant term of its F' coefficient.
+    # The recurrence suite checks the recurrence derived from it, and the
+    # ODE suite must not read a fast path that iterates that recurrence.
+    f_ode = catalog.f_ode
+
+    def misquoted(d):
+        ode = f_ode(d)
+        if d != 5:
+            return ode
+        coeffs = list(ode.coefficients)
+        coeffs[1] = coeffs[1] + lr.UniPoly([2])
+        return lr.LinearODE(ode.order, tuple(coeffs), name=ode.name)
+
+    monkeypatch.setattr(catalog, "f_ode", misquoted)
+    for suite, size, failure in (
+            ("ode", ["--order", "40"], {"coefficient": 0, "value": "10"}),
+            ("precurrence", ["--n-max", "20"], {"n": 0, "residual": "-3270"})):
+        code, out, _ = run_cli(capsys, "verify", suite, "--d", "5", "--kind", "X", *size)
+        assert code == 1
+        (report,) = json.loads(out)["reports"]
+        assert report["status"] == "fail"
+        assert report["first_failure"] == failure
+
+
 _SCOPE_SIZES = {"precurrence": ["--n-max", "20"], "hadamard": ["--order", "20"]}
 
 
@@ -312,6 +337,17 @@ def test_asym_b_d2_accepts_small_n(capsys):
     for row in rows:
         approx = float(row.split(",")[2])
         assert math.isfinite(approx) and approx > 0
+
+
+def test_asym_b_kind_rejects_order(capsys):
+    code, out, err = run_cli(
+        capsys, "asym", "--kind", "B", "--d", "3", "--m", "8", "--n", "100")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    code, out, _ = run_cli(capsys, "asym", "--kind", "B", "--d", "3", "--n", "100")
+    assert code == 0
+    assert out.splitlines()[0] == "# kind=B d=3 m=4 n=100"
 
 
 def test_asym_rejects_unsupported_order(capsys):

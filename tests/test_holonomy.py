@@ -148,6 +148,26 @@ def test_footnote_recurrences():
     assert lr.check_p_recurrence(catalog.a_recurrence(2), a2, 30).passed
 
 
+@pytest.mark.parametrize("d", catalog.DIMENSIONS)
+@pytest.mark.parametrize("lookup", [catalog.x_recurrence, catalog.a_recurrence])
+def test_derived_recurrences_are_well_posed(lookup, d):
+    # The minimal shift keeps the lowest coefficient; the fast paths divide
+    # by the leading one at every n they reach.
+    rec = lookup(d)
+    assert rec.coefficients[0]
+    lead = rec.coefficients[-1]
+    assert all(lead(n) != 0 for n in range(2001))
+
+
+def test_x_recurrence_d3_is_franel():
+    # (n+2)^2 x_{n+2} - (10n^2+30n+23) x_{n+1} + 9(n+1)^2 x_n = 0 (A002893)
+    n = UniPoly([0, 1])
+    rec = catalog.x_recurrence(3)
+    assert rec.name == "x d=3"
+    assert rec.coefficients == (9 * (n + 1) ** 2, UniPoly([-23, -30, -10]),
+                                (n + 2) ** 2)
+
+
 def test_recurrence_catalog_rejects_unknown_dimension():
     with pytest.raises(ValueError):
         catalog.x_recurrence(6)
