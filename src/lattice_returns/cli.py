@@ -250,6 +250,10 @@ def _resolve_scope(args) -> tuple[int | None, str | None, int | None]:
 
 def cmd_verify(args) -> int:
     suite = args.suite
+    if args.n_max < 0:
+        raise UsageError("--n-max must be >= 0")
+    if args.order < 1:
+        raise UsageError("--order must be >= 1")
     d, kind, p = _resolve_scope(args)
     reports = []
     if suite in ("table-fixtures", "all"):

@@ -6,14 +6,14 @@ B-asymptotic constants b_d, b_1(d).
     p_d       = 1 - 1/m_d                              (d >= 3; p_1 = p_2 = 1)
     b_d       = a_d / m_d^2
 
-The summands t_n = A_{2n}/(2d)^{2n} of a constants bundle and of p_d
-(d >= 3) are one list of fixed-point ints U_n = round(t_n 2^bits).  For
-the d the catalog has a recurrence for they come from the A-recurrence run
-forward in ints with q = (2d)^2 (walks.recurrence_values); other d round
-the exact ladder's A_{2n} 2^bits/(2d)^{2n} once.  m_d and m_tilde_d are
-exact int sums divided once by 2^bits; the B-side float series inverts
-the list's correctly rounded float64 copy by FFT Newton.
-Tails beyond N sum the asymptotic expansion of the summand, through
+The summands t_n = A_{2n}/(2d)^{2n} of m_d, m_tilde_d and p_d (d >= 3)
+are one list of fixed-point ints U_n = round(t_n 2^bits), bits being PREC
+(136, whatever the ambient mpmath precision) plus guard bits, from
+walks.recurrence_values: the A-recurrence run forward in ints with
+q = (2d)^2, or for d outside the catalog the exact ladder rounded once
+per term.  m_d and m_tilde_d are exact int sums divided once by 2^bits;
+the B-side float series inverts the list's correctly rounded float64
+copy by FFT Newton.  Tails beyond N sum the asymptotic expansion of the summand, through
 TAIL_TERMS derived orders (asymptotics.a_coeffs), exactly over the
 integers with the Hurwitz zeta function.  Error bounds are heuristic --
 twice the estimated first omitted contribution -- and are labeled as
@@ -27,16 +27,21 @@ from dataclasses import dataclass
 
 import numpy as np
 from mpmath import mp, mpf, zeta
+from mpmath.libmp import dps_to_prec
 
 from . import walks
 from .asymptotics import a_coeffs, leading_constant_a
 from .errors import DependencyError, DivergenceError
-from .kernel import round_div
 
 # Orders of the asymptotic summand that the tails sum.  With four, m~_6 at
 # N = 600 came out one ulp off; with eight, every m_d and m~_d the
 # benchmark checks is the double nearest its reference.
 TAIL_TERMS = 8
+
+# The one working precision: tails and sums at DPS digits, summands at
+# PREC = 136 bits plus guard bits.
+DPS = 40
+PREC = dps_to_prec(DPS)
 
 
 @dataclass(frozen=True)
@@ -72,13 +77,15 @@ class PolyaResult:
 
 @dataclass(frozen=True)
 class ConstantsBundle:
-    """Everything the B-asymptotics of a dimension d >= 3 need."""
+    """Everything the B-asymptotics of a dimension d >= 3 need, and the
+    bare B-side partial sum, which the JSON leaves out."""
 
     dimension: int
     m: Estimate
     m_tilde: Estimate | None
     p: float
     p_direct: float
+    partial_sum_raw: float
     b: float
     b1: float | None
     b1_log_coefficient: float | None
@@ -99,31 +106,20 @@ class ConstantsBundle:
 
 
 # ---------------------------------------------------------------------------
-# Summand generation: t_n = A_{2n} / (2d)^{2n} as floats or in fixed point.
+# Summand generation: t_n = A_{2n} / (2d)^{2n} in fixed point.
 # ---------------------------------------------------------------------------
-
-def _normalized_summands(d: int, N: int, bits: int | None = None) -> list:
-    """[t_0, ..., t_N], t_n = A_{2n}^{(d)}/(2d)^{2n}: float64 values, or
-    the fixed-point ints round(t_n 2^bits) when bits is given.  d without
-    a catalog recurrence falls back to the exact ladder, each term rounded
-    once (practical for N up to a few thousand)."""
-    q = (2 * d) ** 2
-    ts = walks.recurrence_values("A", d, N, float(q) if bits is None else q, bits or 0)
-    if ts is None:
-        ts = [a / q**n if bits is None else round_div(a << bits, q**n)
-              for n, a in enumerate(walks.closed_walks(d, N).values)]
-    return ts
-
 
 def _normalized_a_summands_mp(d: int, N: int) -> tuple[list[int], int]:
     """(U, bits), U_n = round(t_n 2^bits) for n <= N: the one summand list
-    the constants of dimension d come from.  Past mp.prec, bits holds
+    the constants of dimension d come from.  Past PREC, bits holds
     (d//2 + 2) log2 N bits for the (d/2) log2 N that t_N ~ N^{-d/2} loses
     and the rounding errors the recurrence carries (see _estimate), and 32
-    spare: at d = 5, N = 4000, dps 40 the worst relative error is 5e-55,
-    with 8 guard bits in their place 6e-33."""
-    bits = mp.prec + (d // 2 + 2) * N.bit_length() + 32
-    return _normalized_summands(d, N, bits), bits
+    spare: at d = 5, N = 4000 the worst relative error is 5e-55, with 8
+    guard bits in their place 6e-33."""
+    if N < 8:
+        raise ValueError("N too small to anchor the tail estimate")
+    bits = PREC + (d // 2 + 2) * N.bit_length() + 32
+    return walks.recurrence_values("A", d, N, (2 * d) ** 2, bits), bits
 
 
 def _asym_tail_coeffs(d: int, weight: int) -> list[tuple[float, "mpf"]]:
@@ -134,11 +130,11 @@ def _asym_tail_coeffs(d: int, weight: int) -> list[tuple[float, "mpf"]]:
             for k, c in enumerate(a_coeffs(d, TAIL_TERMS))]
 
 
-def _estimate(d: int, us: list[int], bits: int, weight: int, dps: int) -> Estimate:
+def _estimate(d: int, us: list[int], bits: int, weight: int) -> Estimate:
     """sum_n n^weight t_n over the fixed-point summands us plus the tail
-    beyond N, the asymptotic integrand summed over n > N, at dps digits."""
+    beyond N, the asymptotic integrand summed over n > N, at DPS digits."""
     N = len(us) - 1
-    with mp.workdps(dps):
+    with mp.workdps(DPS):
         total = sum(us) if weight == 0 else sum(n * u for n, u in enumerate(us))
         partial = mp.ldexp(total, -bits)
         terms = _asym_tail_coeffs(d, weight)
@@ -159,33 +155,25 @@ def _estimate(d: int, us: list[int], bits: int, weight: int, dps: int) -> Estima
         # Noise: the int sum is exact.  Each recurrence step rounds by half a
         # unit of 2^-bits, carried on without growth as the recurrence is
         # stable: |U_n - t_n 2^bits| <= n units (measured <= 27 for N <= 1e4,
-        # d = 3..5), (N+1)^(2+w) units in the sum, plus 10^-dps from rounding.
+        # d = 3..5), (N+1)^(2+w) units in the sum, plus 10^-DPS from rounding.
         value = partial + tail
-        noise = mp.ldexp(mpf(N + 1) ** (2 + weight), -bits) + abs(value) * mpf(10) ** -dps
+        noise = mp.ldexp(mpf(N + 1) ** (2 + weight), -bits) + abs(value) * mpf(10) ** -DPS
         bound = 2 * omitted + noise + abs(value) * mpf(2) ** -50
         return Estimate(float(value), float(bound))
 
 
-def _summands(d: int, N: int, dps: int) -> tuple[list[int], int]:
-    """(U, bits) at dps digits, for N large enough to anchor the tail."""
-    if N < 8:
-        raise ValueError("N too small to anchor the tail estimate")
-    with mp.workdps(dps):
-        return _normalized_a_summands_mp(d, N)
-
-
-def estimate_m(d: int, N: int, dps: int = 40) -> Estimate:
+def estimate_m(d: int, N: int) -> Estimate:
     """m_d from N+1 exact-series terms plus an asymptotic tail."""
     if d <= 2:
         raise DivergenceError("m_d diverges for d <= 2 (recurrent walk)")
-    return _estimate(d, *_summands(d, N, dps), 0, dps)
+    return _estimate(d, *_normalized_a_summands_mp(d, N), 0)
 
 
-def estimate_m_tilde(d: int, N: int, dps: int = 40) -> Estimate:
+def estimate_m_tilde(d: int, N: int) -> Estimate:
     """m_tilde_d; the weighted series only converges for d >= 5."""
     if d <= 4:
         raise DivergenceError("m_tilde_d diverges for d <= 4")
-    return _estimate(d, *_summands(d, N, dps), 1, dps)
+    return _estimate(d, *_normalized_a_summands_mp(d, N), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -196,10 +184,9 @@ def normalized_a_series(d: int, N: int) -> np.ndarray:
     """float64 array [A_0/(2d)^0, ..., A_{2N}/(2d)^{2N}] for the asym
     tables and empirical_b1; bundles take theirs from the fixed-point summands.
 
-    d = 1, 2 use the closed central-binomial forms; every other d the
-    catalog has a recurrence for the normalized P-recurrence (float64
-    forward iteration, stable); the rest the exact ladder, each term
-    correctly rounded (desk-scale N only).
+    d = 1, 2 use the closed central-binomial forms; every other d
+    walks.recurrence_values at a float q: the catalog's P-recurrence in
+    float64 (stable), or the exact ladder correctly rounded (desk-scale N).
     """
     if d in (1, 2):
         rho = np.empty(N + 1)
@@ -207,7 +194,7 @@ def normalized_a_series(d: int, N: int) -> np.ndarray:
         for n in range(1, N + 1):
             rho[n] = rho[n - 1] * (2 * n - 1) / (2 * n)
         return rho if d == 1 else rho * rho
-    return np.array(_normalized_summands(d, N))
+    return np.array(walks.recurrence_values("A", d, N, float((2 * d) ** 2)))
 
 
 def _series_inverse_float(a: np.ndarray) -> np.ndarray:
@@ -258,37 +245,24 @@ def _fit_b_tail(d: int, b: np.ndarray, N: int):
     return bh * zeta(s, N + 1) + slope * zeta(s + 1, N + 1)
 
 
-def _polya(d: int, N: int, dps: int, with_m_tilde: bool = False) -> tuple[PolyaResult, Estimate | None]:
-    """p_d for d >= 3 by both routes, and m_tilde_d if asked, from one
-    summand list: m_d and m_tilde_d are its int sums, and its correctly
-    rounded float64 copy is inverted into the B-series of the direct route."""
-    us, bits = _summands(d, N, dps)
-    m = _estimate(d, us, bits, 0, dps)
-    m_tilde = _estimate(d, us, bits, 1, dps) if with_m_tilde else None
-    scale = 1 << bits
-    a = np.array([u / scale for u in us])
-    del us  # the int list would otherwise stay alive through the inversion
-    b = _b_series(a)
-    raw = float(np.sum(b))
-    with mp.workdps(dps):
-        p_direct = float(raw + _fit_b_tail(d, b, N))
-    res = PolyaResult(dimension=d, p=1.0 - 1.0 / m.value, recurrent=False,
-                      terms_used=N, p_direct=p_direct, partial_sum_raw=raw,
-                      m_estimate=m)
-    return res, m_tilde
-
-
-def polya_probability(d: int, N: int, dps: int = 40) -> PolyaResult:
+def polya_probability(d: int, N: int) -> PolyaResult:
     """Return probability p_d with both routes reported for d >= 3.
 
     d = 1, 2: exactly 1 (recurrent); the reported partial sum shows the
-    slow approach.  d >= 3: headline value 1 - 1/m_d; the direct route
-    sums B_{2n}/(2d)^{2n} and adds a B-side tail fit.
+    slow approach.  d >= 3: the constants bundle's headline value 1 - 1/m_d
+    and its direct route, which sums B_{2n}/(2d)^{2n} and adds a B-side
+    tail fit.
     """
     if d < 1:
         raise ValueError("d must be >= 1")
+    if N < 0:
+        raise ValueError("N must be >= 0")
     if d >= 3:
-        return _polya(d, N, dps)[0]
+        bundle = build_bundle(d, N)
+        return PolyaResult(dimension=d, p=bundle.p, recurrent=False,
+                           terms_used=N, p_direct=bundle.p_direct,
+                           partial_sum_raw=bundle.partial_sum_raw,
+                           m_estimate=bundle.m)
     raw = float(np.sum(normalized_b_series(d, N)))
     return PolyaResult(dimension=d, p=1.0, recurrent=True, terms_used=N,
                        partial_sum_raw=raw)
@@ -330,18 +304,31 @@ def empirical_b1(d: int, m: Estimate | float, n: int = 2000) -> float:
     return (ratio - 1.0) * n
 
 
-def build_bundle(d: int, N: int, dps: int = 40) -> ConstantsBundle:
-    """The full constants bundle for dimension d >= 3."""
+def build_bundle(d: int, N: int) -> ConstantsBundle:
+    """The full constants bundle for dimension d >= 3, from one summand
+    list: m_d and m_tilde_d (d >= 5) are its int sums, and its correctly
+    rounded float64 copy is inverted into the B-series of p_d's direct
+    route."""
     if d <= 2:
         raise DivergenceError("constants bundle requires d >= 3")
-    res, m_tilde = _polya(d, N, dps, with_m_tilde=d >= 5)
-    b, b1, b1_log_coefficient = b_constants(d, res.m_estimate, m_tilde)
+    us, bits = _normalized_a_summands_mp(d, N)
+    m = _estimate(d, us, bits, 0)
+    m_tilde = _estimate(d, us, bits, 1) if d >= 5 else None
+    scale = 1 << bits
+    a = np.array([u / scale for u in us])
+    del us  # the int list would otherwise stay alive through the inversion
+    b_series = _b_series(a)
+    raw = float(np.sum(b_series))
+    with mp.workdps(DPS):
+        p_direct = float(raw + _fit_b_tail(d, b_series, N))
+    b, b1, b1_log_coefficient = b_constants(d, m, m_tilde)
     return ConstantsBundle(
         dimension=d,
-        m=res.m_estimate,
+        m=m,
         m_tilde=m_tilde,
-        p=res.p,
-        p_direct=res.p_direct,
+        p=1.0 - 1.0 / m.value,
+        p_direct=p_direct,
+        partial_sum_raw=raw,
         b=b,
         b1=b1,
         b1_log_coefficient=b1_log_coefficient,

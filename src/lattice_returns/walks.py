@@ -405,35 +405,38 @@ def iterate_p_recurrence(rec, seeds: list, N: int, q=1) -> list:
     return vals
 
 
-def recurrence_values(kind: str, d: int, N: int, q=1, bits: int = 0) -> list | None:
+def recurrence_values(kind: str, d: int, N: int, q=1, bits: int = 0) -> list:
     """u_0 .. u_N with u_n = v_n / q^n, where v is the x-sequence (kind
-    "X") or the A-sequence (kind "A") of dimension d, by the catalog's
-    P-recurrence seeded from the ladder; None when the catalog has no
-    recurrence for d.  q = 1 gives the exact integers, an int q > 1 the
-    ints round(v_n 2^bits / q^n), a float q float64 values.
+    "X") or the A-sequence (kind "A") of dimension d.  q = 1 gives the
+    exact integers, an int q > 1 the ints round(v_n 2^bits / q^n), a float
+    q float64 values.  For the d the catalog has a recurrence for, its
+    P-recurrence runs forward from ladder seeds; for any other d the whole
+    ladder is scaled as the seeds are, exactly or rounded once per term
+    (a float q divides int by int, so each term is correctly rounded).
     """
-    if d not in catalog.DIMENSIONS:
-        return None
-    if kind == "X":
-        rec, ladder = catalog.x_recurrence(d), x_sequence
+    if d in catalog.DIMENSIONS:
+        rec = catalog.x_recurrence(d) if kind == "X" else catalog.a_recurrence(d)
+        n_ladder = min(N, rec.order - 1)
     else:
-        rec, ladder = catalog.a_recurrence(d), closed_walks
-    seeds = ladder(d, min(N, rec.order - 1)).values
-    seeds = [s / q**i if isinstance(q, float) else round_div(s << bits, q**i)
-             for i, s in enumerate(seeds)]
-    return iterate_p_recurrence(rec, seeds, N, q)
+        rec, n_ladder = None, N
+    ladder = (x_sequence if kind == "X" else closed_walks)(d, n_ladder).values
+    if isinstance(q, float):
+        vals = [v / int(q) ** n for n, v in enumerate(ladder)]
+    elif q > 1:
+        vals = [round_div(v << bits, q**n) for n, v in enumerate(ladder)]
+    else:
+        vals = list(ladder)
+    return vals if rec is None else iterate_p_recurrence(rec, vals, N, q)
 
 
 def x_sequence_fast(d: int, N: int) -> SequenceTable:
     """x-table via the catalog's P-recurrence; the ladder for any other d."""
-    vals = recurrence_values("X", d, N)
-    return x_sequence(d, N) if vals is None else SequenceTable(d, "X", tuple(vals))
+    return SequenceTable(d, "X", tuple(recurrence_values("X", d, N)))
 
 
 def closed_walks_fast(d: int, N: int) -> SequenceTable:
     """A-table via the catalog's P-recurrence; the ladder for any other d."""
-    vals = recurrence_values("A", d, N)
-    return closed_walks(d, N) if vals is None else SequenceTable(d, "A", tuple(vals))
+    return SequenceTable(d, "A", tuple(recurrence_values("A", d, N)))
 
 
 def first_returns_fast(d: int, N: int) -> SequenceTable:

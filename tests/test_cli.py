@@ -254,6 +254,18 @@ def test_verify_lucas_expected_failure_inverts_exit(capsys):
     assert obj["reports"][0]["status"] == "fail"  # raw reports stay honest
 
 
+@pytest.mark.parametrize("suite, flag, value", [
+    ("precurrence", "--n-max", "-1"),
+    ("ode", "--order", "0"),
+    ("hadamard", "--order", "0"),
+])
+def test_verify_rejects_empty_horizon(capsys, suite, flag, value):
+    # an empty horizon would check nothing and report a pass
+    code, out, err = run_cli(capsys, "verify", suite, flag, value)
+    assert code == 2
+    assert out == "" and err.count("\n") == 1 and flag in err
+
+
 def test_verify_hadamard(capsys):
     code, out, _ = run_cli(capsys, "verify", "hadamard", "--order", "60")
     assert code == 0
@@ -273,6 +285,12 @@ def test_constants_divergent_low_dimension(capsys):
     assert obj["divergent"] is True
     assert obj["recurrent"] is True and obj["p_d"] == 1.0
     assert obj["m_d"] == "divergent"
+
+
+def test_constants_rejects_negative_N(capsys):
+    code, out, err = run_cli(capsys, "constants", "--d", "2", "--N", "-2")
+    assert code == 2
+    assert out == "" and err == "error: N must be >= 0\n"
 
 
 def test_constants_d3_bundle(capsys):

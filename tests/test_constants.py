@@ -139,12 +139,11 @@ def test_normalized_a_series_against_exact():
             assert abs(float(exact) - arr[n]) <= 1e-12 * float(exact)
 
 
-def _worst_summand_error(d: int, N: int, ns, dps: int = 40) -> Fraction:
+def _worst_summand_error(d: int, N: int, ns) -> Fraction:
     """max over ns of |U_n / (A_{2n} 2^bits / (2d)^{2n}) - 1| for the
-    fixed-point summands (U, bits) at dps, in exact rationals; A comes
-    from the exact recurrence for d <= 5 and from the ladder otherwise."""
-    with mp.workdps(dps):
-        us, bits = _normalized_a_summands_mp(d, N)
+    fixed-point summands (U, bits), in exact rationals; A comes from the
+    exact recurrence for d <= 5 and from the ladder otherwise."""
+    us, bits = _normalized_a_summands_mp(d, N)
     assert len(us) == N + 1
     exact = lr.closed_walks_fast(d, N).values
     q = (2 * d) ** 2
@@ -161,10 +160,20 @@ def test_mp_summands_against_exact(d):
 
 
 def test_summand_guard_bits():
-    # every summand keeps the working precision; with 8 guard bits in
+    # every summand keeps the 136-bit precision; with 8 guard bits in
     # place of the N- and d-dependent ones the worst error is 6e-33 (5e-55
     # with them)
     assert _worst_summand_error(5, 4000, range(4001)) < Fraction(1, 10**40)
+
+
+def test_summands_ignore_ambient_precision():
+    # the summands carry the fixed PREC = 136 bits plus guard bits
+    with mp.workdps(15):
+        low = _normalized_a_summands_mp(5, 400)
+    with mp.workdps(60):
+        high = _normalized_a_summands_mp(5, 400)
+    assert low == high
+    assert constants.PREC == 136
 
 
 @pytest.mark.parametrize("d", [3, 6])
@@ -301,6 +310,8 @@ def test_build_bundle_shapes():
     assert obj["m_d"]["error_bound_kind"] == "heuristic"
     assert obj["m_tilde_d"] is None
     assert obj["b_1_log_coefficient"] is None
+    assert "partial_sum_raw" not in obj
+    assert bundle.partial_sum_raw == lr.polya_probability(3, 4000).partial_sum_raw
     b5 = lr.build_bundle(5, 4000)
     assert b5.m_tilde is not None
     with pytest.raises(DivergenceError):

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 import lattice_returns as lr
 from lattice_returns import catalog
 from lattice_returns.errors import CapacityError
+from lattice_returns.kernel import round_div
 from lattice_returns.walks import iterate_p_recurrence, recurrence_values
 
 # ---------------------------------------------------------------------------
@@ -146,15 +147,23 @@ def test_x_vs_closed_walks_relation():
             assert As.value(n) == binomial(2 * n, n) * xs.value(n)
 
 
-@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6, 7])
 def test_fast_paths_agree_with_ladder(d):
-    # d = 6 has no catalog recurrence and falls back to the ladder; N < 3
+    # d = 6, 7 have no catalog recurrence and fall back to the ladder; N < 3
     # is shorter than the seeds of the order-3 recurrences.
     for N in (0, 1, 2, 3, 40):
         assert lr.x_sequence_fast(d, N).values == lr.x_sequence(d, N).values
         assert lr.closed_walks_fast(d, N).values == lr.closed_walks(d, N).values
     assert lr.first_returns_fast(d, 25).values == lr.first_returns(d, 25).values
-    assert (recurrence_values("A", d, 3) is None) == (d not in catalog.DIMENSIONS)
+    if d not in catalog.DIMENSIONS:
+        # the fallback scales the ladder as the seeds are scaled
+        q, bits = (2 * d) ** 2, 100
+        ladder = lr.closed_walks(d, 40).values
+        assert recurrence_values("A", d, 40) == list(ladder)
+        assert recurrence_values("A", d, 40, q, bits) == [
+            round_div(v << bits, q**n) for n, v in enumerate(ladder)]
+        assert recurrence_values("A", d, 40, float(q)) == [
+            float(Fraction(v, q**n)) for n, v in enumerate(ladder)]
 
 
 def _perturbed(rec, delta):
