@@ -18,6 +18,7 @@ with table position = index.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 from .holonomy import LinearODE, PRecurrence, ode_to_recurrence
 from .kernel import UniPoly
@@ -148,9 +149,11 @@ def a_ode(d: int) -> LinearODE:
 DIMENSIONS = tuple(sorted(_F_ODES.keys() & _A_ODES.keys()))
 
 
+@lru_cache(maxsize=None)
 def _derived(ode: LinearODE, name: str) -> PRecurrence:
     """The recurrence of ``ode``, signed so that its leading polynomial
-    has a positive top coefficient."""
+    has a positive top coefficient.  Cached on the ODE's value, so a
+    replaced ``f_ode`` / ``a_ode`` gets its own derivation."""
     rec = ode_to_recurrence(ode)
     sign = 1 if rec.coefficients[-1].coeffs[-1] > 0 else -1
     return PRecurrence(rec.order, tuple(sign * p for p in rec.coefficients),

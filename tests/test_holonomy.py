@@ -82,6 +82,61 @@ def test_integer_series_stay_integer():
     assert (inv * a).coeffs == [1, 0, 0, 0]
 
 
+def _schoolbook_reciprocal(coeffs):
+    # The triangular recurrence in Python ints; c0 = +-1 is its own inverse.
+    out = [coeffs[0]]
+    for n in range(1, len(coeffs)):
+        out.append(-coeffs[0] * sum(coeffs[k] * out[n - k]
+                                    for k in range(1, n + 1)))
+    return out
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_integral_reciprocal_of_a_series(d):
+    a = list(lr.closed_walks(d, 300).values)
+    assert lr.reciprocal_series(TruncatedSeries(a)).coeffs == _schoolbook_reciprocal(a)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([1, -1]),
+       st.lists(st.integers(-2**200, 2**200), max_size=79))
+def test_integral_reciprocal_matches_schoolbook(c0, tail):
+    coeffs = [c0] + tail
+    inv = lr.reciprocal_series(TruncatedSeries(coeffs))
+    assert inv.coeffs == _schoolbook_reciprocal(coeffs)
+
+
+def test_integral_reciprocal_past_the_accumulation_chunk():
+    # 1/(1 - z - z^2) = sum F_{n+1} z^n; N = 2500 sums more than 2^11
+    # products of residues per coefficient.
+    N = 2500
+    inv = lr.reciprocal_series(TruncatedSeries([1, -1, -1] + [0] * (N - 3)))
+    fib = [1, 1]
+    while len(fib) < N:
+        fib.append(fib[-1] + fib[-2])
+    assert inv.coeffs == fib
+
+
+@pytest.mark.parametrize("N", range(1, 41))
+def test_integral_reciprocal_near_the_majorant(N):
+    # f_k = -(2^(30k) - 1) puts the inverse within a factor 2 of the
+    # majorant bound 2^(n-1) 2^(30n), so one prime fewer than chosen
+    # reconstructs wrong values for some of these N.
+    coeffs = [1] + [-((1 << (30 * k)) - 1) for k in range(1, N)]
+    inv = lr.reciprocal_series(TruncatedSeries(coeffs))
+    assert inv.coeffs == _schoolbook_reciprocal(coeffs)
+
+
+def test_integral_reciprocal_leaves_huge_bounds_to_the_exact_loop():
+    from lattice_returns import holonomy
+
+    # Primes in (2^25, 2^26) cover 25 * 2^20 bits only with up to 2^20 of them.
+    assert holonomy._crt_primes(25 << 20) is None
+    f1 = 1 << (25 << 20)
+    assert holonomy._integral_reciprocal([1, f1]) is None
+    assert lr.reciprocal_series(TruncatedSeries([1, f1])).coeffs == [1, -f1]
+
+
 def test_series_from_sequence_offsets():
     a = lr.closed_walks(2, 6)
     s = lr.series_from_sequence(a, 5)
@@ -166,6 +221,11 @@ def test_x_recurrence_d3_is_franel():
     assert rec.name == "x d=3"
     assert rec.coefficients == (9 * (n + 1) ** 2, UniPoly([-23, -30, -10]),
                                 (n + 2) ** 2)
+
+
+def test_derived_recurrences_are_cached():
+    assert catalog.x_recurrence(3) is catalog.x_recurrence(3)
+    assert catalog.a_recurrence(5) is catalog.a_recurrence(5)
 
 
 def test_recurrence_catalog_rejects_unknown_dimension():
