@@ -2,10 +2,15 @@
 imply, predicted singularity sets, and the embedded table fixtures used
 by cross-checks.
 
-The printed ODEs are the catalog.  Each P-recurrence is derived from its
-ODE by ``holonomy.ode_to_recurrence`` (the coefficient relation of
-[z^n] of the operator applied to the series), so nothing here is typed
-twice.
+The ODEs of F_d are the catalog: printed in the paper for d <= 5,
+guessed from the binomial ladder for d = 6, 7, 8 (and labelled so).  The
+x-recurrence of each is derived from its ODE by
+``holonomy.ode_to_recurrence`` (the coefficient relation of [z^n] of the
+operator applied to the series), and the A-recurrence from the
+x-recurrence, as A_{2n} = C(2n, n) x_n; so a dimension is one ODE and
+nothing here is typed twice.  The printed ODEs of A_d (d <= 5) are kept
+as the paper's data, for ``verify ode`` to check against the ladder;
+they feed no recurrence.
 
 Index convention (documented once, used everywhere): the series of A_d
 is sum_n A_{2n} z^n, so every recurrence is written in the half-length
@@ -18,10 +23,10 @@ with table position = index.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 
-from .holonomy import LinearODE, PRecurrence, ode_to_recurrence
-from .kernel import UniPoly
+from .holonomy import LinearODE, PRecurrence, ode_to_recurrence, recurrence_to_ode
+from .kernel import UniPoly, poly_divmod, poly_gcd, primitive
 
 _z = UniPoly([0, 1])
 
@@ -32,8 +37,8 @@ def _p(*coeffs) -> UniPoly:
 
 
 # --------------------------------------------------------------------------
-# ODEs for the generating functions F_d (of x) and A_d (of A), d = 1..5.
-# Coefficients listed lowest derivative first.
+# ODEs for the generating functions F_d (of x), d = 1..8, and A_d (of A),
+# d = 1..5.  Coefficients listed lowest derivative first.
 # --------------------------------------------------------------------------
 
 _F_ODES = {
@@ -75,6 +80,54 @@ _F_ODES = {
             _z ** 3 * (_z - 1) * (9 * _z - 1) * (25 * _z - 1),
         ),
         name="F_5",
+    ),
+    # F_6, F_7 and F_8 are guessed, not printed: the paper gives the ODEs
+    # for d <= 5 only.  Each is recurrence_to_ode of the P-recurrence
+    # that holonomy.guess_p_recurrence fits to x_0 .. x_149 of the
+    # binomial ladder, of shape (order, degree) (3, 5), (4, 6) and (4, 7);
+    # tests guess them again, and check them against the ladder far past
+    # the fitted terms.  Each has order d - 1 and leading coefficient
+    # z^(d-2) prod (k^2 z - 1) over k = d, d - 2, ... >= 1.
+    6: LinearODE(
+        5,
+        (
+            _p(6, -1020, 13824),
+            _p(-1, 516, -25956, 193536),
+            _z * _p(-15, 2436, -71976, 380160),
+            _z ** 2 * _p(-25, 2408, -51196, 211968),
+            _z ** 3 * _p(-10, 700, -11760, 40320),
+            _z ** 4 * (4 * _z - 1) * (16 * _z - 1) * (36 * _z - 1),
+        ),
+        name="F_6",
+    ),
+    7: LinearODE(
+        6,
+        (
+            _p(-7, 3213, -124040, 396900),
+            _p(1, -1284, 142335, -2852224, 5953500),
+            _z * _p(31, -10218, 623925, -8617996, 13693050),
+            _z ** 2 * _p(90, -16464, 702780, -7501752, 9724050),
+            _z ** 3 * _p(65, -8358, 277548, -2433386, 2679075),
+            _z ** 4 * _p(15, -1512, 41454, -309984, 297675),
+            _z ** 5 * (_z - 1) * (9 * _z - 1) * (25 * _z - 1)
+            * (49 * _z - 1),
+        ),
+        name="F_7",
+    ),
+    8: LinearODE(
+        7,
+        (
+            _p(-8, 9312, -850944, 10616832),
+            _p(1, -3076, 694464, -30806016, 244187136),
+            _z * _p(63, -39870, 4617072, -136757760, 812187648),
+            _z ** 2 * _p(301, -98460, 7715232, -173636608, 833421312),
+            _z ** 3 * _p(350, -77700, 4652100, -85137920, 345047040),
+            _z ** 4 * _p(140, -23856, 1166268, -18089984, 63700992),
+            _z ** 5 * _p(21, -2940, 122304, -1653120, 5160960),
+            _z ** 6 * (4 * _z - 1) * (16 * _z - 1) * (36 * _z - 1)
+            * (64 * _z - 1),
+        ),
+        name="F_8",
     ),
 }
 
@@ -127,8 +180,17 @@ _A_ODES = {
 }
 
 
+# The dimensions with an ODE for F_d, ascending: the fast paths, the
+# constants summands and the verify suites cover these.
+DIMENSIONS = tuple(sorted(_F_ODES))
+
+# The dimensions whose ODEs the paper prints: the default scope of every
+# verify suite.
+PRINTED_DIMENSIONS = tuple(sorted(_A_ODES))
+
+
 def f_ode(d: int) -> LinearODE:
-    """The known ODE annihilating F_d (d <= 5)."""
+    """The ODE annihilating F_d: printed for d <= 5, guessed for d = 6..8."""
     try:
         return _F_ODES[d]
     except KeyError:
@@ -136,41 +198,60 @@ def f_ode(d: int) -> LinearODE:
 
 
 def a_ode(d: int) -> LinearODE:
-    """The known ODE annihilating A_d (d <= 5)."""
-    try:
+    """The ODE annihilating A_d: printed for d <= 5; for d = 6..8 the ODE
+    of ``a_recurrence(d)`` (order d), derived when asked for."""
+    if d in _A_ODES:
         return _A_ODES[d]
-    except KeyError:
-        raise ValueError("no known A-ODE for d=%d" % d) from None
-
-
-# The dimensions with known ODEs for F_d and A_d, ascending.  The fast
-# paths, the constants summands and the verify suites read this, so a new
-# dimension is its two ODEs above and nothing else.
-DIMENSIONS = tuple(sorted(_F_ODES.keys() & _A_ODES.keys()))
+    if d not in _F_ODES:
+        raise ValueError("no known A-ODE for d=%d" % d)
+    return recurrence_to_ode(a_recurrence(d), name="A_%d" % d)
 
 
 @lru_cache(maxsize=None)
-def _derived(ode: LinearODE, name: str) -> PRecurrence:
-    """The recurrence of ``ode``, signed so that its leading polynomial
-    has a positive top coefficient.  Cached on the ODE's value, so a
-    replaced ``f_ode`` / ``a_ode`` gets its own derivation."""
+def _x_derived(ode: LinearODE, name: str) -> PRecurrence:
+    """The recurrence of ``ode``, primitive and with a positive top
+    coefficient of its leading polynomial.  Cached on the ODE's value, so
+    a replaced ``f_ode`` gets its own derivation."""
     rec = ode_to_recurrence(ode)
-    sign = 1 if rec.coefficients[-1].coeffs[-1] > 0 else -1
-    return PRecurrence(rec.order, tuple(sign * p for p in rec.coefficients),
-                       name=name)
+    return PRecurrence(rec.order, tuple(primitive(rec.coefficients)), name=name)
+
+
+@lru_cache(maxsize=None)
+def _a_derived(rec: PRecurrence, name: str) -> PRecurrence:
+    """The recurrence of A_{2n} = C(2n, n) x_n from the x-recurrence
+    sum_k P_k(n) x_{n+k} = 0 of order r.
+
+    As C(2n+2k, n+k) / C(2n, n) = prod_{i<k} 2(2n+2i+1)/(n+i+1), the
+    coefficient of A_{n+k} is P_k(n) prod_{i<k} (n+i+1)
+    prod_{k<=i<r} 2(2n+2i+1), divided by the common polynomial factor of
+    all of them and by their content; otherwise the polynomials carry up
+    to r spare degrees through every step of the loops that iterate them.
+    """
+    r = rec.order
+    polys = []
+    for k, p in enumerate(rec.coefficients):
+        for i in range(k):
+            p = p * UniPoly([i + 1, 1])
+        for i in range(k, r):
+            p = p * UniPoly([2 * (2 * i + 1), 4])
+        polys.append(p)
+    common = reduce(poly_gcd, polys)
+    polys = [poly_divmod(p, common)[0] for p in polys]
+    return PRecurrence(r, tuple(primitive(polys)), name=name)
 
 
 def x_recurrence(d: int) -> PRecurrence:
     """The P-recurrence of x_n in dimension d, derived from ``f_ode(d)``;
     for d = 3 it is the Franel recurrence
     (n+2)^2 x_{n+2} - (10n^2+30n+23) x_{n+1} + 9(n+1)^2 x_n = 0."""
-    return _derived(f_ode(d), "x d=%d" % d)
+    return _x_derived(f_ode(d), "x d=%d" % d)
 
 
 def a_recurrence(d: int) -> PRecurrence:
     """The P-recurrence of A_{2n} in dimension d, derived from
-    ``a_ode(d)``."""
-    return _derived(a_ode(d), "A d=%d" % d)
+    ``x_recurrence(d)``; for d <= 5 it is the recurrence of the printed
+    A-ODE."""
+    return _a_derived(x_recurrence(d), "A d=%d" % d)
 
 
 def expected_f_singularities(d: int) -> set[Fraction]:

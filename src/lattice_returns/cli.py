@@ -144,7 +144,7 @@ def _ladder_tables(d: int, N: int, kinds: list[str]) -> dict[str, walks.Sequence
 def _check_precurrences(n_max: int, d: int | None,
                         kind: str | None) -> list[holonomy.VerificationReport]:
     reports = []
-    for dd in _scoped(d, catalog.DIMENSIONS):
+    for dd in _scoped(d, catalog.PRINTED_DIMENSIONS):
         kinds = _scoped(kind, ("X", "A"))
         recs = {k: catalog.x_recurrence(dd) if k == "X" else catalog.a_recurrence(dd)
                 for k in kinds}
@@ -157,7 +157,7 @@ def _check_precurrences(n_max: int, d: int | None,
 def _check_odes(order: int, d: int | None,
                 kind: str | None) -> list[holonomy.VerificationReport]:
     reports = []
-    for dd in _scoped(d, catalog.DIMENSIONS):
+    for dd in _scoped(d, catalog.PRINTED_DIMENSIONS):
         kinds = _scoped(kind, ("X", "A"))
         tables = _ladder_tables(dd, order, kinds)
         for k in kinds:
@@ -170,7 +170,7 @@ def _check_odes(order: int, d: int | None,
 def _check_lucas(d: int | None, kind: str | None,
                  p: int | None) -> list[holonomy.VerificationReport]:
     reports = []
-    for dd in _scoped(d, catalog.DIMENSIONS):
+    for dd in _scoped(d, catalog.PRINTED_DIMENSIONS):
         for k in _scoped(kind, ("X", "A")):
             for pp in _scoped(p, (3, 5, 7, 11, 13)):
                 n_max = pp * pp + pp
@@ -182,7 +182,7 @@ def _check_lucas(d: int | None, kind: str | None,
 def _check_hadamard(order: int, d: int | None) -> list[holonomy.VerificationReport]:
     reports = []
     a1 = holonomy.series_from_sequence(walks.closed_walks(1, order), order)
-    for dd in _scoped(d, catalog.DIMENSIONS):
+    for dd in _scoped(d, catalog.PRINTED_DIMENSIONS):
         f_d = holonomy.series_from_sequence(walks.x_sequence_fast(dd, order), order)
         a_d = holonomy.series_from_sequence(walks.closed_walks_fast(dd, order), order)
         b_d = holonomy.series_from_sequence(walks.first_returns_fast(dd, order), order)
@@ -200,7 +200,7 @@ def _check_hadamard(order: int, d: int | None) -> list[holonomy.VerificationRepo
 def _check_singularities(d: int | None,
                          kind: str | None) -> list[holonomy.VerificationReport]:
     reports = []
-    for dd in _scoped(d, catalog.DIMENSIONS):
+    for dd in _scoped(d, catalog.PRINTED_DIMENSIONS):
         for k in _scoped(kind, ("X", "A")):
             if k == "X":
                 ode, expected = catalog.f_ode(dd), catalog.expected_f_singularities(dd)
@@ -220,9 +220,11 @@ def _check_singularities(d: int | None,
     return reports
 
 
-# The scope flags each suite honours, and the dimensions it has data for
+# The scope flags each suite honours, and the dimensions --d may name
 # (None: any d >= 1, as its tables come from the fast paths, which fall
-# back to the ladder).  "all" runs every suite at its defaults.
+# back to the ladder past the catalog).  Without --d every suite covers
+# the printed dimensions, d <= 5; --d reaches the guessed d = 6..8.
+# "all" runs every suite at its defaults.
 _SCOPES = {
     "table-fixtures": (("d",), catalog.TABLE_A),
     "precurrence": (("d", "kind"), catalog.DIMENSIONS),
@@ -338,8 +340,9 @@ def _exact_normalized_b(d: int, ns: list[int]) -> dict[int, float]:
 
 # The B-table reads b_d and b_1 from a bundle of this many terms.  With
 # the derived tails, m_d is within its double-precision floor at N = 1000
-# (the table is byte-identical to one built at N = 20000 for d = 3, 4, 5),
-# and for d >= 6, whose summands come from the ladder, it takes seconds.
+# (the table is byte-identical to one built at N = 20000 for d = 3, 4, 5);
+# past the catalog (d >= 9), whose summands come from the ladder, it
+# takes seconds and stays within walks.LADDER_BUDGET.
 _ASYM_BUNDLE_N = 1000
 
 

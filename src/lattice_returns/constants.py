@@ -10,8 +10,8 @@ The summands t_n = A_{2n}/(2d)^{2n} of m_d, m_tilde_d and p_d (d >= 3)
 are one list of fixed-point ints U_n = round(t_n 2^bits), bits being PREC
 (136, whatever the ambient mpmath precision) plus guard bits, from
 walks.recurrence_values: the A-recurrence run forward in ints with
-q = (2d)^2, or for d outside the catalog the exact ladder rounded once
-per term.  m_d and m_tilde_d are exact int sums divided once by 2^bits;
+q = (2d)^2 (d <= 8), or for d outside the catalog the exact ladder
+rounded once per term.  m_d and m_tilde_d are exact int sums divided once by 2^bits;
 the B-side float series inverts the list's correctly rounded float64
 copy by FFT Newton.  Tails beyond N sum the asymptotic expansion of the summand, through
 TAIL_TERMS derived orders (asymptotics.a_coeffs), exactly over the
@@ -154,8 +154,8 @@ def _estimate(d: int, us: list[int], bits: int, weight: int) -> Estimate:
         omitted = delta * mpf(N) / (mpf(d) / 2 + 4 - weight)
         # Noise: the int sum is exact.  Each recurrence step rounds by half a
         # unit of 2^-bits, carried on without growth as the recurrence is
-        # stable: |U_n - t_n 2^bits| <= n units (measured <= 27 for N <= 1e4,
-        # d = 3..5), (N+1)^(2+w) units in the sum, plus 10^-DPS from rounding.
+        # stable: |U_n - t_n 2^bits| <= n units (measured <= 71 at N = 1e4,
+        # d = 3..8), (N+1)^(2+w) units in the sum, plus 10^-DPS from rounding.
         value = partial + tail
         noise = mp.ldexp(mpf(N + 1) ** (2 + weight), -bits) + abs(value) * mpf(10) ** -DPS
         bound = 2 * omitted + noise + abs(value) * mpf(2) ** -50
@@ -186,7 +186,8 @@ def normalized_a_series(d: int, N: int) -> np.ndarray:
 
     d = 1, 2 use the closed central-binomial forms; every other d
     walks.recurrence_values at a float q: the catalog's P-recurrence in
-    float64 (stable), or the exact ladder correctly rounded (desk-scale N).
+    float64 (stable, d <= 8), or the exact ladder correctly rounded
+    (d >= 9, desk-scale N).
     """
     if d in (1, 2):
         rho = np.empty(N + 1)

@@ -2,7 +2,8 @@
 
 
 class CapacityError(Exception):
-    """A dynamic-programming box would exceed the cell budget."""
+    """A dynamic-programming box or a binomial ladder would exceed its
+    budget (cells, big-int products)."""
 
 
 class DivergenceError(ArithmeticError):

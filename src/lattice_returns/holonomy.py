@@ -1,6 +1,8 @@
 """Truncated power series over Q and mechanical verification tools:
 P-recurrence residuals, ODE annihilation, Hadamard convolution, series
-reciprocals, Legendre series identities, and Lucas congruences.
+reciprocals, Legendre series identities, and Lucas congruences; the
+translations between ODEs and P-recurrences, both ways, and a guesser
+that fits a P-recurrence to exact terms.
 
 Every operation here is exact; a "pass" means an identity of integers or
 rationals held on the nose, not to within a tolerance.
@@ -10,7 +12,7 @@ B = 1 - 1/A table) by a multi-modular route: the majorant
 1/(1 - sum_{k>=1} R^k z^k), log2 R = max_k bitlen(f_k)/k, bounds the
 inverse's coefficients; the triangular recurrence runs in numpy modulo
 just enough primes below 2^26 to cover twice that bound, and CRT
-rebuilds each coefficient.  ``TruncatedSeries.__mul__`` stays a
+rebuilds each coefficient (``modular``).  ``TruncatedSeries.__mul__`` stays a
 schoolbook product of Python ints, so the Hadamard suite's
 (1 - B) A = 1 checks the inverse by an independent route: a CRT product
 sharing a too-small bound would agree with a wrong B modulo the same M.
@@ -21,13 +23,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
+from . import modular
 from .errors import InvertibilityError
-from .kernel import RationalLike, UniPoly, binomial, exact, poly_eval
+from .kernel import RationalLike, UniPoly, binomial, exact, poly_eval, primitive
 
 if TYPE_CHECKING:  # pragma: no cover
     from .walks import SequenceTable
@@ -258,22 +260,6 @@ def reciprocal_series(f: TruncatedSeries) -> TruncatedSeries:
     return TruncatedSeries(out)
 
 
-# Multi-modular arithmetic for ``_integral_reciprocal``.  Every residue
-# lies below a prime p < 2^26, so the product of two residues is below
-# 2^52 and a 16-bit limb times a residue below 2^42.  Each accumulation
-# sums at most _CHUNK = 2^11 such products between reductions: that keeps
-# int64 sums below 2^11 * 2^52 = 2^63 and float64 sums below
-# 2^11 * 2^42 = 2^53, where every integer is exact.
-_LIMB = 16
-_CHUNK = 1 << 11
-_ROWS = 256  # rows per block of the float64 limb matrices
-# Primes are taken from (2^25, 2^26), which holds 1,894,120 of them.  A
-# bound that may need more than 2^20 is left to the exact loop; with at
-# most 2^20 primes the CRT sums stay below 2^9 chunks of 2^53.
-_MAX_PRIMES = 1 << 20
-_PRIMES: list[int] = []  # descending from 2^26, extended by _primes
-
-
 def _integral_reciprocal(coeffs: Sequence[int]) -> list[int] | None:
     """1/f for ints f_0 = +-1, f_1, ...: the triangular recurrence run
     modulo enough primes at once, then CRT to the symmetric range.
@@ -282,137 +268,30 @@ def _integral_reciprocal(coeffs: Sequence[int]) -> list[int] | None:
     1/(1 - sum_{k>=1} R^k z^k) = (1 - Rz)/(1 - 2Rz) bounds |g_n| by
     2^(n-1) R^n: every g_n has at most bits = N - 1 + ceil((N-1) log2 R)
     bits, and primes with product M > 2^(bits+1) determine it.  None if
-    that may take more than _MAX_PRIMES primes.
+    ``modular.crt_primes`` has not that many primes.
     """
     N = len(coeffs)
     bits = N - 1 + max((-(-(N - 1) * c.bit_length() // k)
                         for k, c in enumerate(coeffs[1:], 1)), default=0)
-    chosen = _crt_primes(bits + 1)
+    chosen = modular.crt_primes(bits + 1)
     if chosen is None:
         return None
     primes, M = chosen
     p = np.array(primes, dtype=np.int64)
     # f_rev[N-1-k] = f_k mod p, so both operands below run forward.
-    f_rev = _residues(coeffs[::-1], p)
+    f_rev = modular.residues(coeffs[::-1], p)
     g = np.empty_like(f_rev)
     g[0] = coeffs[0] % p
     for n in range(1, N):
         acc = np.zeros_like(p)
-        for j in range(0, n, _CHUNK):
-            k = min(n, j + _CHUNK)
+        for j in range(0, n, modular.CHUNK):
+            k = min(n, j + modular.CHUNK)
             # sum_{i=j}^{k-1} f_{n-i} g_i: at most 2^11 products below
             # 2^52, so the int64 sum stays below 2^63.
             acc += np.einsum("ip,ip->p", f_rev[N - 1 - n + j:N - 1 - n + k],
                              g[j:k]) % p
         g[n] = (-coeffs[0] * acc) % p
-    return _crt(g, p, M)
-
-
-def _primes(count: int) -> list[int]:
-    """The ``count`` largest primes below 2^26, descending, from a
-    segmented numpy sieve run only as far as needed."""
-    hi = _PRIMES[-1] if _PRIMES else 1 << 26
-    while len(_PRIMES) < count:
-        lo = hi - (1 << 16)
-        alive = np.ones(hi - lo, dtype=bool)
-        for q in _small_primes():
-            alive[-lo % q::q] = False
-        _PRIMES.extend((lo + np.flatnonzero(alive)[::-1]).tolist())
-        hi = lo
-    return _PRIMES[:count]
-
-
-@lru_cache(maxsize=None)
-def _small_primes() -> tuple[int, ...]:
-    """The primes below 2^13, which sieve every number below 2^26."""
-    alive = np.ones(1 << 13, dtype=bool)
-    alive[:2] = False
-    for q in range(2, 91):
-        if alive[q]:
-            alive[q * q::q] = False
-    return tuple(np.flatnonzero(alive).tolist())
-
-
-def _crt_primes(bits: int) -> tuple[list[int], int] | None:
-    """The fewest largest primes below 2^26 whose product M exceeds
-    2^bits, and M; None if that may take more than _MAX_PRIMES."""
-    # Each prime exceeds 2^25, so bits // 25 + 1 of them always suffice.
-    if bits // 25 + 1 > _MAX_PRIMES:
-        return None
-    candidates = _primes(bits // 25 + 1)
-    M, count = 1, 0
-    while M <= 1 << bits:
-        M *= candidates[count]
-        count += 1
-    return candidates[:count], M
-
-
-def _limbs(values: Sequence[int]) -> np.ndarray:
-    """|values| as rows of 16-bit limbs, least significant first."""
-    width = max(v.bit_length() for v in values) // _LIMB + 1
-    raw = b"".join(abs(v).to_bytes(2 * width, "little") for v in values)
-    return np.frombuffer(raw, dtype="<u2").reshape(len(values), width)
-
-
-def _limb_powers(p: np.ndarray, width: int) -> np.ndarray:
-    """2^(16 j) mod p for j < width, as a (width, len(p)) float64 table,
-    by doubling the filled rows."""
-    table = np.ones((width, len(p)), dtype=np.int64)
-    step = (1 << _LIMB) % p  # 2^(16 * filled) mod p
-    filled = 1
-    while filled < width:
-        take = min(filled, width - filled)
-        table[filled:filled + take] = table[:take] * step % p
-        step = step * step % p
-        filled += take
-    return table.astype(np.float64)
-
-
-def _residues(values: Sequence[int], p: np.ndarray) -> np.ndarray:
-    """values mod each prime, as a (len(values), len(p)) int64 array."""
-    limbs = _limbs(values)
-    powers = _limb_powers(p, limbs.shape[1])
-    out = np.zeros((len(values), len(p)), dtype=np.int64)
-    for r in range(0, len(values), _ROWS):
-        block = limbs[r:r + _ROWS].astype(np.float64)
-        for c in range(0, block.shape[1], _CHUNK):
-            # At most 2^11 products limb * (2^(16j) mod p) below 2^42, so
-            # the float64 sum stays below 2^53.
-            part = np.einsum("ij,jp->ip", block[:, c:c + _CHUNK],
-                             powers[c:c + _CHUNK])
-            out[r:r + _ROWS] += part.astype(np.int64) % p
-    negative = np.array([v < 0 for v in values])
-    np.negative(out, out=out, where=negative[:, None])
-    return np.remainder(out, p, out=out)
-
-
-def _crt(residues: np.ndarray, p: np.ndarray, M: int) -> list[int]:
-    """The integers in (-M/2, M/2) with the given residues, one per row:
-    sum_i ((r_i / M_i) mod p_i) M_i mod M with M_i = M / p_i."""
-    primes = p.tolist()
-    cofactors = [M // q for q in primes]
-    inverses = np.array([pow(c % q, -1, q) for c, q in zip(cofactors, primes)],
-                        dtype=np.int64)
-    limbs = _limbs(cofactors).astype(np.float64)
-    half = M >> 1
-    out = []
-    for r in range(0, len(residues), _ROWS):
-        block = (residues[r:r + _ROWS] * inverses % p).astype(np.float64)
-        sums = np.zeros((len(block), limbs.shape[1]), dtype=np.int64)
-        for c in range(0, len(primes), _CHUNK):
-            # At most 2^11 products weight * limb below 2^42, so each
-            # float64 sum stays below 2^53; with at most 2^20 primes, at
-            # most 2^9 such sums keep the int64 total below 2^62.
-            sums += np.einsum("ip,pj->ij", block[:, c:c + _CHUNK],
-                              limbs[c:c + _CHUNK]).astype(np.int64)
-        # Each sum is split into four 16-bit pieces; piece k of limb j
-        # carries weight 2^(16 (j + k)).
-        pieces = sums.astype("<i8", copy=False).view("<u2").reshape(len(block), -1, 4)
-        for row in pieces:
-            v = sum(int.from_bytes(row[:, k].tobytes(), "little") << (_LIMB * k)
-                    for k in range(4)) % M
-            out.append(v - M if v > half else v)
-    return out
+    return modular.crt(g, p, M)
 
 
 def check_p_recurrence(rec: PRecurrence, seq: "SequenceTable",
@@ -513,6 +392,122 @@ def ode_to_recurrence(ode: LinearODE) -> PRecurrence:
     max_t = max(t for t, p in shifts.items() if p)
     coeffs = tuple(shifts.get(t, UniPoly()) for t in range(max_t + 1))
     return PRecurrence(max_t, coeffs, name=(ode.name + " (translated)") if ode.name else "")
+
+
+def recurrence_to_ode(rec: PRecurrence, name: str = "") -> LinearODE:
+    """The ODE whose ``ode_to_recurrence`` is ``rec``, up to a constant.
+
+    With theta = z d/dz, theta^i = sum_j S(i, j) z^j D^j (S the Stirling
+    numbers of the second kind), the operator
+    sum_t z^(r - t) R_t(theta - t) gives [z^(n+r)] = sum_t R_t(n) u_{n+t}
+    for n >= 0.  Its coefficients are divided by the lowest power of z and
+    by their content, and signed so that the leading polynomial has a
+    positive top coefficient.  The boundary coefficients [z^m], m < r,
+    need not vanish: ``check_ode`` on the series decides.
+    """
+    r = rec.order
+    s = max(p.degree for p in rec.coefficients)
+    stirling = [[1]]
+    for i in range(1, s + 1):
+        prev = stirling[-1] + [0]
+        stirling.append([0] + [j * prev[j] + prev[j - 1] for j in range(1, i + 1)])
+    columns = [[0] * (r + s + 1) for _ in range(s + 1)]
+    for t, poly in enumerate(rec.coefficients):
+        # R_t(x - t) in powers of x, then each x^i as theta^i.
+        shifted = UniPoly()
+        for m, c in enumerate(poly.coeffs):
+            shifted = shifted + c * UniPoly([-t, 1]) ** m
+        for i, c in enumerate(shifted.coeffs):
+            for j in range(i + 1):
+                columns[j][r - t + j] += c * stirling[i][j]
+    low = min(i for col in columns for i, c in enumerate(col) if c)
+    polys = [UniPoly(col[low:]) for col in columns]
+    while not polys[-1]:
+        polys.pop()
+    return LinearODE(len(polys) - 1, tuple(primitive(polys)), name=name)
+
+
+# A guessed shape (r, s) needs this many more equations than unknowns, so
+# that its nullspace is not forced by the shape of the system alone.
+_GUESS_SLACK = 10
+# Primes for lifting a guessed recurrence: 64 of them reconstruct
+# fractions of up to about 800 bits.
+_GUESS_PRIMES = 64
+
+
+def guess_p_recurrence(values: Sequence[int]) -> PRecurrence | None:
+    """The P-recurrence sum_{k<=r} sum_{j<=s} c_kj n^j u_{n+k} = 0 of
+    least r + s (then least r) that all of ``values`` satisfy.
+
+    Each shape (r, s) with enough equations is solved modulo a prime
+    below 2^26; the first whose nullspace is one-dimensional is solved
+    modulo more primes, rebuilt by CRT and rational reconstruction,
+    cleared of denominators and content, and accepted once the integer
+    recurrence annihilates ``values`` exactly.  A shape that admits a
+    recurrence R also admits its shift and n R, so the first
+    one-dimensional nullspace is the minimal one.  None if no shape with
+    enough equations fits.
+    """
+    p = np.array(modular.primes(_GUESS_PRIMES), dtype=np.int64)
+    res = modular.residues(values, p)
+    total = 1
+    while True:
+        shapes = [(r, total - r) for r in range(1, total + 1)
+                  if (r + 1) * (total - r + 1) + _GUESS_SLACK <= len(values) - r]
+        if not shapes:
+            return None
+        for r, s in shapes:
+            rec = _lift_recurrence(values, res, p, r, s)
+            if rec is not None:
+                return rec
+        total += 1
+
+
+def _guess_matrix(u: np.ndarray, r: int, s: int, p: int) -> np.ndarray:
+    """Rows n = 0 .. len(u) - r - 1, columns (k, j): n^j u_{n+k} mod p."""
+    rows = len(u) - r
+    n = np.arange(rows, dtype=np.int64)
+    columns = []
+    for k in range(r + 1):
+        col = u[k:k + rows]
+        for _ in range(s + 1):
+            columns.append(col)
+            col = col * n % p
+    return np.stack(columns, axis=1)
+
+
+def _lift_recurrence(values: Sequence[int], res: np.ndarray, p: np.ndarray,
+                     r: int, s: int) -> PRecurrence | None:
+    """The recurrence of shape (r, s), if its nullspace is one-dimensional
+    modulo the first prime; more primes are added until it lifts."""
+    vectors, used, free = [], [], None
+    for i, q in enumerate(p.tolist()):
+        basis = modular.nullspace_mod_p(_guess_matrix(res[:, i], r, s, q), q)
+        if not basis:
+            return None  # then the nullspace over Q is 0 as well
+        if not used and len(basis) > 1:
+            return None
+        # The one free column is the last nonzero entry of the vector; a
+        # prime that moves it or adds another dropped rank: skip it.
+        column = int(np.flatnonzero(basis[0])[-1])
+        if len(basis) > 1 or used and column != free:
+            continue
+        free = column
+        vectors.append(basis[0])
+        used.append(i)
+        M = math.prod(p[used].tolist())
+        fractions = [modular.rational_reconstruction(v, M)
+                     for v in modular.crt(np.stack(vectors, axis=1), p[used], M)]
+        if None in fractions:
+            continue
+        polys = [UniPoly(fractions[k * (s + 1):(k + 1) * (s + 1)])
+                 for k in range(r + 1)]
+        if not polys[-1]:
+            continue
+        rec = PRecurrence(r, tuple(primitive(polys)))
+        if all(rec.residual(values, n) == 0 for n in range(len(values) - r)):
+            return rec
+    return None
 
 
 def ode_singularities(ode: LinearODE) -> tuple[set[RationalLike], bool]:

@@ -174,6 +174,39 @@ def poly_eval(p: UniPoly, x) -> RationalLike:
     return acc
 
 
+def poly_divmod(a: UniPoly, b: UniPoly) -> tuple[UniPoly, UniPoly]:
+    """Quotient and remainder of a by a nonzero b, over Q."""
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    rem = list(a.coeffs)
+    quo = [0] * max(len(rem) - b.degree, 0)
+    for i in reversed(range(len(quo))):
+        c = quo[i] = exact(Fraction(rem[i + b.degree]) / b.coeffs[-1])
+        for j, bj in enumerate(b.coeffs):
+            rem[i + j] -= c * bj
+    return UniPoly(quo), UniPoly(rem[:b.degree])
+
+
+def poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
+    """The monic greatest common divisor of a and b over Q (0 if both
+    are 0), by Euclid's algorithm."""
+    while b:
+        a, b = b, poly_divmod(a, b)[1]
+    return UniPoly([Fraction(c) / a.coeffs[-1] for c in a.coeffs]) if a else a
+
+
+def primitive(polys: Iterable[UniPoly]) -> list[UniPoly]:
+    """The integer polynomials proportional to ``polys`` (one common
+    factor) with content 1, the last one's top coefficient positive."""
+    polys = list(polys)
+    coeffs = [Fraction(c) for p in polys for c in p.coeffs]
+    scale = Fraction(math.lcm(*(c.denominator for c in coeffs)),
+                     math.gcd(*(c.numerator for c in coeffs)))
+    if polys[-1].coeffs[-1] < 0:
+        scale = -scale
+    return [UniPoly([c * scale for c in p.coeffs]) for p in polys]
+
+
 def legendre_poly(n: int) -> UniPoly:
     """Legendre polynomial P_n with exact rational coefficients.
 

@@ -227,7 +227,7 @@ def test_verify_suite_honours_or_rejects_scope(capsys, suite):
     else:
         rejected.append(["--kind", "A"])
     if suite != "hadamard":
-        rejected.append(["--d", "6"])  # no catalog data or fixture for d = 6
+        rejected.append(["--d", "9"])  # no catalog data or fixture for d = 9
     for flags in rejected:
         code, out, err = run_cli(capsys, "verify", suite, *flags, *sizes)
         assert code == 2, flags
@@ -311,11 +311,17 @@ def test_constants_d5_includes_m_tilde(capsys):
     assert obj["b_1"] is not None
 
 
-def test_constants_d6_ladder_bundle(capsys):
-    code, out, _ = run_cli(capsys, "constants", "--d", "6", "--N", "120")
+def test_constants_past_the_catalog_fails_fast(capsys):
+    code, out, err = run_cli(capsys, "constants", "--d", "9")
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "400120008" in err and "10000000" in err
+
+
+def test_constants_d9_ladder_bundle(capsys):
+    code, out, _ = run_cli(capsys, "constants", "--d", "9", "--N", "120")
     assert code == 0
     obj = json.loads(out)
-    assert obj["m_d"]["value"] == lr.estimate_m(6, 120).value
+    assert obj["m_d"]["value"] == lr.estimate_m(9, 120).value
     assert obj["m_tilde_d"] is not None
 
 

@@ -126,11 +126,11 @@ def test_polya_p4_p5_brackets():
 
 
 def test_normalized_a_series_against_exact():
-    for d in (1, 2, 3, 4, 5, 6, 7):
+    for d in (1, 2, 3, 4, 5, 6, 7, 9):
         arr = normalized_a_series(d, 120)
         table = lr.closed_walks(d, 120)
         for n in (0, 1, 17, 60, 120):
-            if d >= 6:
+            if d >= 9:
                 # the ladder fallback rounds the exact ratio once
                 assert arr[n] == float(Fraction(table.value(n), (2 * d) ** (2 * n)))
                 continue
@@ -142,7 +142,7 @@ def test_normalized_a_series_against_exact():
 def _worst_summand_error(d: int, N: int, ns) -> Fraction:
     """max over ns of |U_n / (A_{2n} 2^bits / (2d)^{2n}) - 1| for the
     fixed-point summands (U, bits), in exact rationals; A comes from the
-    exact recurrence for d <= 5 and from the ladder otherwise."""
+    exact recurrence for d <= 8 and from the ladder otherwise."""
     us, bits = _normalized_a_summands_mp(d, N)
     assert len(us) == N + 1
     exact = lr.closed_walks_fast(d, N).values
@@ -150,10 +150,11 @@ def _worst_summand_error(d: int, N: int, ns) -> Fraction:
     return max(abs(Fraction(us[n] * q**n, exact[n] << bits) - 1) for n in ns)
 
 
-@pytest.mark.parametrize("d", [3, 4, 5, 6])
+@pytest.mark.parametrize("d", [3, 4, 5, 6, 9])
 def test_mp_summands_against_exact(d):
     # d <= 5: the fixed-point recurrence at n <= 2000, every 7th term and
-    # the last; d = 6: the ladder route, every term
+    # the last; d = 6: the guessed recurrence, d = 9: the ladder route,
+    # every term
     N = 2000 if d <= 5 else 200
     ns = [*range(0, N, 7 if d <= 5 else 1), N]
     assert _worst_summand_error(d, N, ns) < Fraction(1, 10**35)
@@ -176,10 +177,11 @@ def test_summands_ignore_ambient_precision():
     assert constants.PREC == 136
 
 
-@pytest.mark.parametrize("d", [3, 6])
+@pytest.mark.parametrize("d", [3, 6, 9])
 def test_bundle_float_series_correctly_rounded(d, monkeypatch):
     # the B-series of the direct route inverts each summand correctly
-    # rounded to float64, from the recurrence (d = 3) or the ladder (d = 6)
+    # rounded to float64, from the recurrence (d = 3, 6) or the ladder
+    # (d = 9)
     seen = []
     b_series = constants._b_series
     monkeypatch.setattr(constants, "_b_series", lambda a: seen.append(a) or b_series(a))
@@ -297,10 +299,10 @@ def test_bundle_makes_one_summand_pass(monkeypatch):
     assert [c for c in calls if c[0] == "summands"] == [("summands", 3, 400)]
 
     calls.clear()
-    bundle6 = lr.build_bundle(6, 60)
-    assert [c for c in calls if c[:2] == ("ladder", 6)] == [("ladder", 6, 60)]
-    assert bundle6.m == lr.estimate_m(6, 60)
-    assert bundle6.m_tilde == lr.estimate_m_tilde(6, 60)
+    bundle9 = lr.build_bundle(9, 60)
+    assert [c for c in calls if c[:2] == ("ladder", 9)] == [("ladder", 9, 60)]
+    assert bundle9.m == lr.estimate_m(9, 60)
+    assert bundle9.m_tilde == lr.estimate_m_tilde(9, 60)
 
 
 def test_build_bundle_shapes():

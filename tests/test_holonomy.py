@@ -4,14 +4,16 @@ Sensitivity tests perturb one value/coefficient and require the checker
 to fail at the right place, so a silently-vacuous verifier cannot pass.
 """
 
+import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lattice_returns as lr
-from lattice_returns import catalog
+from lattice_returns import catalog, modular
 from lattice_returns.errors import InvertibilityError
 from lattice_returns.holonomy import TruncatedSeries, is_prime
 from lattice_returns.kernel import UniPoly
@@ -131,7 +133,7 @@ def test_integral_reciprocal_leaves_huge_bounds_to_the_exact_loop():
     from lattice_returns import holonomy
 
     # Primes in (2^25, 2^26) cover 25 * 2^20 bits only with up to 2^20 of them.
-    assert holonomy._crt_primes(25 << 20) is None
+    assert modular.crt_primes(25 << 20) is None
     f1 = 1 << (25 << 20)
     assert holonomy._integral_reciprocal([1, f1]) is None
     assert lr.reciprocal_series(TruncatedSeries([1, f1])).coeffs == [1, -f1]
@@ -230,9 +232,58 @@ def test_derived_recurrences_are_cached():
 
 def test_recurrence_catalog_rejects_unknown_dimension():
     with pytest.raises(ValueError):
-        catalog.x_recurrence(6)
+        catalog.x_recurrence(9)
     with pytest.raises(ValueError):
         catalog.a_recurrence(0)
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_guesser_rederives_the_f_odes(d):
+    # From 150 ladder terms the guesser finds the catalog's x-recurrence,
+    # and recurrence_to_ode turns it into the printed F_2..F_5 and the
+    # committed, guessed F_6..F_8, name included.
+    rec = lr.guess_p_recurrence(lr.x_sequence(d, 149).values)
+    assert rec.coefficients == catalog.x_recurrence(d).coefficients
+    assert lr.recurrence_to_ode(rec, name="F_%d" % d) == catalog.f_ode(d)
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_f_odes_have_order_d_minus_1_and_predicted_singularities(d):
+    ode = catalog.f_ode(d)
+    assert ode.order == d - 1
+    assert lr.ode_singularities(ode) == (catalog.expected_f_singularities(d), False)
+    # for d >= 6 the A-ODE is derived from the A-recurrence at run time
+    assert (lr.ode_singularities(catalog.a_ode(d))
+            == (catalog.expected_a_singularities(d), False))
+
+
+@pytest.mark.parametrize("d", range(1, 6))
+def test_a_recurrence_from_x_is_the_printed_a_ode_recurrence(d):
+    printed = lr.ode_to_recurrence(catalog.a_ode(d))
+    sign = 1 if printed.coefficients[-1].coeffs[-1] > 0 else -1
+    assert catalog.a_recurrence(d).coefficients == tuple(
+        sign * p for p in printed.coefficients)
+
+
+def test_guesser_returns_none_without_enough_equations():
+    # 11 terms leave no shape with 10 more equations than unknowns; n! is
+    # found at order 1, degree 1.
+    assert lr.guess_p_recurrence([1] * 11) is None
+    rec = lr.guess_p_recurrence([math.factorial(n) for n in range(40)])
+    assert (rec.order, rec.coefficients) == (1, (UniPoly([-1, -1]), UniPoly([1])))
+
+
+def test_nullspace_and_rational_reconstruction_mod_p():
+    p = modular.primes(1)[0]
+    basis = modular.nullspace_mod_p(np.array([[1, 2, 3], [2, 4, 6], [1, 0, 1]]), p)
+    assert len(basis) == 1
+    v = basis[0]
+    assert v[2] == 1 and (v[0] + 1) % p == 0 and (2 * v[1] + 2) % p == 0
+    # 2^26 is too small a modulus for -123457/113; two primes suffice
+    M = p * modular.primes(2)[1]
+    for q in (p, M):
+        found = modular.rational_reconstruction(-123457 * pow(113, -1, q) % q, q)
+        assert (found == Fraction(-123457, 113)) == (q == M)
 
 
 # ---------------------------------------------------------------------------
