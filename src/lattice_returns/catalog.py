@@ -7,10 +7,11 @@ guessed from the binomial ladder for d = 6, 7, 8 (and labelled so).  The
 x-recurrence of each is derived from its ODE by
 ``holonomy.ode_to_recurrence`` (the coefficient relation of [z^n] of the
 operator applied to the series), and the A-recurrence from the
-x-recurrence, as A_{2n} = C(2n, n) x_n; so a dimension is one ODE and
-nothing here is typed twice.  The printed ODEs of A_d (d <= 5) are kept
-as the paper's data, for ``verify ode`` to check against the ladder;
-they feed no recurrence.
+x-recurrence, as A_{2n} = C(2n, n) x_n, and the ODE of A_d from that
+recurrence by ``holonomy.recurrence_to_ode``; so a dimension is one ODE
+and nothing here is typed twice.  For d <= 5 the derived A-ODEs are the
+paper's printed ones, coefficient for coefficient (a test holds the
+printed forms).
 
 Index convention (documented once, used everywhere): the series of A_d
 is sum_n A_{2n} z^n, so every recurrence is written in the half-length
@@ -37,8 +38,8 @@ def _p(*coeffs) -> UniPoly:
 
 
 # --------------------------------------------------------------------------
-# ODEs for the generating functions F_d (of x), d = 1..8, and A_d (of A),
-# d = 1..5.  Coefficients listed lowest derivative first.
+# ODEs for the generating functions F_d (of x), d = 1..8.  Coefficients
+# listed lowest derivative first.
 # --------------------------------------------------------------------------
 
 _F_ODES = {
@@ -131,62 +132,13 @@ _F_ODES = {
     ),
 }
 
-_A_ODES = {
-    # (4z-1) A' + 2A = 0
-    1: LinearODE(1, (_p(2), 4 * _z - 1), name="A_1"),
-    # z(16z-1) A'' + (32z-1) A' + 4A = 0
-    2: LinearODE(2, (_p(4), 32 * _z - 1, _z * (16 * _z - 1)), name="A_2"),
-    # z^2(4z-1)(36z-1) A''' + 3z(288z^2-60z+1) A''
-    #   + (972z^2-132z+1) A' + 6(18z-1) A = 0
-    3: LinearODE(
-        3,
-        (
-            6 * (18 * _z - 1),
-            _p(1, -132, 972),
-            3 * _z * _p(1, -60, 288),
-            _z ** 2 * (4 * _z - 1) * (36 * _z - 1),
-        ),
-        name="A_3",
-    ),
-    # z^3(16z-1)(64z-1) A'''' + 2z^2(5120z^2-320z+3) A'''
-    #   + z(25344z^2-1172z+7) A'' + (14592z^2-424z+1) A' + 8(96z-1) A = 0
-    4: LinearODE(
-        4,
-        (
-            8 * (96 * _z - 1),
-            _p(1, -424, 14592),
-            _z * _p(7, -1172, 25344),
-            2 * _z ** 2 * _p(3, -320, 5120),
-            _z ** 3 * (16 * _z - 1) * (64 * _z - 1),
-        ),
-        name="A_4",
-    ),
-    # z^4(4z-1)(36z-1)(100z-1) A^(5) + z^3(252000z^3-62160z^2+1750z-10) A''''
-    #   + z^2(1314000z^3-268740z^2+5992z-25) A'''
-    #   + z(2295000z^3-369240z^2+5964z-15) A''
-    #   + (1080000z^3-124020z^2+1196z-1) A' + (54000z^2-3420z+10) A = 0
-    5: LinearODE(
-        5,
-        (
-            _p(10, -3420, 54000),
-            _p(-1, 1196, -124020, 1080000),
-            _z * _p(-15, 5964, -369240, 2295000),
-            _z ** 2 * _p(-25, 5992, -268740, 1314000),
-            _z ** 3 * _p(-10, 1750, -62160, 252000),
-            _z ** 4 * (4 * _z - 1) * (36 * _z - 1) * (100 * _z - 1),
-        ),
-        name="A_5",
-    ),
-}
-
-
 # The dimensions with an ODE for F_d, ascending: the fast paths, the
 # constants summands and the verify suites cover these.
 DIMENSIONS = tuple(sorted(_F_ODES))
 
 # The dimensions whose ODEs the paper prints: the default scope of every
 # verify suite.
-PRINTED_DIMENSIONS = tuple(sorted(_A_ODES))
+PRINTED_DIMENSIONS = (1, 2, 3, 4, 5)
 
 
 def f_ode(d: int) -> LinearODE:
@@ -198,12 +150,9 @@ def f_ode(d: int) -> LinearODE:
 
 
 def a_ode(d: int) -> LinearODE:
-    """The ODE annihilating A_d: printed for d <= 5; for d = 6..8 the ODE
-    of ``a_recurrence(d)`` (order d), derived when asked for."""
-    if d in _A_ODES:
-        return _A_ODES[d]
-    if d not in _F_ODES:
-        raise ValueError("no known A-ODE for d=%d" % d)
+    """The ODE annihilating A_d, of order d: the ODE of ``a_recurrence(d)``.
+    For d <= 5 it is the paper's printed A-ODE, coefficient for
+    coefficient."""
     return recurrence_to_ode(a_recurrence(d), name="A_%d" % d)
 
 
@@ -249,8 +198,7 @@ def x_recurrence(d: int) -> PRecurrence:
 
 def a_recurrence(d: int) -> PRecurrence:
     """The P-recurrence of A_{2n} in dimension d, derived from
-    ``x_recurrence(d)``; for d <= 5 it is the recurrence of the printed
-    A-ODE."""
+    ``x_recurrence(d)``; ``a_ode(d)`` is its ODE."""
     return _a_derived(x_recurrence(d), "A d=%d" % d)
 
 

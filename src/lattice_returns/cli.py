@@ -220,28 +220,30 @@ def _check_singularities(d: int | None,
     return reports
 
 
-# The scope flags each suite honours, and the dimensions --d may name
-# (None: any d >= 1, as its tables come from the fast paths, which fall
-# back to the ladder past the catalog).  Without --d every suite covers
-# the printed dimensions, d <= 5; --d reaches the guessed d = 6..8.
-# "all" runs every suite at its defaults.
+# The flags each suite honours, and the dimensions --d may name (None:
+# any d >= 1, as its tables come from the fast paths, which fall back to
+# the ladder past the catalog).  Without --d every suite covers the
+# printed dimensions, d <= 5; --d reaches the guessed d = 6..8.  "all"
+# runs every suite at its defaults: --order 300 and --n-max 300, with
+# hadamard at order 200.
 _SCOPES = {
-    "table-fixtures": (("d",), catalog.TABLE_A),
-    "precurrence": (("d", "kind"), catalog.DIMENSIONS),
-    "ode": (("d", "kind"), catalog.DIMENSIONS),
-    "lucas": (("d", "kind", "p"), None),
-    "hadamard": (("d",), None),
-    "singularities": (("d", "kind"), catalog.DIMENSIONS),
+    "table-fixtures": (("--d",), catalog.TABLE_A),
+    "precurrence": (("--d", "--kind", "--n-max"), catalog.DIMENSIONS),
+    "ode": (("--d", "--kind", "--order"), catalog.DIMENSIONS),
+    "lucas": (("--d", "--kind", "--p"), None),
+    "hadamard": (("--d", "--order"), None),
+    "singularities": (("--d", "--kind"), catalog.DIMENSIONS),
     "all": ((), None),
 }
 
 
 def _resolve_scope(args) -> tuple[int | None, str | None, int | None]:
-    """--d, --kind and --p, checked against what the suite can scope."""
+    """--d, --kind and --p, after every typed flag is checked against what
+    the suite takes."""
     flags, dims = _SCOPES[args.suite]
-    for flag in ("d", "kind", "p"):
-        if getattr(args, flag) is not None and flag not in flags:
-            raise UsageError("verify %s does not take --%s" % (args.suite, flag))
+    for flag in ("--d", "--kind", "--p", "--order", "--n-max"):
+        if getattr(args, flag[2:].replace("-", "_")) is not None and flag not in flags:
+            raise UsageError("verify %s does not take %s" % (args.suite, flag))
     if args.kind == "B" and args.suite != "lucas":
         raise UsageError("verify %s does not take --kind B: first returns are "
                          "not holonomic" % args.suite)
@@ -252,22 +254,24 @@ def _resolve_scope(args) -> tuple[int | None, str | None, int | None]:
 
 def cmd_verify(args) -> int:
     suite = args.suite
-    if args.n_max < 0:
-        raise UsageError("--n-max must be >= 0")
-    if args.order < 1:
-        raise UsageError("--order must be >= 1")
     d, kind, p = _resolve_scope(args)
+    n_max = 300 if args.n_max is None else args.n_max
+    order = 300 if args.order is None else args.order
+    if n_max < 0:
+        raise UsageError("--n-max must be >= 0")
+    if order < 1:
+        raise UsageError("--order must be >= 1")
     reports = []
     if suite in ("table-fixtures", "all"):
         reports += _check_table_fixtures(d)
     if suite in ("precurrence", "all"):
-        reports += _check_precurrences(args.n_max, d, kind)
+        reports += _check_precurrences(n_max, d, kind)
     if suite in ("ode", "all"):
-        reports += _check_odes(args.order, d, kind)
+        reports += _check_odes(order, d, kind)
     if suite in ("lucas", "all"):
         reports += _check_lucas(d, kind, p)
     if suite in ("hadamard", "all"):
-        reports += _check_hadamard(args.order if suite == "hadamard" else 200, d)
+        reports += _check_hadamard(order if suite == "hadamard" else 200, d)
     if suite in ("singularities", "all"):
         reports += _check_singularities(d, kind)
     failed = [r for r in reports if not r.passed]
@@ -416,8 +420,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, default=None)
     p.add_argument("--kind", choices=("X", "A", "B"), default=None)
     p.add_argument("--p", type=int, default=None)
-    p.add_argument("--order", type=int, default=300)
-    p.add_argument("--n-max", type=int, default=300, dest="n_max")
+    p.add_argument("--order", type=int, default=None)
+    p.add_argument("--n-max", type=int, default=None, dest="n_max")
     p.add_argument("--expect-fail", action="store_true")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_verify)

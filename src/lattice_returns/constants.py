@@ -2,9 +2,12 @@
 B-asymptotic constants b_d, b_1(d).
 
     m_d       = sum_{n>=0} A_{2n} / (2d)^{2n}          (finite for d >= 3)
-    m_tilde_d = sum_{n>=0} n A_{2n} / (2d)^{2n}        (finite for d >= 5)
+    m_tilde_d = sum_{n>=0} n A_{2n} / (2d)^{2n}        (finite for d >= 5;
+                zeta-regularised for d = 3)
     p_d       = 1 - 1/m_d                              (d >= 3; p_1 = p_2 = 1)
     b_d       = a_d / m_d^2
+    b_1(d)    = -d/8 - d m_tilde_d/m_d                 (d >= 5; d = 3 adds
+                -81/(8 pi^2 m_3^2))
 
 The summands t_n = A_{2n}/(2d)^{2n} of m_d, m_tilde_d and p_d (d >= 3)
 are one list of fixed-point ints U_n = round(t_n 2^bits), bits being PREC
@@ -88,6 +91,7 @@ class ConstantsBundle:
     partial_sum_raw: float
     b: float
     b1: float | None
+    b1_printed: float | None
     b1_log_coefficient: float | None
     terms_used: int
 
@@ -100,6 +104,7 @@ class ConstantsBundle:
             "p_d_direct": self.p_direct,
             "b_d": self.b,
             "b_1": self.b1,
+            "b_1_printed": self.b1_printed,
             "b_1_log_coefficient": self.b1_log_coefficient,
             "terms_used": self.terms_used,
         }
@@ -170,9 +175,12 @@ def estimate_m(d: int, N: int) -> Estimate:
 
 
 def estimate_m_tilde(d: int, N: int) -> Estimate:
-    """m_tilde_d; the weighted series only converges for d >= 5."""
-    if d <= 4:
-        raise DivergenceError("m_tilde_d diverges for d <= 4")
+    """m_tilde_d.  The weighted series converges for d >= 5; for d = 3 this
+    is its zeta-regularised value, as the tail's Hurwitz zeta(1/2 + k, N+1)
+    are the analytic continuations (the same at every N).  Even d <= 4
+    has a pole there."""
+    if d <= 2 or d == 4:
+        raise DivergenceError("m_tilde_d diverges for d = 1, 2, 4")
     return _estimate(d, *_normalized_a_summands_mp(d, N), 1)
 
 
@@ -275,30 +283,36 @@ def b_constants(d: int, m: Estimate | float,
     """(b, b1, b1_log_coefficient) as eval_B_asym reads them from the
     bundle: b_d = a_d/m_d^2 plus the 1/n (or log n / n) correction constant.
 
-    d = 3 uses the explicit b_1(3) formula; d = 4 has no constant 1/n
-    coefficient at this order -- the correction is the log-term
-    -8/(pi^2 m_4) * log(n)/n; d >= 5 needs m_tilde_d.
+    b_1 = -d/8 - d m_tilde_d/m_d for d = 3 and d >= 5, with m_tilde_3
+    zeta-regularised (``estimate_m_tilde``) and, at d = 3, the extra
+    -81/(8 pi^2 m_3^2) that the square-root singularity of A_3 adds to
+    1/A.  d = 4 has no constant 1/n coefficient at this order -- the
+    correction is the log-term -8/(pi^2 m_4) * log(n)/n.
     """
     if d < 3:
         raise DivergenceError("b_d is defined through m_d, which needs d >= 3")
     m_val = getattr(m, "value", m)
     b = float(leading_constant_a(d)) / m_val**2
-    if d == 3:
-        b1 = -3.0 / 16 + 9.0 / (32 * m_val) - 81.0 / (16 * math.pi**2 * m_val**3)
-        return b, b1, None
     if d == 4:
         return b, None, -8.0 / (math.pi**2 * m_val)
     if m_tilde is None:
         raise DependencyError("b_1(%d) needs m_tilde_%d" % (d, d))
-    mt = getattr(m_tilde, "value", m_tilde)
-    b1 = -d / 8.0 - d * mt / m_val if d % 2 == 1 else -d / 8.0 + d * mt / m_val
+    b1 = -d / 8.0 - d * getattr(m_tilde, "value", m_tilde) / m_val
+    if d == 3:
+        b1 -= 81.0 / (8 * math.pi**2 * m_val**2)
     return b, b1, None
 
 
 def empirical_b1(d: int, m: Estimate | float, n: int = 2000) -> float:
     """Empirical fit of the 1/n correction: n * (b_n_normalized/b_d - 1)
-    at index n, from the exact-identity B series.  Exposed so the printed
-    sign of the m_tilde/m term can be compared against data."""
+    at index n, from the float B-series (``normalized_b_series``), a second
+    route to b_1 beside ``b_constants``.
+
+    The fit multiplies the series' relative error by n, and that error
+    grows with d (the FFT inverse loses about 1e-9 at d = 5 and 1e-6 at
+    d = 8 by n = 400), so at large d the fit is noise-limited: at d = 8
+    it reads -1.799 at n = 1000 and -2.26 at n = 2000, where the fit
+    from the exact first returns at n = 1000 is -1.780."""
     b_series = normalized_b_series(d, n)
     b_d = float(leading_constant_a(d)) / getattr(m, "value", m) ** 2
     ratio = float(b_series[n]) * (math.pi * n) ** (d / 2) / b_d
@@ -307,14 +321,14 @@ def empirical_b1(d: int, m: Estimate | float, n: int = 2000) -> float:
 
 def build_bundle(d: int, N: int) -> ConstantsBundle:
     """The full constants bundle for dimension d >= 3, from one summand
-    list: m_d and m_tilde_d (d >= 5) are its int sums, and its correctly
-    rounded float64 copy is inverted into the B-series of p_d's direct
-    route."""
+    list: m_d and m_tilde_d (d >= 5, and d = 3 regularised) are its int
+    sums, and its correctly rounded float64 copy is inverted into the
+    B-series of p_d's direct route."""
     if d <= 2:
         raise DivergenceError("constants bundle requires d >= 3")
     us, bits = _normalized_a_summands_mp(d, N)
     m = _estimate(d, us, bits, 0)
-    m_tilde = _estimate(d, us, bits, 1) if d >= 5 else None
+    m_tilde = _estimate(d, us, bits, 1) if d != 4 else None
     scale = 1 << bits
     a = np.array([u / scale for u in us])
     del us  # the int list would otherwise stay alive through the inversion
@@ -323,15 +337,21 @@ def build_bundle(d: int, N: int) -> ConstantsBundle:
     with mp.workdps(DPS):
         p_direct = float(raw + _fit_b_tail(d, b_series, N))
     b, b1, b1_log_coefficient = b_constants(d, m, m_tilde)
+    # The paper's printed b_1(3), kept for fidelity and off every path: it
+    # has no m_tilde_3 term, and the B data converge to b1 instead.
+    b1_printed = (-3.0 / 16 + 9.0 / (32 * m.value)
+                  - 81.0 / (16 * math.pi**2 * m.value**3)) if d == 3 else None
     return ConstantsBundle(
         dimension=d,
         m=m,
-        m_tilde=m_tilde,
+        # The JSON reports convergent sums only: not the regularised m~_3.
+        m_tilde=m_tilde if d >= 5 else None,
         p=1.0 - 1.0 / m.value,
         p_direct=p_direct,
         partial_sum_raw=raw,
         b=b,
         b1=b1,
+        b1_printed=b1_printed,
         b1_log_coefficient=b1_log_coefficient,
         terms_used=N,
     )

@@ -5,7 +5,10 @@ translations between ODEs and P-recurrences, both ways, and a guesser
 that fits a P-recurrence to exact terms.
 
 Every operation here is exact; a "pass" means an identity of integers or
-rationals held on the nose, not to within a tolerance.
+rationals held on the nose, not to within a tolerance.  Polynomial
+arithmetic (products, division, content) is ``kernel``'s alone: an ODE
+multiplies its series through ``TruncatedSeries``, and the singularities
+deflate the leading coefficient with ``kernel.poly_divmod``.
 
 ``reciprocal_series`` inverts an int series with constant term +-1 (every
 B = 1 - 1/A table) by a multi-modular route: the majorant
@@ -29,7 +32,7 @@ import numpy as np
 
 from . import modular
 from .errors import InvertibilityError
-from .kernel import RationalLike, UniPoly, binomial, exact, poly_eval, primitive
+from .kernel import RationalLike, UniPoly, binomial, exact, poly_divmod, primitive
 
 if TYPE_CHECKING:  # pragma: no cover
     from .walks import SequenceTable
@@ -40,23 +43,16 @@ class TruncatedSeries:
     where integral, see ``kernel.exact``).
 
     ``order`` is the exclusive truncation bound: coefficients of
-    w^0 .. w^(order-1) are held.  Arithmetic never invents unknown
-    coefficients; operations that lose information (differentiation)
-    shrink the order accordingly.
+    w^0 .. w^(order-1) are held, one per given coefficient.  Arithmetic
+    never invents unknown coefficients; operations that lose information
+    (differentiation) shrink the order accordingly.
     """
 
     __slots__ = ("coeffs", "order")
 
-    def __init__(self, coeffs: Sequence, order: int | None = None):
-        cs = [exact(c) for c in coeffs]
-        if order is None:
-            order = len(cs)
-        if order < 0:
-            raise ValueError("order must be >= 0")
-        if len(cs) < order:
-            raise ValueError("need %d coefficients, got %d" % (order, len(cs)))
-        self.coeffs = cs[:order]
-        self.order = order
+    def __init__(self, coeffs: Sequence):
+        self.coeffs = [exact(c) for c in coeffs]
+        self.order = len(self.coeffs)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TruncatedSeries):
@@ -91,18 +87,6 @@ class TruncatedSeries:
 
     __rmul__ = __mul__
 
-    def poly_mul(self, p: UniPoly) -> "TruncatedSeries":
-        """Multiply by a polynomial.  The polynomial is exact (not a
-        truncation), so the valid order is preserved."""
-        out = [0] * self.order
-        for j, pj in enumerate(p.coeffs):
-            if pj:
-                for i in range(self.order - j):
-                    c = self.coeffs[i]
-                    if c:
-                        out[i + j] += pj * c
-        return TruncatedSeries(out)
-
     def differentiate(self) -> "TruncatedSeries":
         """Formal derivative; order drops by one."""
         if self.order == 0:
@@ -129,13 +113,9 @@ class TruncatedSeries:
 
 
 @dataclass(frozen=True)
-class PRecurrence:
-    """sum_{k=0}^{order} coefficients[k](n) * u_{n+k} = 0 for all n >= 0.
-
-    ``coefficients[k]`` multiplies u_{n+k}; the leading polynomial is not
-    identically zero.  Index conventions (what "u_n" means for a given
-    table) are documented where each instance is defined.
-    """
+class _Operator:
+    """``order`` + 1 coefficient polynomials, the leading one not
+    identically zero."""
 
     order: int
     coefficients: tuple[UniPoly, ...]
@@ -146,6 +126,15 @@ class PRecurrence:
             raise ValueError("need order+1 coefficient polynomials")
         if not self.coefficients[-1]:
             raise ValueError("leading coefficient must not vanish identically")
+
+
+class PRecurrence(_Operator):
+    """sum_{k=0}^{order} coefficients[k](n) * u_{n+k} = 0 for all n >= 0.
+
+    ``coefficients[k]`` multiplies u_{n+k}.  Index conventions (what "u_n"
+    means for a given table) are documented where each instance is
+    defined.
+    """
 
     def residual(self, values: Sequence[int], n: int) -> RationalLike:
         """Exact residual sum_k P_k(n) u_{n+k}; values[i] is u_i."""
@@ -153,23 +142,11 @@ class PRecurrence:
                    for k in range(self.order + 1))
 
 
-@dataclass(frozen=True)
-class LinearODE:
+class LinearODE(_Operator):
     """sum_{k=0}^{order} coefficients[k](z) * f^(k)(z) = 0.
 
-    ``coefficients[k]`` multiplies the k-th derivative; the leading
-    polynomial is not identically zero.
+    ``coefficients[k]`` multiplies the k-th derivative.
     """
-
-    order: int
-    coefficients: tuple[UniPoly, ...]
-    name: str = ""
-
-    def __post_init__(self):
-        if len(self.coefficients) != self.order + 1:
-            raise ValueError("need order+1 coefficient polynomials")
-        if not self.coefficients[-1]:
-            raise ValueError("leading coefficient must not vanish identically")
 
     @property
     def max_degree(self) -> int:
@@ -341,7 +318,11 @@ def apply_ode(ode: LinearODE, f: TruncatedSeries) -> tuple[TruncatedSeries, int]
     for k in range(ode.order + 1):
         if k > 0:
             deriv = deriv.differentiate()
-        term = deriv.poly_mul(ode.coefficients[k])
+        # The polynomial, padded to the derivative's order, is the left
+        # operand: the product skips its zero coefficients, so this costs
+        # O(degree * order).
+        q = ode.coefficients[k].coeffs
+        term = TruncatedSeries(q + (0,) * (deriv.order - len(q))) * deriv
         residual = term if residual is None else residual + term
     return residual.truncate(horizon), horizon
 
@@ -511,37 +492,26 @@ def _lift_recurrence(values: Sequence[int], res: np.ndarray, p: np.ndarray,
 
 
 def ode_singularities(ode: LinearODE) -> tuple[set[RationalLike], bool]:
-    """Rational roots of the leading coefficient, via the rational root
-    theorem on the integer-cleared polynomial.
+    """Rational roots of the leading coefficient, by the rational root
+    theorem on its primitive integer form.
 
     Returns (roots, has_irrational_factor): if the deflated polynomial
     does not fully factor over Q the flag is True (nothing is dropped
     silently).
     """
-    lead = ode.coefficients[-1]
-    # Clear denominators to integer coefficients.
-    denom_lcm = math.lcm(*(c.denominator for c in lead.coeffs))
-    ints = [int(c * denom_lcm) for c in lead.coeffs]
+    lead = primitive([ode.coefficients[-1]])[0]
     roots: set[RationalLike] = set()
-    # Strip powers of z (root zero).
-    v = 0
-    while v < len(ints) and ints[v] == 0:
-        v += 1
-    if v > 0:
-        roots.add(0)
-    poly = ints[v:]
-    # Deflate every rational root p/q with p | poly[0], q | poly[-1].
-    # Deflating by a nonzero root keeps the constant term nonzero.
-    while len(poly) > 1:
-        current = UniPoly(poly)
-        found = next((cand for p in _divisors(abs(poly[0]))
-                      for q in _divisors(abs(poly[-1]))
-                      for cand in (Fraction(p, q), Fraction(-p, q))
-                      if poly_eval(current, cand) == 0), None)
+    while lead.degree > 0:
+        # A root p/q has p | lead[0] and q | lead[-1]; 0 when lead[0] = 0.
+        first, top = lead.coeffs[0], lead.coeffs[-1]
+        found = 0 if first == 0 else next(
+            (cand for p in _divisors(abs(first)) for q in _divisors(abs(top))
+             for cand in (Fraction(p, q), Fraction(-p, q)) if lead(cand) == 0),
+            None)
         if found is None:
             return roots, True
         roots.add(found)
-        poly = _deflate(poly, found)
+        lead = primitive([poly_divmod(lead, UniPoly([-found, 1]))[0]])[0]
     return roots, False
 
 
@@ -555,22 +525,6 @@ def _divisors(n: int) -> list[int]:
                 out.append(n // i)
         i += 1
     return sorted(out)
-
-
-def _deflate(ints: Sequence[int], root: Fraction) -> list[int]:
-    """Divide the integer polynomial by (x - root), exactly.
-
-    With root = p/q, q * leading stays integral after scaling; we do the
-    division over Q and clear the common denominator again.
-    """
-    out = [0] * (len(ints) - 1)
-    carry = 0
-    for i in range(len(ints) - 1, 0, -1):
-        carry = ints[i] + carry * root
-        out[i - 1] = carry
-    # Synthetic division from the top: out[i-1] holds the quotient coeff.
-    denom_lcm = math.lcm(*(c.denominator for c in out))
-    return [int(c * denom_lcm) for c in out]
 
 
 def is_prime(p: int) -> bool:

@@ -186,7 +186,7 @@ def test_criterion_09_constants_consistency(capsys):
     m_2n = lr.estimate_m(3, 200000).value
     stability = abs(m_n - m_2n)
     assert stability < 1e-6
-    b_d, b1, _ = lr.b_constants(3, res.m_estimate)
+    b_d, b1, _ = lr.b_constants(3, res.m_estimate, lr.estimate_m_tilde(3, 100000))
     b = normalized_b_series(3, 2000)
     ratio = float(b[2000]) * (math.pi * 2000) ** 1.5
     band = 5.0 * (1 + abs(b1)) / 2000

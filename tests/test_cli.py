@@ -208,36 +208,47 @@ def test_verify_checks_the_odes_against_ladder_data(capsys, monkeypatch):
         assert report["first_failure"] == failure
 
 
-_SCOPE_SIZES = {"precurrence": ["--n-max", "20"], "hadamard": ["--order", "20"]}
+_SCOPE_SIZES = {"precurrence": ["--n-max", "20"], "ode": ["--order", "20"],
+                "hadamard": ["--order", "20"]}
 
 
-@pytest.mark.parametrize("suite", ["table-fixtures", "precurrence", "hadamard",
-                                   "singularities"])
+@pytest.mark.parametrize("suite", ["table-fixtures", "precurrence", "ode",
+                                   "lucas", "hadamard", "singularities"])
 def test_verify_suite_honours_or_rejects_scope(capsys, suite):
     sizes = _SCOPE_SIZES.get(suite, [])
-    code, out, _ = run_cli(capsys, "verify", suite, "--d", "3", *sizes)
+    scope = ["--d", "3"] + (["--kind", "X", "--p", "3"] if suite == "lucas" else [])
+    code, out, _ = run_cli(capsys, "verify", suite, *scope, *sizes)
     assert code == 0
     assert {r["parameters"]["d"] for r in json.loads(out)["reports"]} == {3}
 
-    rejected = [["--p", "5"], ["--d", "0"], ["--kind", "B"]]
-    if suite in ("precurrence", "singularities"):
+    rejected = [["--d", "0"]]
+    if suite != "lucas":
+        rejected += [["--p", "5"], ["--kind", "B"]]
+    if suite in ("precurrence", "ode", "singularities"):
         code, out, _ = run_cli(capsys, "verify", suite, "--kind", "X", *sizes)
         assert code == 0
         assert {r["parameters"]["kind"] for r in json.loads(out)["reports"]} == {"X"}
-    else:
+    elif suite != "lucas":
         rejected.append(["--kind", "A"])
-    if suite != "hadamard":
+    if suite not in ("lucas", "hadamard"):
         rejected.append(["--d", "9"])  # no catalog data or fixture for d = 9
+    # The horizon flags: --order for ode and hadamard, --n-max for
+    # precurrence, refused by name everywhere else.
+    named = [flag for flag in ("--order", "--n-max") if flag not in sizes]
+    rejected += [[flag, "5"] for flag in named]
     for flags in rejected:
         code, out, err = run_cli(capsys, "verify", suite, *flags, *sizes)
         assert code == 2, flags
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        if flags[0] in named:
+            assert err == "error: verify %s does not take %s\n" % (suite, flags[0])
 
 
 def test_verify_all_takes_no_scope(capsys):
-    code, out, err = run_cli(capsys, "verify", "all", "--d", "3")
-    assert code == 2
-    assert out == "" and err.count("\n") == 1
+    for flags in (["--d", "3"], ["--order", "50"], ["--n-max", "50"]):
+        code, out, err = run_cli(capsys, "verify", "all", *flags)
+        assert code == 2
+        assert out == "" and err == "error: verify all does not take %s\n" % flags[0]
 
 
 def test_verify_lucas_expected_failure_inverts_exit(capsys):

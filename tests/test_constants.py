@@ -8,6 +8,7 @@ reference values from independent routes.
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from mpmath import mp, mpf
@@ -207,6 +208,44 @@ def test_normalized_b_series_against_exact():
         assert b[0] == 0.0
 
 
+@lru_cache(maxsize=None)
+def _exact_b_1000(d):
+    return lr.first_returns_fast(d, 1000)
+
+
+# Worst relative error of the float B-series over n <= 400 against exact
+# first returns, measured 1.4e-9, 1.2e-8, 5.0e-7 and 1.7e-6 for d = 5..8:
+# the FFT Newton inverse loses accuracy as d grows (from correctly rounded
+# A input too).  The bounds hold that level, about twice the measurement.
+B_SERIES_ERROR = {5: 3e-9, 6: 3e-8, 7: 1e-6, 8: 4e-6}
+
+
+@pytest.mark.parametrize("d", [5, 6, 7, 8])
+def test_normalized_b_series_error_at_large_d(d):
+    b = normalized_b_series(d, 400)
+    table = _exact_b_1000(d)
+    worst = 0.0
+    with mp.workdps(30):
+        for n in range(1, 401):
+            exact = mpf(table.value(n)) / mpf(2 * d) ** (2 * n)
+            worst = max(worst, abs(float((mpf(b[n]) - exact) / exact)))
+    assert worst < B_SERIES_ERROR[d]
+
+
+@pytest.mark.parametrize("d", [5, 6, 7, 8])
+def test_b1_matches_the_exact_fit(d):
+    # n (B_2n (pi n)^(d/2) / ((2d)^(2n) b_d) - 1) from exact first returns
+    # at n = 1000: -2.2993, -1.8274, -1.7510, -1.7804, within 0.011 of
+    # b_1 = -d/8 - d m~_d/m_d for odd and even d alike.
+    bundle = lr.build_bundle(d, 4000)
+    n = 1000
+    with mp.workdps(30):
+        ratio = (mpf(_exact_b_1000(d).value(n)) / mpf(2 * d) ** (2 * n)
+                 * (mp.pi * n) ** (mpf(d) / 2) / bundle.b)
+        fit = float((ratio - 1) * n)
+    assert abs(bundle.b1 - fit) < 0.02
+
+
 def test_b_tail_fit_improves_partial_sum():
     d = 3
     b = normalized_b_series(d, 2000)
@@ -224,12 +263,23 @@ def test_b_tail_fit_improves_partial_sum():
 
 def test_b_constants_d3():
     m = lr.estimate_m(3, 20000)
-    b, b1, b1_log_coefficient = lr.b_constants(3, m)
+    with pytest.raises(DependencyError):
+        lr.b_constants(3, m)
+    # the zeta-regularised m~_3, the same at every N
+    mt = lr.estimate_m_tilde(3, 20000)
+    assert abs(mt.value - (-0.5392381750815815)) < 1e-15
+    assert mt.value == lr.estimate_m_tilde(3, 2000).value
+    b, b1, b1_log_coefficient = lr.b_constants(3, m, mt)
     assert abs(b - float(lr.leading_constant_a(3)) / m.value**2) < 1e-15
-    # printed closed form; the empirical 1/n coefficient differs (see
-    # test_empirical_b1_fit below) and is exposed separately
-    assert abs(b1 - (-0.149134005531)) < 1e-9
+    # -3/8 - 3 m~_3/m_3 - 81/(8 pi^2 m_3^2), where the empirical 1/n
+    # coefficient converges (test_empirical_b1_fit_frozen)
+    assert abs(b1 - 0.2456777) < 1e-7
     assert b1_log_coefficient is None
+    # the printed closed form ships as a labelled field, off every path
+    bundle = lr.build_bundle(3, 20000)
+    assert (bundle.b1, bundle.m_tilde) == (b1, None)
+    assert abs(bundle.b1_printed - (-0.149134005531)) < 1e-9
+    assert lr.build_bundle(5, 2000).b1_printed is None
 
 
 def test_b_constants_d4_log_coefficient():
@@ -255,8 +305,8 @@ def test_b_constants_divergent_guard():
 
 def test_empirical_b1_fit_frozen():
     # measured 1/n coefficient of the d=3 normalized B ratio; flat in n
-    # (0.24568 +- 5e-5 over n in [1000, 64000]); differs from the printed
-    # closed form -0.14913, which ships as-is for fidelity
+    # (0.24568 +- 5e-5 over n in [1000, 64000]), as the derived b_1 is;
+    # the printed closed form -0.14913 is not
     m = lr.estimate_m(3, 20000)
     y = lr.empirical_b1(3, m, n=2000)
     assert abs(y - 0.2457) < 0.01
