@@ -198,12 +198,6 @@ def eval_A_asym(d: int, n: int, m: int = 4) -> AsymValue:
     return _power_law(mantissa, n, 2 * d, d / 2, "A * (pi*n)^(d/2) / (2d)^(2n)")
 
 
-def _require_bundle(constants, d: int) -> "ConstantsBundle":
-    if constants is None or getattr(constants, "dimension", None) != d:
-        raise DependencyError("need a constants bundle for d=%d" % d)
-    return constants
-
-
 def eval_B_asym(d: int, n: int, constants: "ConstantsBundle | None" = None) -> AsymValue:
     """B_{2n}^{(d)} to the order the expansion is stated.
 
@@ -230,12 +224,11 @@ def eval_B_asym(d: int, n: int, constants: "ConstantsBundle | None" = None) -> A
             2 * n * math.log(4) - math.log(n) - 2 * math.log(ln) + math.log(mantissa)
         )
         return AsymValue(log_value, mantissa, "B * n*log(n)^2 / 16^n")
-    bundle = _require_bundle(constants, d)
+    if constants is None or constants.dimension != d:
+        raise DependencyError("need a constants bundle for d=%d" % d)
     if d == 4:
-        corr = 1 + bundle.b1_log_coefficient * math.log(n) / n
-    elif bundle.b1 is None:
-        raise DependencyError("bundle lacks b_1 (needs m_tilde_%d)" % d)
+        corr = 1 + constants.b1_log_coefficient * math.log(n) / n
     else:
-        corr = 1 + bundle.b1 / n
-    return _power_law(bundle.b * corr, n, 2 * d, d / 2, "B * (pi*n)^(d/2) / (2d)^(2n)")
+        corr = 1 + constants.b1 / n
+    return _power_law(constants.b * corr, n, 2 * d, d / 2, "B * (pi*n)^(d/2) / (2d)^(2n)")
 

@@ -293,22 +293,9 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_constants(args) -> int:
-    if args.d <= 2:
-        res = constants.polya_probability(args.d, args.N)
-        obj = {
-            "dimension": args.d,
-            "p_d": res.p,
-            "recurrent": True,
-            "m_d": "divergent",
-            "divergent": True,
-            "partial_sum_raw": res.partial_sum_raw,
-            "terms_used": res.terms_used,
-        }
-        _write(args.out, json.dumps(obj, indent=2) + "\n")
-        return 0
     bundle = constants.build_bundle(args.d, args.N)
     obj = bundle.to_json_obj()
-    if args.d in catalog.DIMENSIONS:
+    if not bundle.recurrent and args.d in catalog.DIMENSIONS:
         obj["b_1_empirical_fit"] = constants.empirical_b1(
             args.d, bundle.m, n=min(2000, args.N))
     _write(args.out, json.dumps(obj, indent=2) + "\n")
@@ -322,7 +309,7 @@ def cmd_constants(args) -> int:
 def _exact_normalized_a(d: int, ns: list[int]) -> dict[int, float]:
     table = walks.closed_walks_fast(d, max(ns))
     out = {}
-    with mp.workdps(40):
+    with mp.workdps(constants.DPS):
         for n in ns:
             v = mpf(table.value(n)) * (mp.pi * n) ** (mpf(d) / 2) / mpf(2 * d) ** (2 * n)
             out[n] = float(v)

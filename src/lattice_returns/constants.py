@@ -1,5 +1,5 @@
 """Return constants: m_d, m_tilde_d, the Polya probability p_d, and the
-B-asymptotic constants b_d, b_1(d).
+B-asymptotic constants b_d, b_1(d), as one ConstantsBundle for every d >= 1.
 
     m_d       = sum_{n>=0} A_{2n} / (2d)^{2n}          (finite for d >= 3)
     m_tilde_d = sum_{n>=0} n A_{2n} / (2d)^{2n}        (finite for d >= 5;
@@ -60,42 +60,37 @@ class Estimate:
 
 
 @dataclass(frozen=True)
-class PolyaResult:
-    """Both routes to the return probability.
-
-    ``p`` is the headline value: exactly 1 for d <= 2 (recurrent walk),
-    1 - 1/m_d for d >= 3.  ``p_direct`` is the independent B-side route:
-    partial sum of B_{2n}/(2d)^{2n} plus a tail fitted from the B data
-    alone.  ``partial_sum_raw`` is the bare partial sum.
-    """
-
-    dimension: int
-    p: float
-    recurrent: bool
-    terms_used: int
-    p_direct: float | None = None
-    partial_sum_raw: float | None = None
-    m_estimate: Estimate | None = None
-
-
-@dataclass(frozen=True)
 class ConstantsBundle:
-    """Everything the B-asymptotics of a dimension d >= 3 need, and the
-    bare B-side partial sum, which the JSON leaves out."""
+    """The return constants of a dimension d >= 1, from build_bundle.
+
+    ``p`` is the headline 1 - 1/m_d, ``p_direct`` the independent route:
+    the partial sum of B_{2n}/(2d)^{2n} (``partial_sum_raw``, which the
+    d >= 3 JSON leaves out) plus a tail fitted from the B data alone.
+    d = 1, 2 are recurrent: ``m`` is None, ``p`` exactly 1, and the partial
+    sum shows the slow approach."""
 
     dimension: int
-    m: Estimate
-    m_tilde: Estimate | None
+    m: Estimate | None
     p: float
-    p_direct: float
     partial_sum_raw: float
-    b: float
-    b1: float | None
-    b1_printed: float | None
-    b1_log_coefficient: float | None
     terms_used: int
+    m_tilde: Estimate | None = None
+    p_direct: float | None = None
+    b: float | None = None
+    b1: float | None = None
+    b1_printed: float | None = None
+    b1_log_coefficient: float | None = None
+
+    @property
+    def recurrent(self) -> bool:
+        return self.m is None
 
     def to_json_obj(self) -> dict:
+        if self.recurrent:
+            return {"dimension": self.dimension, "p_d": self.p, "recurrent": True,
+                    "m_d": "divergent", "divergent": True,
+                    "partial_sum_raw": self.partial_sum_raw,
+                    "terms_used": self.terms_used}
         return {
             "dimension": self.dimension,
             "m_d": self.m.to_json_obj(),
@@ -192,17 +187,18 @@ def normalized_a_series(d: int, N: int) -> np.ndarray:
     """float64 array [A_0/(2d)^0, ..., A_{2N}/(2d)^{2N}] for the asym
     tables and empirical_b1; bundles take theirs from the fixed-point summands.
 
-    d = 1, 2 use the closed central-binomial forms; every other d
+    d = 2 squares the closed central-binomial form; every other d
     walks.recurrence_values at a float q: the catalog's P-recurrence in
     float64 (stable, d <= 8), or the exact ladder correctly rounded
     (d >= 9, desk-scale N).
     """
-    if d in (1, 2):
+    if d == 2:
+        # The float recurrence would move asym --kind B --d 2 by 1.2e-12 (checked to 1e-12).
         rho = np.empty(N + 1)
         rho[0] = 1.0
         for n in range(1, N + 1):
             rho[n] = rho[n - 1] * (2 * n - 1) / (2 * n)
-        return rho if d == 1 else rho * rho
+        return rho * rho
     return np.array(walks.recurrence_values("A", d, N, float((2 * d) ** 2)))
 
 
@@ -254,27 +250,12 @@ def _fit_b_tail(d: int, b: np.ndarray, N: int):
     return bh * zeta(s, N + 1) + slope * zeta(s + 1, N + 1)
 
 
-def polya_probability(d: int, N: int) -> PolyaResult:
-    """Return probability p_d with both routes reported for d >= 3.
-
-    d = 1, 2: exactly 1 (recurrent); the reported partial sum shows the
-    slow approach.  d >= 3: the constants bundle's headline value 1 - 1/m_d
-    and its direct route, which sums B_{2n}/(2d)^{2n} and adds a B-side
-    tail fit.
-    """
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    if N < 0:
-        raise ValueError("N must be >= 0")
-    if d >= 3:
-        bundle = build_bundle(d, N)
-        return PolyaResult(dimension=d, p=bundle.p, recurrent=False,
-                           terms_used=N, p_direct=bundle.p_direct,
-                           partial_sum_raw=bundle.partial_sum_raw,
-                           m_estimate=bundle.m)
-    raw = float(np.sum(normalized_b_series(d, N)))
-    return PolyaResult(dimension=d, p=1.0, recurrent=True, terms_used=N,
-                       partial_sum_raw=raw)
+def polya_probability(d: int, N: int) -> ConstantsBundle:
+    """Return probability p_d: the constants bundle, whose ``p``,
+    ``p_direct``, ``m`` and ``recurrent`` carry both routes.  The name is
+    kept apart from build_bundle as the library's entry point for p_d and
+    the span the benchmark's traced launcher records."""
+    return build_bundle(d, N)
 
 
 def b_constants(d: int, m: Estimate | float,
@@ -320,12 +301,19 @@ def empirical_b1(d: int, m: Estimate | float, n: int = 2000) -> float:
 
 
 def build_bundle(d: int, N: int) -> ConstantsBundle:
-    """The full constants bundle for dimension d >= 3, from one summand
-    list: m_d and m_tilde_d (d >= 5, and d = 3 regularised) are its int
-    sums, and its correctly rounded float64 copy is inverted into the
-    B-series of p_d's direct route."""
+    """The constants bundle of dimension d >= 1 from N + 1 terms.
+
+    d >= 3: from one summand list, m_d and m_tilde_d (d >= 5, and d = 3
+    regularised) are its int sums, and its correctly rounded float64 copy
+    is inverted into the B-series of p_d's direct route.  d = 1, 2: the
+    recurrent bundle, p = 1 beside the partial sum of the float B-series."""
+    if d < 1:
+        raise ValueError("d must be >= 1")
+    if N < 0:
+        raise ValueError("N must be >= 0")
     if d <= 2:
-        raise DivergenceError("constants bundle requires d >= 3")
+        return ConstantsBundle(dimension=d, m=None, p=1.0, terms_used=N,
+                               partial_sum_raw=float(np.sum(normalized_b_series(d, N))))
     us, bits = _normalized_a_summands_mp(d, N)
     m = _estimate(d, us, bits, 0)
     m_tilde = _estimate(d, us, bits, 1) if d != 4 else None

@@ -182,11 +182,11 @@ def test_criterion_09_constants_consistency(capsys):
     res = lr.polya_probability(3, 100000)
     gap = abs(res.p_direct - res.p)
     assert gap < 1e-5
-    m_n = res.m_estimate.value
+    m_n = res.m.value
     m_2n = lr.estimate_m(3, 200000).value
     stability = abs(m_n - m_2n)
     assert stability < 1e-6
-    b_d, b1, _ = lr.b_constants(3, res.m_estimate, lr.estimate_m_tilde(3, 100000))
+    b_d, b1, _ = lr.b_constants(3, res.m, lr.estimate_m_tilde(3, 100000))
     b = normalized_b_series(3, 2000)
     ratio = float(b[2000]) * (math.pi * 2000) ** 1.5
     band = 5.0 * (1 + abs(b1)) / 2000

@@ -374,6 +374,21 @@ def test_asym_b_d2_accepts_small_n(capsys):
         assert math.isfinite(approx) and approx > 0
 
 
+def test_asym_b_d1_exact_column_and_sample_floor(capsys):
+    ns = (10, 100, 1000)
+    code, out, _ = run_cli(capsys, "asym", "--kind", "B", "--d", "1",
+                           "--n", *map(str, ns))
+    assert code == 0
+    rows = out.splitlines()[2:]
+    for n, row in zip(ns, rows):
+        exact = float(row.split(",")[1])
+        ref = lr.first_return_closed_form_1d(n) / 4**n * 2 * n * math.sqrt(math.pi * n)
+        assert abs(exact - ref) <= 1e-12 * ref
+    code, out, err = run_cli(capsys, "asym", "--kind", "A", "--d", "3", "--n", "1")
+    assert code == 2 and out == ""
+    assert err == "error: need sample points n >= 2\n"
+
+
 def test_asym_b_kind_rejects_order(capsys):
     code, out, err = run_cli(
         capsys, "asym", "--kind", "B", "--d", "3", "--m", "8", "--n", "100")

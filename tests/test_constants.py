@@ -111,7 +111,7 @@ def test_polya_low_dimensions_recurrent():
     for d in (1, 2):
         res = lr.polya_probability(d, 400)
         assert res.recurrent and res.p == 1.0
-        assert res.m_estimate is None
+        assert res.m is None
         assert res.partial_sum_raw < 1.0  # diverges, so any prefix is < 1
 
 
@@ -366,8 +366,8 @@ def test_build_bundle_shapes():
     assert bundle.partial_sum_raw == lr.polya_probability(3, 4000).partial_sum_raw
     b5 = lr.build_bundle(5, 4000)
     assert b5.m_tilde is not None
-    with pytest.raises(DivergenceError):
-        lr.build_bundle(2, 1000)
+    b2 = lr.build_bundle(2, 1000)
+    assert b2.recurrent and b2.m is None and b2.p == 1.0
 
 
 def test_bundle_ratio_band_d345():

@@ -455,6 +455,17 @@ def test_lucas_fails_for_first_returns():
     assert rep.first_failure["index"] == 5
 
 
+def test_lucas_vanishing_clause_catches_a_perturbed_value():
+    table = lr.closed_walks_fast(3, 4)
+    assert table.values == (1, 6, 90, 1860, 44730)
+    assert lr.lucas_check(table, 5, 4).passed
+    values = list(table.values)
+    values[3] += 1  # A_6: 1860 -> 1861, no longer 0 mod 5
+    rep = lr.lucas_check(lr.SequenceTable(3, "A", tuple(values)), 5, 4)
+    assert not rep.passed
+    assert rep.first_failure == {"vanishing_at": 3, "value_mod_p": 1}
+
+
 def test_a_vanishing_window_mod_p():
     # A_{2n} = 0 mod p for (p-1)/2 < n <= p-1, any d
     for d in (1, 2, 3, 4, 5):
