@@ -113,134 +113,108 @@ def _scoped(value, default) -> list:
     return list(default) if value is None else [value]
 
 
-def _check_table_fixtures(d: int | None) -> list[holonomy.VerificationReport]:
+def _ladder(run, d: int, N: int, kind: str) -> walks.SequenceTable:
+    """The kind ("X", "A") table of d through at least index N, from the
+    run's one binomial ladder for d, rebuilt only when it is too short.
+
+    The fast paths iterate the recurrences derived from the ODEs, so the
+    recurrence and ODE suites read the ladder, never the objects under
+    test.  Both read prefixes only, so a longer ladder serves.
+    """
+    x = run.ladders.get(d)
+    if x is None or x.n_max < N:
+        x = run.ladders[d] = walks.x_sequence(d, N)
+    return x if kind == "X" else walks.closed_walks_from_x(x)
+
+
+def _table_fixtures(d: int, run) -> list[holonomy.VerificationReport]:
+    a, b = walks.closed_walks(d, 8), walks.first_returns(d, 8)
+    ok = (tuple(a.value(n) for n in range(1, 9)) == catalog.TABLE_A[d]
+          and tuple(b.value(n) for n in range(1, 9)) == catalog.TABLE_B[d])
+    return [holonomy.VerificationReport(
+        check="table-fixtures",
+        parameters={"d": d, "oeis_A": catalog.OEIS_IDS[("A", d)],
+                    "oeis_B": catalog.OEIS_IDS[("B", d)]},
+        horizon=8, first_failure=None if ok else {"d": d},
+    )]
+
+
+def _precurrence(d: int, run) -> list[holonomy.VerificationReport]:
+    recs = {k: catalog.x_recurrence(d) if k == "X" else catalog.a_recurrence(d)
+            for k in run.kinds}
+    N = run.n_max + max(r.order for r in recs.values())
+    return [holonomy.check_p_recurrence(recs[k], _ladder(run, d, N, k), run.n_max)
+            for k in run.kinds]
+
+
+def _ode(d: int, run) -> list[holonomy.VerificationReport]:
     reports = []
-    for dd in _scoped(d, catalog.TABLE_A):
-        a = walks.closed_walks(dd, 8)
-        b = walks.first_returns(dd, 8)
-        ok = (tuple(a.value(n) for n in range(1, 9)) == catalog.TABLE_A[dd]
-              and tuple(b.value(n) for n in range(1, 9)) == catalog.TABLE_B[dd])
+    for k in run.kinds:
+        ode = catalog.f_ode(d) if k == "X" else catalog.a_ode(d)
+        series = holonomy.series_from_sequence(_ladder(run, d, run.order, k), run.order)
+        reports.append(holonomy.check_ode(ode, series, {"kind": k, "d": d}))
+    return reports
+
+
+def _lucas(d: int, run) -> list[holonomy.VerificationReport]:
+    return [holonomy.lucas_check(_build_table(k, d, p * p + p), p, p * p + p)
+            for k in run.kinds for p in run.primes]
+
+
+def _hadamard(d: int, run) -> list[holonomy.VerificationReport]:
+    order = run.hadamard_order
+    if run.a1 is None:  # one A_1 series per run
+        run.a1 = holonomy.series_from_sequence(walks.closed_walks(1, order), order)
+    f_d, a_d, b_d = (holonomy.series_from_sequence(_build_table(k, d, order), order)
+                     for k in "XAB")
+    one = holonomy.TruncatedSeries([1] + [0] * (order - 1))
+    checks = (("hadamard A=F*F2", holonomy.hadamard(f_d, run.a1) == a_d),
+              ("reciprocal (1-B)A=1", (one - b_d) * a_d == one))
+    return [holonomy.VerificationReport(
+        check=name, parameters={"d": d, "order": order},
+        horizon=order, first_failure=None if ok else {"d": d},
+    ) for name, ok in checks]
+
+
+def _singularities(d: int, run) -> list[holonomy.VerificationReport]:
+    reports = []
+    for k in run.kinds:
+        if k == "X":
+            ode, expected = catalog.f_ode(d), catalog.expected_f_singularities(d)
+        else:
+            ode, expected = catalog.a_ode(d), catalog.expected_a_singularities(d)
+        roots, irrational = holonomy.ode_singularities(ode)
+        ok = roots == expected and not irrational
         reports.append(holonomy.VerificationReport(
-            check="table-fixtures",
-            parameters={"d": dd, "oeis_A": catalog.OEIS_IDS[("A", dd)],
-                        "oeis_B": catalog.OEIS_IDS[("B", dd)]},
-            horizon=8, first_failure=None if ok else {"d": dd},
+            check="singularities",
+            parameters={"kind": k, "d": d,
+                        "roots": sorted(str(r) for r in roots)},
+            horizon=0, first_failure=None if ok else {
+                "expected": sorted(str(r) for r in expected),
+                "irrational_factor": irrational,
+            },
         ))
     return reports
 
 
-def _ladder_tables(d: int, N: int, kinds: list[str]) -> dict[str, walks.SequenceTable]:
-    """The tables of ``kinds`` ("X", "A") through index N, from one
-    binomial ladder.
-
-    The fast paths iterate the recurrences derived from the ODEs, so the
-    recurrence and ODE suites read the ladder, never the objects under
-    test.
-    """
-    x = walks.x_sequence(d, N)
-    return {k: x if k == "X" else walks.closed_walks_from_x(x) for k in kinds}
-
-
-def _check_precurrences(n_max: int, d: int | None,
-                        kind: str | None) -> list[holonomy.VerificationReport]:
-    reports = []
-    for dd in _scoped(d, catalog.PRINTED_DIMENSIONS):
-        kinds = _scoped(kind, ("X", "A"))
-        recs = {k: catalog.x_recurrence(dd) if k == "X" else catalog.a_recurrence(dd)
-                for k in kinds}
-        tables = _ladder_tables(dd, n_max + max(r.order for r in recs.values()), kinds)
-        for k in kinds:
-            reports.append(holonomy.check_p_recurrence(recs[k], tables[k], n_max))
-    return reports
-
-
-def _check_odes(order: int, d: int | None,
-                kind: str | None) -> list[holonomy.VerificationReport]:
-    reports = []
-    for dd in _scoped(d, catalog.PRINTED_DIMENSIONS):
-        kinds = _scoped(kind, ("X", "A"))
-        tables = _ladder_tables(dd, order, kinds)
-        for k in kinds:
-            ode = catalog.f_ode(dd) if k == "X" else catalog.a_ode(dd)
-            series = holonomy.series_from_sequence(tables[k], order)
-            reports.append(holonomy.check_ode(ode, series, {"kind": k, "d": dd}))
-    return reports
-
-
-def _check_lucas(d: int | None, kind: str | None,
-                 p: int | None) -> list[holonomy.VerificationReport]:
-    reports = []
-    for dd in _scoped(d, catalog.PRINTED_DIMENSIONS):
-        for k in _scoped(kind, ("X", "A")):
-            for pp in _scoped(p, (3, 5, 7, 11, 13)):
-                n_max = pp * pp + pp
-                table = _build_table(k, dd, n_max)
-                reports.append(holonomy.lucas_check(table, pp, n_max))
-    return reports
-
-
-def _check_hadamard(order: int, d: int | None) -> list[holonomy.VerificationReport]:
-    reports = []
-    a1 = holonomy.series_from_sequence(walks.closed_walks(1, order), order)
-    for dd in _scoped(d, catalog.PRINTED_DIMENSIONS):
-        f_d = holonomy.series_from_sequence(walks.x_sequence_fast(dd, order), order)
-        a_d = holonomy.series_from_sequence(walks.closed_walks_fast(dd, order), order)
-        b_d = holonomy.series_from_sequence(walks.first_returns_fast(dd, order), order)
-        had_ok = holonomy.hadamard(f_d, a1) == a_d
-        one = holonomy.TruncatedSeries([1] + [0] * (order - 1))
-        recip_ok = (one - b_d) * a_d == one
-        for name, ok in (("hadamard A=F*F2", had_ok), ("reciprocal (1-B)A=1", recip_ok)):
-            reports.append(holonomy.VerificationReport(
-                check=name, parameters={"d": dd, "order": order},
-                horizon=order, first_failure=None if ok else {"d": dd},
-            ))
-    return reports
-
-
-def _check_singularities(d: int | None,
-                         kind: str | None) -> list[holonomy.VerificationReport]:
-    reports = []
-    for dd in _scoped(d, catalog.PRINTED_DIMENSIONS):
-        for k in _scoped(kind, ("X", "A")):
-            if k == "X":
-                ode, expected = catalog.f_ode(dd), catalog.expected_f_singularities(dd)
-            else:
-                ode, expected = catalog.a_ode(dd), catalog.expected_a_singularities(dd)
-            roots, irrational = holonomy.ode_singularities(ode)
-            ok = roots == expected and not irrational
-            reports.append(holonomy.VerificationReport(
-                check="singularities",
-                parameters={"kind": k, "d": dd,
-                            "roots": sorted(str(r) for r in roots)},
-                horizon=0, first_failure=None if ok else {
-                    "expected": sorted(str(r) for r in expected),
-                    "irrational_factor": irrational,
-                },
-            ))
-    return reports
-
-
-# The flags each suite honours, and the dimensions --d may name (None:
-# any d >= 1, as its tables come from the fast paths, which fall back to
-# the ladder past the catalog).  Without --d every suite covers the
-# printed dimensions, d <= 5; --d reaches the guessed d = 6..8.  "all"
-# runs every suite at its defaults: --order 300 and --n-max 300, with
-# hadamard at order 200.
-_SCOPES = {
-    "table-fixtures": (("--d",), catalog.TABLE_A),
-    "precurrence": (("--d", "--kind", "--n-max"), catalog.DIMENSIONS),
-    "ode": (("--d", "--kind", "--order"), catalog.DIMENSIONS),
-    "lucas": (("--d", "--kind", "--p"), None),
-    "hadamard": (("--d", "--order"), None),
-    "singularities": (("--d", "--kind"), catalog.DIMENSIONS),
-    "all": ((), None),
+# Each suite: the flags it honours, the dimensions --d may name (None: any
+# d >= 1, as its tables come from the fast paths, which fall back to the
+# ladder past the catalog), and its reports for one d.  Without --d a
+# suite covers the printed dimensions, d <= 5, that it has data for; --d
+# reaches the guessed d = 6..8.  "all" runs every suite in this order at
+# its defaults: --order 300 and --n-max 300, with hadamard at order 200.
+_SUITES = {
+    "table-fixtures": (("--d",), catalog.TABLE_A, _table_fixtures),
+    "precurrence": (("--d", "--kind", "--n-max"), catalog.DIMENSIONS, _precurrence),
+    "ode": (("--d", "--kind", "--order"), catalog.DIMENSIONS, _ode),
+    "lucas": (("--d", "--kind", "--p"), None, _lucas),
+    "hadamard": (("--d", "--order"), None, _hadamard),
+    "singularities": (("--d", "--kind"), catalog.DIMENSIONS, _singularities),
 }
 
 
-def _resolve_scope(args) -> tuple[int | None, str | None, int | None]:
-    """--d, --kind and --p, after every typed flag is checked against what
-    the suite takes."""
-    flags, dims = _SCOPES[args.suite]
+def cmd_verify(args) -> int:
+    flags, dims, _ = _SUITES.get(args.suite, ((), None, None))
     for flag in ("--d", "--kind", "--p", "--order", "--n-max"):
         if getattr(args, flag[2:].replace("-", "_")) is not None and flag not in flags:
             raise UsageError("verify %s does not take %s" % (args.suite, flag))
@@ -249,37 +223,30 @@ def _resolve_scope(args) -> tuple[int | None, str | None, int | None]:
                          "not holonomic" % args.suite)
     if args.d is not None and (args.d < 1 or dims is not None and args.d not in dims):
         raise UsageError("verify %s has no data for d=%d" % (args.suite, args.d))
-    return args.d, args.kind, args.p
-
-
-def cmd_verify(args) -> int:
-    suite = args.suite
-    d, kind, p = _resolve_scope(args)
-    n_max = 300 if args.n_max is None else args.n_max
     order = 300 if args.order is None else args.order
-    if n_max < 0:
+    run = argparse.Namespace(
+        kinds=_scoped(args.kind, ("X", "A")), primes=_scoped(args.p, (3, 5, 7, 11, 13)),
+        n_max=300 if args.n_max is None else args.n_max, order=order,
+        hadamard_order=200 if args.suite == "all" else order, ladders={}, a1=None)
+    if run.n_max < 0:
         raise UsageError("--n-max must be >= 0")
-    if order < 1:
+    if run.order < 1:
         raise UsageError("--order must be >= 1")
+    # Before any table: lucas at p would build p^2 + p exact terms.
+    if args.p is not None and not holonomy.is_prime(args.p):
+        raise UsageError("%d is not prime" % args.p)
     reports = []
-    if suite in ("table-fixtures", "all"):
-        reports += _check_table_fixtures(d)
-    if suite in ("precurrence", "all"):
-        reports += _check_precurrences(n_max, d, kind)
-    if suite in ("ode", "all"):
-        reports += _check_odes(order, d, kind)
-    if suite in ("lucas", "all"):
-        reports += _check_lucas(d, kind, p)
-    if suite in ("hadamard", "all"):
-        reports += _check_hadamard(order if suite == "hadamard" else 200, d)
-    if suite in ("singularities", "all"):
-        reports += _check_singularities(d, kind)
+    for name in (_SUITES if args.suite == "all" else (args.suite,)):
+        _, dims, reports_for = _SUITES[name]
+        for d in _scoped(args.d, [dd for dd in catalog.PRINTED_DIMENSIONS
+                                  if dims is None or dd in dims]):
+            reports += reports_for(d, run)
     failed = [r for r in reports if not r.passed]
     status = "fail" if failed else "pass"
     if args.expect_fail:
         status = "pass" if failed else "fail"
     obj = {
-        "suite": suite,
+        "suite": args.suite,
         "expect_fail": bool(args.expect_fail),
         "status": status,
         "reports": [r.to_json_obj() for r in reports],
@@ -403,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_layers)
 
     p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("suite", choices=tuple(_SCOPES))
+    p.add_argument("suite", choices=(*_SUITES, "all"))
     p.add_argument("--d", type=int, default=None)
     p.add_argument("--kind", choices=("X", "A", "B"), default=None)
     p.add_argument("--p", type=int, default=None)

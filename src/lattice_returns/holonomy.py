@@ -71,8 +71,6 @@ class TruncatedSeries:
         return TruncatedSeries([self.coeffs[i] - other.coeffs[i] for i in range(N)])
 
     def __mul__(self, other) -> "TruncatedSeries":
-        if isinstance(other, (int, Fraction)):
-            return TruncatedSeries([c * other for c in self.coeffs])
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         N = min(self.order, other.order)
@@ -84,8 +82,6 @@ class TruncatedSeries:
                     if b:
                         out[i + j] += a * b
         return TruncatedSeries(out)
-
-    __rmul__ = __mul__
 
     def differentiate(self) -> "TruncatedSeries":
         """Formal derivative; order drops by one."""
@@ -551,34 +547,23 @@ def lucas_check(seq: "SequenceTable", p: int, n_max: int) -> VerificationReport:
     if seq.n_max < n_max:
         raise ValueError("table too short for n_max=%d" % n_max)
 
-    def u(i: int) -> int | None:
-        if i < seq.offset:
-            return 1 if i == 0 else None
-        return seq.value(i)
+    def u(i: int) -> int:
+        return 1 if i < seq.offset else seq.value(i)
 
     first_failure = None
-    for n in range(0, n_max // p + 1):
-        if first_failure:
+    for idx in range(n_max + 1):
+        n, q = divmod(idx, p)
+        lhs, un, uq = u(idx), u(n), u(q)
+        if (lhs - un * uq) % p != 0:
+            first_failure = {
+                "n": n, "q": q, "index": idx,
+                "lhs_mod_p": lhs % p, "rhs_mod_p": (un * uq) % p,
+            }
             break
-        for q in range(p):
-            idx = n * p + q
-            if idx > n_max:
-                break
-            lhs, un, uq = u(idx), u(n), u(q)
-            if lhs is None or un is None or uq is None:
-                continue
-            if (lhs - un * uq) % p != 0:
-                first_failure = {
-                    "n": n, "q": q, "index": idx,
-                    "lhs_mod_p": lhs % p, "rhs_mod_p": (un * uq) % p,
-                }
-                break
     vanishing_checked = False
     if seq.kind == "A" and first_failure is None:
         vanishing_checked = True
-        for n in range((p - 1) // 2 + 1, p):
-            if n > n_max:
-                break
+        for n in range((p - 1) // 2 + 1, min(p, n_max + 1)):
             if seq.value(n) % p != 0:
                 first_failure = {"vanishing_at": n, "value_mod_p": seq.value(n) % p}
                 break

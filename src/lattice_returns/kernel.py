@@ -110,12 +110,6 @@ class UniPoly:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other) -> "UniPoly":
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
-
     def __mul__(self, other) -> "UniPoly":
         other = _coerce(other)
         if other is None:

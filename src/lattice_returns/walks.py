@@ -109,7 +109,7 @@ class LatticeDistribution:
 
     dimension: int
     steps: int
-    counts: dict[tuple[int, ...], BigCount] = field(compare=False)
+    counts: dict[tuple[int, ...], BigCount] = field(hash=False)
 
     def total(self) -> BigCount:
         return sum(self.counts.values())

@@ -13,7 +13,7 @@ import sys
 import pytest
 
 import lattice_returns as lr
-from lattice_returns import catalog
+from lattice_returns import catalog, walks
 from lattice_returns.cli import main, parse_seq_csv, parse_seq_json
 
 
@@ -275,6 +275,35 @@ def test_verify_rejects_empty_horizon(capsys, suite, flag, value):
     code, out, err = run_cli(capsys, "verify", suite, flag, value)
     assert code == 2
     assert out == "" and err.count("\n") == 1 and flag in err
+
+
+def test_verify_refuses_a_non_prime_p_before_any_table(capsys, monkeypatch):
+    # lucas at p would build p^2 + p exact terms (over a million for
+    # p = 1000) before noticing that p is not prime.
+    def no_table(d, N):
+        raise AssertionError("built a table for d=%d, N=%d" % (d, N))
+
+    monkeypatch.setattr(lr.walks, "closed_walks_fast", no_table)
+    code, out, err = run_cli(capsys, "verify", "lucas", "--p", "1000", "--d", "3",
+                             "--kind", "A")
+    assert code == 2
+    assert out == "" and err == "error: 1000 is not prime\n"
+
+
+def test_verify_all_builds_one_ladder_per_dimension(capsys, monkeypatch):
+    # The precurrence and ODE suites share each dimension's binomial ladder;
+    # the runner must read walks.x_sequence through the module, too.
+    calls = []
+    x_sequence = walks.x_sequence
+
+    def recording(d, N):
+        calls.append((d, N))
+        return x_sequence(d, N)
+
+    monkeypatch.setattr(lr.walks, "x_sequence", recording)
+    code, _, _ = run_cli(capsys, "verify", "all")
+    assert code == 0
+    assert sorted(d for d, N in calls if N >= 300) == [1, 2, 3, 4, 5]
 
 
 def test_verify_hadamard(capsys):

@@ -249,6 +249,18 @@ def test_formula_distribution_matches_dp(d, length):
     assert dp.counts == f.counts
 
 
+def test_distribution_equality_compares_counts():
+    dp = lr.full_distribution_dp(2, 4)
+    assert dp == lr.distribution_formula(2, 4)
+    changed = dict(dp.counts)
+    changed[(0, 0)] += 1
+    assert dp != lr.LatticeDistribution(2, 4, changed)
+    assert dp != lr.LatticeDistribution(2, 4, {})
+    # The counts stay out of the hash, so distributions and layers hash.
+    assert hash(dp) == hash(lr.LatticeDistribution(2, 4, {}))
+    assert len({lr.layer(3, 4, 0), lr.layer(3, 4, 0)}) == 1
+
+
 def test_endpoint_count_2d_against_brute_force():
     brute = brute_endpoints(2, 6)
     for k in range(-7, 8):
