@@ -290,10 +290,12 @@ def empirical_b1(d: int, m: Estimate | float, n: int = 2000) -> float:
     route to b_1 beside ``b_constants``.
 
     The fit multiplies the series' relative error by n, and that error
-    grows with d (the FFT inverse loses about 1e-9 at d = 5 and 1e-6 at
-    d = 8 by n = 400), so at large d the fit is noise-limited: at d = 8
-    it reads -1.799 at n = 1000 and -2.26 at n = 2000, where the fit
-    from the exact first returns at n = 1000 is -1.780."""
+    grows with d (the FFT inverse loses about 1.4e-9 at d = 5 and 1.7e-6
+    at d = 8 over n <= 400).  At n = 2000 the fit is within 0.02 of b_1
+    up to d = 7 (d = 6: -1.824 against -1.817; d = 7: -1.760 against
+    -1.748), but at d = 8 it is noise: -2.26 against b_1 = -1.780, which
+    the fit from the exact first returns at n = 1000 confirms (-1.780).
+    So ``constants`` prints it for d <= 7 only."""
     b_series = normalized_b_series(d, n)
     b_d = float(leading_constant_a(d)) / getattr(m, "value", m) ** 2
     ratio = float(b_series[n]) * (math.pi * n) ** (d / 2) / b_d

@@ -19,6 +19,9 @@ rebuilds each coefficient (``modular``).  ``TruncatedSeries.__mul__`` stays a
 schoolbook product of Python ints, so the Hadamard suite's
 (1 - B) A = 1 checks the inverse by an independent route: a CRT product
 sharing a too-small bound would agree with a wrong B modulo the same M.
+
+The numpy route (this inverse and ``guess_p_recurrence``) imports numpy
+and ``modular`` on first use, so the other exact paths never load them.
 """
 
 from __future__ import annotations
@@ -28,13 +31,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
 
-import numpy as np
-
-from . import modular
 from .errors import InvertibilityError
 from .kernel import RationalLike, UniPoly, binomial, exact, poly_divmod, primitive
 
 if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
+
     from .walks import SequenceTable
 
 
@@ -243,6 +245,10 @@ def _integral_reciprocal(coeffs: Sequence[int]) -> list[int] | None:
     bits, and primes with product M > 2^(bits+1) determine it.  None if
     ``modular.crt_primes`` has not that many primes.
     """
+    import numpy as np
+
+    from . import modular
+
     N = len(coeffs)
     bits = N - 1 + max((-(-(N - 1) * c.bit_length() // k)
                         for k, c in enumerate(coeffs[1:], 1)), default=0)
@@ -425,6 +431,10 @@ def guess_p_recurrence(values: Sequence[int]) -> PRecurrence | None:
     one-dimensional nullspace is the minimal one.  None if no shape with
     enough equations fits.
     """
+    import numpy as np
+
+    from . import modular
+
     p = np.array(modular.primes(_GUESS_PRIMES), dtype=np.int64)
     res = modular.residues(values, p)
     total = 1
@@ -442,6 +452,8 @@ def guess_p_recurrence(values: Sequence[int]) -> PRecurrence | None:
 
 def _guess_matrix(u: np.ndarray, r: int, s: int, p: int) -> np.ndarray:
     """Rows n = 0 .. len(u) - r - 1, columns (k, j): n^j u_{n+k} mod p."""
+    import numpy as np
+
     rows = len(u) - r
     n = np.arange(rows, dtype=np.int64)
     columns = []
@@ -457,6 +469,10 @@ def _lift_recurrence(values: Sequence[int], res: np.ndarray, p: np.ndarray,
                      r: int, s: int) -> PRecurrence | None:
     """The recurrence of shape (r, s), if its nullspace is one-dimensional
     modulo the first prime; more primes are added until it lifts."""
+    import numpy as np
+
+    from . import modular
+
     vectors, used, free = [], [], None
     for i, q in enumerate(p.tolist()):
         basis = modular.nullspace_mod_p(_guess_matrix(res[:, i], r, s, q), q)

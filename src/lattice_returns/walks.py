@@ -34,13 +34,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import add, mul
-from typing import Iterator
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterator
 
 from . import catalog, holonomy
 from .errors import CapacityError
 from .kernel import BigCount, binomial, round_div
+
+if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
 
 KINDS = ("X", "A", "B")
 
@@ -297,6 +298,8 @@ def _dp_shift_sum(arr: np.ndarray) -> np.ndarray:
     """One convolution step with the 2d unit steps (mass leaving the box
     is dropped; callers arrange boxes large enough that this is exact or
     provably irrelevant)."""
+    import numpy as np
+
     new = np.zeros_like(arr)
     for ax in range(arr.ndim):
         lo = [slice(None)] * arr.ndim
@@ -316,6 +319,8 @@ def full_distribution_dp(d: int, n: int) -> LatticeDistribution:
     steps n times; the result sums to (2d)^n.  Exactness is preserved by
     using a numpy object array of Python ints.
     """
+    import numpy as np
+
     if d < 1 or n < 0:
         raise ValueError("need d >= 1 and n >= 0")
     _check_box(d, n)
@@ -340,6 +345,8 @@ def first_returns_dp(d: int, n: int) -> BigCount:
     back at the origin by step 2n, so dropping that mass is exact for the
     returned count.
     """
+    import numpy as np
+
     if d < 1 or n < 1:
         raise ValueError("need d >= 1 and n >= 1")
     _check_box(d, n)

@@ -343,6 +343,18 @@ def test_constants_d3_bundle(capsys):
     assert obj["m_tilde_d"] is None
 
 
+@pytest.mark.parametrize("d, kept", [(6, True), (8, False)])
+def test_constants_empirical_b1_fit_only_up_to_d7(capsys, d, kept):
+    # At d = 8 the float B-series error times n sets the fit (-2.26 against
+    # b_1 = -1.78), so the field is left out there.
+    code, out, _ = run_cli(capsys, "constants", "--d", str(d), "--N", "2000")
+    assert code == 0
+    obj = json.loads(out)
+    assert ("b_1_empirical_fit" in obj) is kept
+    if kept:
+        assert abs(obj["b_1_empirical_fit"] - obj["b_1"]) < 0.02
+
+
 def test_constants_d5_includes_m_tilde(capsys):
     code, out, _ = run_cli(capsys, "constants", "--d", "5", "--N", "4000")
     assert code == 0
@@ -447,6 +459,39 @@ def test_console_script_entry_point():
     assert out.stdout.endswith("3,20\n")
 
 
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
+def _src_env() -> dict:
+    """The environment with this checkout's src/ first on PYTHONPATH."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+
+
+_IMPORT_PROBE = """
+import contextlib, io, sys
+from lattice_returns.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print(code, *sorted({"numpy", "mpmath"} & set(sys.modules)))
+"""
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (["seq", "--kind", "A", "--d", "5", "--N", "10"], ""),
+    (["seq", "--kind", "X", "--d", "8", "--N", "10"], ""),
+    (["layers", "--d", "4", "--n", "3", "--h", "0"], ""),
+    (["--help"], ""),
+    (["constants", "--d", "3", "--N", "100"], " mpmath numpy"),
+], ids=["seq-A", "seq-X", "layers", "help", "constants-control"])
+def test_import_floor_exact_commands_load_neither_numpy_nor_mpmath(argv, loaded):
+    # A fresh interpreter: the pure-integer commands must not pay for the
+    # numerics at start-up; the constants control shows the probe can fail.
+    out = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, *argv],
+                         capture_output=True, text=True, env=_src_env(), check=True)
+    assert out.stdout == "0" + loaded + "\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["seq", "--kind", "B", "--d", "3", "--N", "50"],
     ["constants", "--d", "6", "--N", "120"],
@@ -454,13 +499,11 @@ def test_console_script_entry_point():
 def test_traced_launcher_matches_untraced_run(argv, tmp_path):
     # perfbench/traced.py patches the package's functions by name; a rename
     # in src/ must fail here rather than in the next benchmark run.
-    root = pathlib.Path(__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
+    env = _src_env()
     plain = subprocess.run([sys.executable, "-m", "lattice_returns.cli", *argv],
                            capture_output=True, text=True, env=env)
     traced = subprocess.run(
-        [sys.executable, str(root / "perfbench" / "traced.py"),
+        [sys.executable, str(ROOT / "perfbench" / "traced.py"),
          str(tmp_path / "spans.json"), "--", *argv],
         capture_output=True, text=True, env=env)
     assert plain.returncode == traced.returncode == 0, traced.stderr
