@@ -1,17 +1,25 @@
-"""Reference data: the ODEs of F_d and A_d, the P-recurrences they
-imply, predicted singularity sets, and the embedded table fixtures used
-by cross-checks.
+"""Reference data: the P-recurrences of x_n and A_{2n} and the ODEs of
+F_d and A_d for every dimension d >= 1, predicted singularity sets, and
+the embedded table fixtures used by cross-checks.
 
-The ODEs of F_d are the catalog: printed in the paper for d <= 5,
-guessed from the binomial ladder for d = 6, 7, 8 (and labelled so).  The
-x-recurrence of each is derived from its ODE by
-``holonomy.ode_to_recurrence`` (the coefficient relation of [z^n] of the
-operator applied to the series), and the A-recurrence from the
-x-recurrence, as A_{2n} = C(2n, n) x_n, and the ODE of A_d from that
-recurrence by ``holonomy.recurrence_to_ode``; so a dimension is one ODE
-and nothing here is typed twice.  For d <= 5 the derived A-ODEs are the
-paper's printed ones, coefficient for coefficient (a test holds the
-printed forms).
+A dimension is a number.  The ladder x^{(d+1)}_n = sum_k C(n,k)^2 x^{(d)}_k
+says that X_d(z) = sum_n x_n z^n / n!^2 = I_0(2 sqrt z)^d, and
+``x_recurrence(d)`` derives the recurrence of x_n from that closed form:
+with y = I_0(2 sqrt z) and theta = z d/dz, theta^2 y = z y, so the d + 1
+products e_j = y^(d-j) (theta y)^j span a module closed under theta,
+
+    theta e_j = (d - j) e_{j+1} + j z e_{j-1},
+
+and the d + 2 vectors theta^k e_0 (k = 0..d+1) are linearly dependent
+over Z[z].  Their dependency sum_k q_k(z) theta^k annihilates X_d; read
+at [z^n] with x_n = n!^2 c_n it is the recurrence.  This is the
+symmetric-power argument of Borwein & Salvy, "A proof of a recursion for
+Bessel moments", Experimental Math. 17 (2008), so every recurrence here
+is proved, not fitted.  F_d's ODE is the recurrence's ODE
+(``holonomy.recurrence_to_ode``); for d <= 5 it is the paper's printed
+ODE, coefficient for coefficient (a test holds the printed forms).  The
+A-recurrence follows from the x-recurrence, as A_{2n} = C(2n, n) x_n,
+and the ODE of A_d from that.
 
 Index convention (documented once, used everywhere): the series of A_d
 is sum_n A_{2n} z^n, so every recurrence is written in the half-length
@@ -23,130 +31,85 @@ with table position = index.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache, reduce
 
-from .holonomy import LinearODE, PRecurrence, ode_to_recurrence, recurrence_to_ode
+from .holonomy import LinearODE, PRecurrence, recurrence_to_ode
 from .kernel import UniPoly, poly_divmod, poly_gcd, primitive
 
 _z = UniPoly([0, 1])
-
-
-def _p(*coeffs) -> UniPoly:
-    """Polynomial from ascending integer coefficients."""
-    return UniPoly(coeffs)
-
-
-# --------------------------------------------------------------------------
-# ODEs for the generating functions F_d (of x), d = 1..8.  Coefficients
-# listed lowest derivative first.
-# --------------------------------------------------------------------------
-
-_F_ODES = {
-    # (z-1) F' + F = 0
-    1: LinearODE(1, (_p(1), _z - 1), name="F_1"),
-    # (4z-1) F' + 2F = 0
-    2: LinearODE(1, (_p(2), 4 * _z - 1), name="F_2"),
-    # z(z-1)(9z-1) F'' + (27z^2-20z+1) F' + 3(3z-1) F = 0
-    3: LinearODE(
-        2,
-        (3 * (3 * _z - 1), _p(1, -20, 27), _z * (_z - 1) * (9 * _z - 1)),
-        name="F_3",
-    ),
-    # z^2(4z-1)(16z-1) F''' + 3z(128z^2-30z+1) F''
-    #   + (448z^2-68z+1) F' + 4(16z-1) F = 0
-    4: LinearODE(
-        3,
-        (
-            4 * (16 * _z - 1),
-            _p(1, -68, 448),
-            3 * _z * _p(1, -30, 128),
-            _z ** 2 * (4 * _z - 1) * (16 * _z - 1),
-        ),
-        name="F_4",
-    ),
-    # z^3(z-1)(9z-1)(25z-1) F'''' + z^2(2700z^3-2590z^2+280z-6) F'''
-    #   + z(8550z^3-6501z^2+518z-7) F'' + (7200z^3-3963z^2+196z-1) F'
-    #   + (900z^2-285z+5) F = 0
-    # The F' constant term is sometimes quoted as +1; that operator fails
-    # already at the constant coefficient (5*x_0 + 1*x_1 = 10 for d = 5),
-    # while -1 annihilates the exact series to every order we can test.
-    5: LinearODE(
-        4,
-        (
-            _p(5, -285, 900),
-            _p(-1, 196, -3963, 7200),
-            _z * _p(-7, 518, -6501, 8550),
-            _z ** 2 * _p(-6, 280, -2590, 2700),
-            _z ** 3 * (_z - 1) * (9 * _z - 1) * (25 * _z - 1),
-        ),
-        name="F_5",
-    ),
-    # F_6, F_7 and F_8 are guessed, not printed: the paper gives the ODEs
-    # for d <= 5 only.  Each is recurrence_to_ode of the P-recurrence
-    # that holonomy.guess_p_recurrence fits to x_0 .. x_149 of the
-    # binomial ladder, of shape (order, degree) (3, 5), (4, 6) and (4, 7);
-    # tests guess them again, and check them against the ladder far past
-    # the fitted terms.  Each has order d - 1 and leading coefficient
-    # z^(d-2) prod (k^2 z - 1) over k = d, d - 2, ... >= 1.
-    6: LinearODE(
-        5,
-        (
-            _p(6, -1020, 13824),
-            _p(-1, 516, -25956, 193536),
-            _z * _p(-15, 2436, -71976, 380160),
-            _z ** 2 * _p(-25, 2408, -51196, 211968),
-            _z ** 3 * _p(-10, 700, -11760, 40320),
-            _z ** 4 * (4 * _z - 1) * (16 * _z - 1) * (36 * _z - 1),
-        ),
-        name="F_6",
-    ),
-    7: LinearODE(
-        6,
-        (
-            _p(-7, 3213, -124040, 396900),
-            _p(1, -1284, 142335, -2852224, 5953500),
-            _z * _p(31, -10218, 623925, -8617996, 13693050),
-            _z ** 2 * _p(90, -16464, 702780, -7501752, 9724050),
-            _z ** 3 * _p(65, -8358, 277548, -2433386, 2679075),
-            _z ** 4 * _p(15, -1512, 41454, -309984, 297675),
-            _z ** 5 * (_z - 1) * (9 * _z - 1) * (25 * _z - 1)
-            * (49 * _z - 1),
-        ),
-        name="F_7",
-    ),
-    8: LinearODE(
-        7,
-        (
-            _p(-8, 9312, -850944, 10616832),
-            _p(1, -3076, 694464, -30806016, 244187136),
-            _z * _p(63, -39870, 4617072, -136757760, 812187648),
-            _z ** 2 * _p(301, -98460, 7715232, -173636608, 833421312),
-            _z ** 3 * _p(350, -77700, 4652100, -85137920, 345047040),
-            _z ** 4 * _p(140, -23856, 1166268, -18089984, 63700992),
-            _z ** 5 * _p(21, -2940, 122304, -1653120, 5160960),
-            _z ** 6 * (4 * _z - 1) * (16 * _z - 1) * (36 * _z - 1)
-            * (64 * _z - 1),
-        ),
-        name="F_8",
-    ),
-}
-
-# The dimensions with an ODE for F_d, ascending: the fast paths, the
-# constants summands and the verify suites cover these.
-DIMENSIONS = tuple(sorted(_F_ODES))
 
 # The dimensions whose ODEs the paper prints: the default scope of every
 # verify suite.
 PRINTED_DIMENSIONS = (1, 2, 3, 4, 5)
 
 
+def _theta_kernel(d: int) -> list[UniPoly]:
+    """Primitive q_0 .. q_{d+1} in Z[z] with sum_k q_k theta^k X_d = 0.
+
+    Column k holds theta^k e_0 in the basis e_0 .. e_d.  As theta raises
+    the index by at most one, the first d + 1 columns are upper
+    triangular, with the integers d!/(d-k)! on the diagonal; so with
+    q_{d+1} their product, back-substitution divides exactly in Z[z]
+    (the q_k are then the maximal minors, by Cramer's rule).
+    """
+    column = [UniPoly([1])] + [UniPoly()] * d
+    columns = [column]
+    for _ in range(d + 1):
+        # One zero past each end: c[-1] and c[d + 1] read it.
+        c = column + [UniPoly()]
+        column = [_z * c[j].derivative() + (d - j + 1) * c[j - 1]
+                  + (j + 1) * _z * c[j + 1] for j in range(d + 1)]
+        columns.append(column)
+    pivots = [columns[i][i].coeffs[0] for i in range(d + 1)]
+    q = [UniPoly()] * (d + 1) + [UniPoly([math.prod(pivots)])]
+    for i in reversed(range(d + 1)):
+        acc = sum((columns[j][i] * q[j] for j in range(i + 1, d + 2)), UniPoly())
+        q[i] = acc * Fraction(-1, pivots[i])
+    return primitive(q)
+
+
+@lru_cache(maxsize=None)
+def x_recurrence(d: int) -> PRecurrence:
+    """The P-recurrence of x_n in dimension d, derived from
+    X_d = I_0(2 sqrt z)^d (see the module docstring); for d = 3 it is the
+    Franel recurrence
+    (n+2)^2 x_{n+2} - (10n^2+30n+23) x_{n+1} + 9(n+1)^2 x_n = 0.
+
+    With Q_i(m) = sum_k q_{k,i} m^k and I the z-degree of the kernel,
+    [z^(n+I)] of the operator gives the coefficient
+    Q_{I-j}(n+j) prod_{l=j+1..I} (n+l)^2 of x_{n+j}.  Their common factor,
+    (n+I)^2 for every d measured (1..16), and their content are divided
+    out.  If the leading coefficient does not vanish at n = -I, every
+    coefficient is multiplied by n + I: ``recurrence_to_ode`` leaves that
+    value times x_0 as the operator's constant term, so the factor makes
+    the ODE homogeneous.
+    """
+    if d < 1:
+        raise ValueError("dimension must be >= 1, got %d" % d)
+    q = _theta_kernel(d)
+    order = max(p.degree for p in q)
+    polys = []
+    for j in range(order + 1):
+        poly = UniPoly()
+        for qk in reversed(q):
+            c = qk.coeffs[order - j] if order - j <= qk.degree else 0
+            poly = poly * UniPoly([j, 1]) + c
+        for l in range(j + 1, order + 1):
+            poly = poly * UniPoly([l, 1]) ** 2
+        polys.append(poly)
+    common = reduce(poly_gcd, polys)
+    polys = primitive(poly_divmod(p, common)[0] for p in polys)
+    if polys[-1](-order):
+        polys = [p * UniPoly([order, 1]) for p in polys]
+    return PRecurrence(order, tuple(polys), name="x d=%d" % d)
+
+
 def f_ode(d: int) -> LinearODE:
-    """The ODE annihilating F_d: printed for d <= 5, guessed for d = 6..8."""
-    try:
-        return _F_ODES[d]
-    except KeyError:
-        raise ValueError("no known F-ODE for d=%d" % d) from None
+    """The ODE annihilating F_d, of order d - 1 for d >= 2: the ODE of
+    ``x_recurrence(d)``.  For d <= 5 it is the paper's printed F-ODE."""
+    return recurrence_to_ode(x_recurrence(d), name="F_%d" % d)
 
 
 def a_ode(d: int) -> LinearODE:
@@ -157,18 +120,10 @@ def a_ode(d: int) -> LinearODE:
 
 
 @lru_cache(maxsize=None)
-def _x_derived(ode: LinearODE, name: str) -> PRecurrence:
-    """The recurrence of ``ode``, primitive and with a positive top
-    coefficient of its leading polynomial.  Cached on the ODE's value, so
-    a replaced ``f_ode`` gets its own derivation."""
-    rec = ode_to_recurrence(ode)
-    return PRecurrence(rec.order, tuple(primitive(rec.coefficients)), name=name)
-
-
-@lru_cache(maxsize=None)
 def _a_derived(rec: PRecurrence, name: str) -> PRecurrence:
     """The recurrence of A_{2n} = C(2n, n) x_n from the x-recurrence
-    sum_k P_k(n) x_{n+k} = 0 of order r.
+    sum_k P_k(n) x_{n+k} = 0 of order r.  Cached on the recurrence's
+    value, so a replaced ``x_recurrence`` gets its own derivation.
 
     As C(2n+2k, n+k) / C(2n, n) = prod_{i<k} 2(2n+2i+1)/(n+i+1), the
     coefficient of A_{n+k} is P_k(n) prod_{i<k} (n+i+1)
@@ -187,13 +142,6 @@ def _a_derived(rec: PRecurrence, name: str) -> PRecurrence:
     common = reduce(poly_gcd, polys)
     polys = [poly_divmod(p, common)[0] for p in polys]
     return PRecurrence(r, tuple(primitive(polys)), name=name)
-
-
-def x_recurrence(d: int) -> PRecurrence:
-    """The P-recurrence of x_n in dimension d, derived from ``f_ode(d)``;
-    for d = 3 it is the Franel recurrence
-    (n+2)^2 x_{n+2} - (10n^2+30n+23) x_{n+1} + 9(n+1)^2 x_n = 0."""
-    return _x_derived(f_ode(d), "x d=%d" % d)
 
 
 def a_recurrence(d: int) -> PRecurrence:

@@ -115,9 +115,9 @@ def _ladder(run, d: int, N: int, kind: str) -> walks.SequenceTable:
     """The kind ("X", "A") table of d through at least index N, from the
     run's one binomial ladder for d, rebuilt only when it is too short.
 
-    The fast paths iterate the recurrences derived from the ODEs, so the
-    recurrence and ODE suites read the ladder, never the objects under
-    test.  Both read prefixes only, so a longer ladder serves.
+    The fast paths iterate the catalog's recurrences, so the recurrence
+    and ODE suites read the ladder, never the objects under test.  Both
+    read prefixes only, so a longer ladder serves.
     """
     x = run.ladders.get(d)
     if x is None or x.n_max < N:
@@ -196,18 +196,18 @@ def _singularities(d: int, run) -> list[holonomy.VerificationReport]:
 
 
 # Each suite: the flags it honours, the dimensions --d may name (None: any
-# d >= 1, as its tables come from the fast paths, which fall back to the
-# ladder past the catalog), and its reports for one d.  Without --d a
-# suite covers the printed dimensions, d <= 5, that it has data for; --d
-# reaches the guessed d = 6..8.  "all" runs every suite in this order at
-# its defaults: --order 300 and --n-max 300, with hadamard at order 200.
+# d >= 1, as the catalog derives every dimension's recurrences and ODEs),
+# and its reports for one d.  Without --d a suite covers the printed
+# dimensions, d <= 5, that it has data for; --d reaches any other.  "all"
+# runs every suite in this order at its defaults: --order 300 and
+# --n-max 300, with hadamard at order 200.
 _SUITES = {
     "table-fixtures": (("--d",), catalog.TABLE_A, _table_fixtures),
-    "precurrence": (("--d", "--kind", "--n-max"), catalog.DIMENSIONS, _precurrence),
-    "ode": (("--d", "--kind", "--order"), catalog.DIMENSIONS, _ode),
+    "precurrence": (("--d", "--kind", "--n-max"), None, _precurrence),
+    "ode": (("--d", "--kind", "--order"), None, _ode),
     "lucas": (("--d", "--kind", "--p"), None, _lucas),
     "hadamard": (("--d", "--order"), None, _hadamard),
-    "singularities": (("--d", "--kind"), catalog.DIMENSIONS, _singularities),
+    "singularities": (("--d", "--kind"), None, _singularities),
 }
 
 
@@ -306,9 +306,7 @@ def _exact_normalized_b(d: int, ns: list[int]) -> dict[int, float]:
 
 # The B-table reads b_d and b_1 from a bundle of this many terms.  With
 # the derived tails, m_d is within its double-precision floor at N = 1000
-# (the table is byte-identical to one built at N = 20000 for d = 3, 4, 5);
-# past the catalog (d >= 9), whose summands come from the ladder, it
-# takes seconds and stays within walks.LADDER_BUDGET.
+# (the table is byte-identical to one built at N = 20000 for d = 3, 4, 5).
 _ASYM_BUNDLE_N = 1000
 
 

@@ -13,8 +13,7 @@ The summands t_n = A_{2n}/(2d)^{2n} of m_d, m_tilde_d and p_d (d >= 3)
 are one list of fixed-point ints U_n = round(t_n 2^bits), bits being PREC
 (136, whatever the ambient mpmath precision) plus guard bits, from
 walks.recurrence_values: the A-recurrence run forward in ints with
-q = (2d)^2 (d <= 8), or for d outside the catalog the exact ladder
-rounded once per term.  m_d and m_tilde_d are exact int sums divided once by 2^bits;
+q = (2d)^2.  m_d and m_tilde_d are exact int sums divided once by 2^bits;
 the B-side float series inverts the list's correctly rounded float64
 copy by FFT Newton.  Tails beyond N sum the asymptotic expansion of the summand, through
 TAIL_TERMS derived orders (asymptotics.a_coeffs), exactly over the
@@ -189,8 +188,7 @@ def normalized_a_series(d: int, N: int) -> np.ndarray:
 
     d = 2 squares the closed central-binomial form; every other d
     walks.recurrence_values at a float q: the catalog's P-recurrence in
-    float64 (stable, d <= 8), or the exact ladder correctly rounded
-    (d >= 9, desk-scale N).
+    float64, stable as A_{2n}/(2d)^{2n} is its dominant solution.
     """
     if d == 2:
         # The float recurrence would move asym --kind B --d 2 by 1.2e-12 (checked to 1e-12).

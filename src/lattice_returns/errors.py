@@ -2,8 +2,7 @@
 
 
 class CapacityError(Exception):
-    """A dynamic-programming box or a binomial ladder would exceed its
-    budget (cells, big-int products)."""
+    """A dynamic-programming box would exceed its cell budget."""
 
 
 class DivergenceError(ArithmeticError):

@@ -1,8 +1,7 @@
 """Truncated power series over Q and mechanical verification tools:
 P-recurrence residuals, ODE annihilation, Hadamard convolution, series
-reciprocals, Legendre series identities, and Lucas congruences; the
-translations between ODEs and P-recurrences, both ways, and a guesser
-that fits a P-recurrence to exact terms.
+reciprocals, Legendre series identities, and Lucas congruences; and the
+translations between ODEs and P-recurrences, both ways.
 
 Every operation here is exact; a "pass" means an identity of integers or
 rationals held on the nose, not to within a tolerance.  Polynomial
@@ -20,23 +19,20 @@ schoolbook product of Python ints, so the Hadamard suite's
 (1 - B) A = 1 checks the inverse by an independent route: a CRT product
 sharing a too-small bound would agree with a wrong B modulo the same M.
 
-The numpy route (this inverse and ``guess_p_recurrence``) imports numpy
-and ``modular`` on first use, so the other exact paths never load them.
+This inverse imports numpy and ``modular`` on first use, so the other
+exact paths never load them.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .errors import InvertibilityError
 from .kernel import RationalLike, UniPoly, binomial, exact, poly_divmod, primitive
 
 if TYPE_CHECKING:  # pragma: no cover
-    import numpy as np
-
     from .walks import SequenceTable
 
 
@@ -359,7 +355,9 @@ def ode_to_recurrence(ode: LinearODE) -> PRecurrence:
     nonzero q_{k,j}, the least shift that makes every offset nonnegative,
     gives the recurrence R with sum_t R_t(n) u_{n+t} = 0 for all n >= 0,
     t ranging over 0 .. order + g.  Because the shift is least, R_0 is
-    not identically zero unless its terms cancel.
+    not identically zero unless its terms cancel.  The catalog derives
+    its recurrences without it; the tests use it to translate the
+    printed ODEs independently.
     """
     terms = [(k, j, qj) for k, q in enumerate(ode.coefficients)
              for j, qj in enumerate(q.coeffs) if qj]
@@ -410,99 +408,6 @@ def recurrence_to_ode(rec: PRecurrence, name: str = "") -> LinearODE:
     return LinearODE(len(polys) - 1, tuple(primitive(polys)), name=name)
 
 
-# A guessed shape (r, s) needs this many more equations than unknowns, so
-# that its nullspace is not forced by the shape of the system alone.
-_GUESS_SLACK = 10
-# Primes for lifting a guessed recurrence: 64 of them reconstruct
-# fractions of up to about 800 bits.
-_GUESS_PRIMES = 64
-
-
-def guess_p_recurrence(values: Sequence[int]) -> PRecurrence | None:
-    """The P-recurrence sum_{k<=r} sum_{j<=s} c_kj n^j u_{n+k} = 0 of
-    least r + s (then least r) that all of ``values`` satisfy.
-
-    Each shape (r, s) with enough equations is solved modulo a prime
-    below 2^26; the first whose nullspace is one-dimensional is solved
-    modulo more primes, rebuilt by CRT and rational reconstruction,
-    cleared of denominators and content, and accepted once the integer
-    recurrence annihilates ``values`` exactly.  A shape that admits a
-    recurrence R also admits its shift and n R, so the first
-    one-dimensional nullspace is the minimal one.  None if no shape with
-    enough equations fits.
-    """
-    import numpy as np
-
-    from . import modular
-
-    p = np.array(modular.primes(_GUESS_PRIMES), dtype=np.int64)
-    res = modular.residues(values, p)
-    total = 1
-    while True:
-        shapes = [(r, total - r) for r in range(1, total + 1)
-                  if (r + 1) * (total - r + 1) + _GUESS_SLACK <= len(values) - r]
-        if not shapes:
-            return None
-        for r, s in shapes:
-            rec = _lift_recurrence(values, res, p, r, s)
-            if rec is not None:
-                return rec
-        total += 1
-
-
-def _guess_matrix(u: np.ndarray, r: int, s: int, p: int) -> np.ndarray:
-    """Rows n = 0 .. len(u) - r - 1, columns (k, j): n^j u_{n+k} mod p."""
-    import numpy as np
-
-    rows = len(u) - r
-    n = np.arange(rows, dtype=np.int64)
-    columns = []
-    for k in range(r + 1):
-        col = u[k:k + rows]
-        for _ in range(s + 1):
-            columns.append(col)
-            col = col * n % p
-    return np.stack(columns, axis=1)
-
-
-def _lift_recurrence(values: Sequence[int], res: np.ndarray, p: np.ndarray,
-                     r: int, s: int) -> PRecurrence | None:
-    """The recurrence of shape (r, s), if its nullspace is one-dimensional
-    modulo the first prime; more primes are added until it lifts."""
-    import numpy as np
-
-    from . import modular
-
-    vectors, used, free = [], [], None
-    for i, q in enumerate(p.tolist()):
-        basis = modular.nullspace_mod_p(_guess_matrix(res[:, i], r, s, q), q)
-        if not basis:
-            return None  # then the nullspace over Q is 0 as well
-        if not used and len(basis) > 1:
-            return None
-        # The one free column is the last nonzero entry of the vector; a
-        # prime that moves it or adds another dropped rank: skip it.
-        column = int(np.flatnonzero(basis[0])[-1])
-        if len(basis) > 1 or used and column != free:
-            continue
-        free = column
-        vectors.append(basis[0])
-        used.append(i)
-        M = math.prod(p[used].tolist())
-        fractions = [modular.rational_reconstruction(v, M)
-                     for v in modular.crt(np.stack(vectors, axis=1), p[used], M)]
-        if None in fractions:
-            continue
-        polys = [UniPoly(fractions[k * (s + 1):(k + 1) * (s + 1)])
-                 for k in range(r + 1)]
-        if not polys[-1]:
-            continue
-        rec = PRecurrence(r, tuple(primitive(polys)))
-        if all(rec.residual(values, n) == 0 for n in range(len(values) - r)):
-            return rec
-    return None
-
-
 def ode_singularities(ode: LinearODE) -> tuple[set[RationalLike], bool]:
     """Rational roots of the leading coefficient, by the rational root
     theorem on its primitive integer form.
@@ -527,16 +432,35 @@ def ode_singularities(ode: LinearODE) -> tuple[set[RationalLike], bool]:
     return roots, False
 
 
-def _divisors(n: int) -> list[int]:
-    out = []
-    i = 1
-    while i * i <= n:
-        if n % i == 0:
-            out.append(i)
-            if i != n // i:
-                out.append(n // i)
-        i += 1
-    return sorted(out)
+def _divisors(n: int) -> Iterator[int]:
+    """The positive divisors of n >= 1, built lazily from its prime
+    factors.  Each factor is divided out as it is found, so trial division
+    runs to the square root of what is left, not of n.  The smallest
+    prime's exponent varies fastest: divisors made of small primes come
+    first, and a search that stops early stores none of the rest."""
+    factors = []
+    p = 2
+    while n > 1:
+        if p * p > n:
+            p = n  # what is left is prime
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        if e:
+            factors.append((p, e))
+        p += 1
+    return _products(factors)
+
+
+def _products(factors: list[tuple[int, int]]) -> Iterator[int]:
+    if not factors:
+        yield 1
+        return
+    *smaller, (p, e) = factors
+    for k in range(e + 1):
+        for v in _products(smaller):
+            yield v * p**k
 
 
 def is_prime(p: int) -> bool:

@@ -1,6 +1,5 @@
 """Multi-modular integer arithmetic: primes below 2^26, residues of big
-ints, the Chinese remainder theorem, linear algebra modulo a prime, and
-rational reconstruction.
+ints, and the Chinese remainder theorem.
 
 Every residue lies below a prime p < 2^26, so the product of two residues
 is below 2^52 and a 16-bit limb times a residue below 2^42.  Each
@@ -8,15 +7,12 @@ accumulation sums at most CHUNK = 2^11 such products between reductions:
 that keeps int64 sums below 2^11 * 2^52 = 2^63 and float64 sums below
 2^11 * 2^42 = 2^53, where every integer is exact.
 
-``holonomy.reciprocal_series`` inverts integer series through this layer,
-and ``holonomy.guess_p_recurrence`` fits recurrences through it.  Nothing
-runs at import: the primes are sieved on first use.
+``holonomy.reciprocal_series`` inverts integer series through this
+layer.  Nothing runs at import: the primes are sieved on first use.
 """
 
 from __future__ import annotations
 
-import math
-from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
@@ -136,52 +132,3 @@ def crt(rows: np.ndarray, p: np.ndarray, M: int) -> list[int]:
                     for k in range(4)) % M
             out.append(v - M if v > half else v)
     return out
-
-
-def nullspace_mod_p(matrix: np.ndarray, p: int) -> list[np.ndarray]:
-    """A basis of {v : matrix v = 0 (mod p)} for a prime p < 2^26.
-
-    Gauss-Jordan elimination in int64, reduced after each row operation
-    (a product of two residues stays below 2^52).  There is one basis
-    vector per free column of the reduced echelon form: 1 at that
-    column, 0 at the other free columns.
-    """
-    a = np.asarray(matrix, dtype=np.int64) % p
-    rows, cols = a.shape
-    pivots: list[int] = []
-    for c in range(cols):
-        r = len(pivots)
-        if r == rows:
-            break
-        nonzero = np.flatnonzero(a[r:, c])
-        if not len(nonzero):
-            continue
-        i = r + int(nonzero[0])
-        a[[r, i]] = a[[i, r]]
-        a[r] = a[r] * pow(int(a[r, c]), -1, p) % p
-        factors = a[:, c].copy()
-        factors[r] = 0
-        a = (a - np.outer(factors, a[r]) % p) % p
-        pivots.append(c)
-    basis = []
-    for f in sorted(set(range(cols)) - set(pivots)):
-        v = np.zeros(cols, dtype=np.int64)
-        v[f] = 1
-        v[pivots] = -a[:len(pivots), f] % p
-        basis.append(v)
-    return basis
-
-
-def rational_reconstruction(a: int, M: int) -> Fraction | None:
-    """The fraction u/v with u = a v (mod M), |u| and v at most
-    sqrt(M/2), if there is one (it is then unique); else None."""
-    bound = math.isqrt(M // 2)
-    r0, r1 = M, a % M
-    t0, t1 = 0, 1
-    while r1 > bound:
-        q = r0 // r1
-        r0, r1 = r1, r0 - q * r1
-        t0, t1 = t1, t0 - q * t1
-    if t1 == 0 or abs(t1) > bound or math.gcd(r1, t1) != 1:
-        return None
-    return Fraction(r1, t1)

@@ -19,11 +19,10 @@ functions, that is
       B_{2n} = A_{2n} - sum_{k=1}^{n-1} B_{2k} A_{2n-2k}.
 
 The fast paths (``*_fast``) instead iterate the P-recurrences that
-``catalog`` derives from the ODE of F_d (printed for d <= 5, guessed
-for d = 6..8), seeded from the ladder; past the catalog (d >= 9) they
-run the ladder itself, within LADDER_BUDGET.  The verify suites that
-check those ODEs and recurrences read the ladder, so they never check an
-ODE against itself.
+``catalog`` derives from X_d = I_0(2 sqrt z)^d for every d, seeded from
+the ladder's first terms.  The verify suites that check those
+recurrences and ODEs read the ladder, so they never check an ODE
+against itself.
 
 An independent dynamic-programming oracle (full_distribution_dp,
 first_returns_dp) convolves unit steps directly and is used for
@@ -48,13 +47,6 @@ KINDS = ("X", "A", "B")
 # DP boxes larger than this many cells are refused (fail loudly, stay
 # desk-scale).
 DP_CELL_BUDGET = 10**8
-
-# Fast paths past the catalog run the binomial ladder, about
-# (d - 1)(N + 1)(N + 2)/2 big-int products; more than this many are
-# refused.  d = 9, N = 1000 (the bundle of ``asym --kind B --d 9``) is
-# 4.0e6 of them, and N = 4000 6.4e7; the ladder's time grows like N^3,
-# as the products lengthen with n.
-LADDER_BUDGET = 10**7
 
 
 @dataclass(frozen=True)
@@ -363,9 +355,8 @@ def first_returns_dp(d: int, n: int) -> BigCount:
 
 
 # ---------------------------------------------------------------------------
-# Fast generators: P-recurrence forward iteration for every d the catalog
-# has a recurrence for (d <= 8).  O(N) big-integer steps instead of the
-# O(d N^2) ladder.
+# Fast generators: P-recurrence forward iteration for every d.  O(N)
+# big-integer steps instead of the O(d N^2) ladder.
 # ---------------------------------------------------------------------------
 
 def _integer_coeffs(poly) -> tuple[int, ...]:
@@ -425,42 +416,28 @@ def recurrence_values(kind: str, d: int, N: int, q=1, bits: int = 0) -> list:
     """u_0 .. u_N with u_n = v_n / q^n, where v is the x-sequence (kind
     "X") or the A-sequence (kind "A") of dimension d.  q = 1 gives the
     exact integers, an int q > 1 the ints round(v_n 2^bits / q^n), a float
-    q float64 values.  For the d the catalog has an ODE for (d <= 8), its
-    P-recurrence runs forward from ladder seeds; for any other d the whole
-    ladder is scaled as the seeds are, exactly or rounded once per term
-    (a float q divides int by int, so each term is correctly rounded).
-    That ladder is refused with CapacityError, before it starts, when its
-    estimated products exceed LADDER_BUDGET.
+    q float64 values.  The catalog's P-recurrence runs forward from seeds
+    u_0 .. u_{r-1}, the ladder's terms scaled as stated (r = rec.order).
     """
-    if d in catalog.DIMENSIONS:
-        rec = catalog.x_recurrence(d) if kind == "X" else catalog.a_recurrence(d)
-        n_ladder = min(N, rec.order - 1)
-    else:
-        products = (d - 1) * (N + 1) * (N + 2) // 2
-        if products > LADDER_BUDGET:
-            raise CapacityError(
-                "binomial ladder for d=%d, N=%d: about %d big-int products "
-                "exceeds budget %d" % (d, N, products, LADDER_BUDGET))
-        rec, n_ladder = None, N
-    ladder = (x_sequence if kind == "X" else closed_walks)(d, n_ladder).values
+    rec = catalog.x_recurrence(d) if kind == "X" else catalog.a_recurrence(d)
+    ladder = (x_sequence if kind == "X" else closed_walks)(
+        d, min(N, rec.order - 1)).values
     if isinstance(q, float):
         vals = [v / int(q) ** n for n, v in enumerate(ladder)]
     elif q > 1:
         vals = [round_div(v << bits, q**n) for n, v in enumerate(ladder)]
     else:
         vals = list(ladder)
-    return vals if rec is None else iterate_p_recurrence(rec, vals, N, q)
+    return iterate_p_recurrence(rec, vals, N, q)
 
 
 def x_sequence_fast(d: int, N: int) -> SequenceTable:
-    """x-table via the catalog's P-recurrence; the ladder for any other d
-    (see ``recurrence_values``)."""
+    """x-table via the catalog's P-recurrence (see ``recurrence_values``)."""
     return SequenceTable(d, "X", tuple(recurrence_values("X", d, N)))
 
 
 def closed_walks_fast(d: int, N: int) -> SequenceTable:
-    """A-table via the catalog's P-recurrence; the ladder for any other d
-    (see ``recurrence_values``)."""
+    """A-table via the catalog's P-recurrence (see ``recurrence_values``)."""
     return SequenceTable(d, "A", tuple(recurrence_values("A", d, N)))
 
 

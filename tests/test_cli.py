@@ -184,24 +184,26 @@ def test_verify_precurrence_checks_ladder_data(capsys, monkeypatch):
 
 
 def test_verify_checks_the_odes_against_ladder_data(capsys, monkeypatch):
-    # F_5 with the misquoted +1 as the constant term of its F' coefficient.
-    # The recurrence suite checks the recurrence derived from it, and the
-    # ODE suite must not read a fast path that iterates that recurrence.
-    f_ode = catalog.f_ode
+    # A wrong x-recurrence at d = 5, under its own name.  The F- and
+    # A-ODEs are derived from it, so they must fail too; the ODE suites
+    # must not read a fast path that iterates the recurrence under test,
+    # and no cache keyed on d may hand back the true operators.
+    from test_walks import _perturbed
 
-    def misquoted(d):
-        ode = f_ode(d)
+    x_recurrence = catalog.x_recurrence
+
+    def wrong(d):
+        rec = x_recurrence(d)
         if d != 5:
-            return ode
-        coeffs = list(ode.coefficients)
-        coeffs[1] = coeffs[1] + lr.UniPoly([2])
-        return lr.LinearODE(ode.order, tuple(coeffs), name=ode.name)
+            return rec
+        return lr.PRecurrence(rec.order, _perturbed(rec, 1).coefficients, name=rec.name)
 
-    monkeypatch.setattr(catalog, "f_ode", misquoted)
-    for suite, size, failure in (
-            ("ode", ["--order", "40"], {"coefficient": 0, "value": "10"}),
-            ("precurrence", ["--n-max", "20"], {"n": 0, "residual": "-3270"})):
-        code, out, _ = run_cli(capsys, "verify", suite, "--d", "5", "--kind", "X", *size)
+    monkeypatch.setattr(catalog, "x_recurrence", wrong)
+    for suite, flags, failure in (
+            ("ode", ["--kind", "X", "--order", "40"], {"coefficient": 2, "value": "-1"}),
+            ("precurrence", ["--kind", "X", "--n-max", "20"], {"n": 0, "residual": "1"}),
+            ("ode", ["--kind", "A", "--order", "40"], {"coefficient": 0, "value": "-120"})):
+        code, out, _ = run_cli(capsys, "verify", suite, "--d", "5", *flags)
         assert code == 1
         (report,) = json.loads(out)["reports"]
         assert report["status"] == "fail"
@@ -230,8 +232,8 @@ def test_verify_suite_honours_or_rejects_scope(capsys, suite):
         assert {r["parameters"]["kind"] for r in json.loads(out)["reports"]} == {"X"}
     elif suite != "lucas":
         rejected.append(["--kind", "A"])
-    if suite not in ("lucas", "hadamard"):
-        rejected.append(["--d", "9"])  # no catalog data or fixture for d = 9
+    if suite == "table-fixtures":
+        rejected.append(["--d", "9"])  # no fixture for d = 9
     # The horizon flags: --order for ode and hadamard, --n-max for
     # precurrence, refused by name everywhere else.
     named = [flag for flag in ("--order", "--n-max") if flag not in sizes]
@@ -361,12 +363,6 @@ def test_constants_d5_includes_m_tilde(capsys):
     obj = json.loads(out)
     assert obj["m_tilde_d"]["value"] > 0
     assert obj["b_1"] is not None
-
-
-def test_constants_past_the_catalog_fails_fast(capsys):
-    code, out, err = run_cli(capsys, "constants", "--d", "9")
-    assert code == 2 and out == ""
-    assert err.count("\n") == 1 and "400120008" in err and "10000000" in err
 
 
 def test_constants_d9_ladder_bundle(capsys):
