@@ -20,20 +20,27 @@ TAIL_TERMS derived orders (asymptotics.a_coeffs), exactly over the
 integers with the Hurwitz zeta function.  Error bounds are heuristic --
 twice the estimated first omitted contribution -- and are labeled as
 such; the underlying series admit no desk-scale rigorous bounds.
+
+mpmath loads with the module.  numpy loads inside the functions that
+build float arrays (normalized_a_series, _series_inverse_float and
+build_bundle), so ``asym --kind A``, which reads only DPS, never loads it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
 from mpmath import mp, mpf, zeta
 from mpmath.libmp import dps_to_prec
 
 from . import walks
 from .asymptotics import a_coeffs, leading_constant_a
 from .errors import DependencyError, DivergenceError
+
+if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
 
 # Orders of the asymptotic summand that the tails sum.  With four, m~_6 at
 # N = 600 came out one ulp off; with eight, every m_d and m~_d the
@@ -190,6 +197,8 @@ def normalized_a_series(d: int, N: int) -> np.ndarray:
     walks.recurrence_values at a float q: the catalog's P-recurrence in
     float64, stable as A_{2n}/(2d)^{2n} is its dominant solution.
     """
+    import numpy as np
+
     if d == 2:
         # The float recurrence would move asym --kind B --d 2 by 1.2e-12 (checked to 1e-12).
         rho = np.empty(N + 1)
@@ -202,21 +211,34 @@ def normalized_a_series(d: int, N: int) -> np.ndarray:
 
 def _series_inverse_float(a: np.ndarray) -> np.ndarray:
     """Power-series inverse of a (a[0] != 0) by Newton doubling with FFT
-    products; O(N log N), relative coefficient error near machine eps."""
+    products; O(N log N), relative coefficient error near machine eps.
+
+    Both products of a step, a x and x (2 - a x), transform x at the same
+    size, so x is transformed once: five FFTs per step, not six.  Each
+    product keeps its operand order, rfft(a) rfft(x) and then
+    rfft(x) rfft(2 - a x): swapped, the last bits of the printed
+    constants move."""
+    import numpy as np
+
     n = len(a)
     x = np.array([1.0 / a[0]])
     length = 1
     while length < n:
         length = min(2 * length, n)
-        two_minus = -_fft_mul(a[:length], x, length)
+        size = 1 << (length + len(x) - 2).bit_length()
+        # Each operand is freed once it is spent, so that the largest step
+        # holds no more than two spectra and a padded copy at a time.
+        fx = np.fft.rfft(x, size)
+        del x
+        product = np.fft.rfft(a[:length], size)
+        product *= fx
+        two_minus = -np.fft.irfft(product, size)[:length]
+        del product
         two_minus[0] += 2.0
-        x = _fft_mul(x, two_minus, length)
+        fx *= np.fft.rfft(two_minus, size)
+        del two_minus
+        x = np.fft.irfft(fx, size)[:length]
     return x[:n]
-
-
-def _fft_mul(a: np.ndarray, b: np.ndarray, out_len: int) -> np.ndarray:
-    size = 1 << (len(a) + len(b) - 2).bit_length()
-    return np.fft.irfft(np.fft.rfft(a, size) * np.fft.rfft(b, size), size)[:out_len]
 
 
 def _b_series(a: np.ndarray) -> np.ndarray:
@@ -311,6 +333,8 @@ def build_bundle(d: int, N: int) -> ConstantsBundle:
         raise ValueError("d must be >= 1")
     if N < 0:
         raise ValueError("N must be >= 0")
+    import numpy as np
+
     if d <= 2:
         return ConstantsBundle(dimension=d, m=None, p=1.0, terms_used=N,
                                partial_sum_raw=float(np.sum(normalized_b_series(d, N))))

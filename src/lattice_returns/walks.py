@@ -31,7 +31,10 @@ cross-checks only.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
+from functools import partial, reduce
+from itertools import accumulate, repeat
 from operator import add, mul
 from typing import TYPE_CHECKING, Iterator
 
@@ -375,6 +378,29 @@ def _horner(coeffs: tuple[int, ...], n: int) -> int:
     return acc
 
 
+def _values(coeffs: tuple[int, ...], scale) -> Iterator:
+    """P(0) scale, P(1) scale, ... without end, P given by its ascending
+    int coeffs.
+
+    deg + 1 Horner values give the forward differences of P at 0, and deg
+    chained running sums rebuild the values from them with additions only
+    (Knuth, TAOCP vol. 2, 4.6.4).  An int scale multiplies the
+    differences; a float one multiplies each exact int value, so that
+    P(n) scale is rounded once."""
+    deg = max(len(coeffs) - 1, 0)
+    diffs = [_horner(coeffs, n) for n in range(deg + 1)]
+    for j in range(deg):
+        for i in range(deg, j, -1):
+            diffs[i] -= diffs[i - 1]
+    exact = isinstance(scale, int)
+    if exact:
+        diffs = [c * scale for c in diffs]
+    values = repeat(diffs[deg])
+    for c in reversed(diffs[:deg]):
+        values = accumulate(values, initial=c)
+    return values if exact else map(mul, values, repeat(scale))
+
+
 def iterate_p_recurrence(rec, seeds: list, N: int, q=1) -> list:
     """Extend seeds u_0 .. u_{r-1} to u_0 .. u_N, where u_n = v_n / q^n
     and sum_k P_k(n) v_{n+k} = 0 (r = rec.order).
@@ -383,32 +409,59 @@ def iterate_p_recurrence(rec, seeds: list, N: int, q=1) -> list:
     must be exact (else ArithmeticError, a bug).  An int q > 1 with
     fixed-point int seeds rounds once per step, u_{n+r} =
     round(-sum_k P_k(n) q^k u_{n+k} / (P_r(n) q^r)); a float q gives
-    float64.  On an A-recurrence with q = (2d)^2 this yields A_{2n}/(2d)^{2n}
-    stably, as every other solution grows like (2k)^{2n} with k < d.  The
-    coefficients must be integers and the leading one nonzero at every n
-    reached (ValueError otherwise).
+    float64, u_{n+r} = -sum_k (P_k(n) q^(k-r)) u_{n+k} / P_r(n) summed
+    left to right.  On an A-recurrence with q = (2d)^2 this yields
+    A_{2n}/(2d)^{2n} stably, as every other solution grows like
+    (2k)^{2n} with k < d.  The coefficients must be integers and the
+    leading one nonzero at every n reached (ValueError otherwise); the
+    first n that fails raises.
+
+    The coefficient columns are lazy (``_values``): P_k(n) q^k for an int
+    q, with P_r(n) q^r when rounding and P_r(n) when exact, or
+    P_k(n) q^(k-r) and P_r(n) for a float q.  The mode picks its division
+    step before the one loop over the zipped rows, and no column is
+    held as a list.
     """
     r = rec.order
     polys = [_integer_coeffs(p) for p in rec.coefficients]
     vals = list(seeds)
-    fixed = isinstance(q, int)
-    qpow = [q**k for k in range(r + 1)] if fixed else [q ** (k - r) for k in range(r)]
-    for n in range(0, N - r + 1):
-        acc = 0
-        for k in range(r):
-            acc += _horner(polys[k], n) * qpow[k] * vals[n + k]
-        lead = _horner(polys[r], n)
-        if lead == 0:
-            raise ValueError("leading coefficient is 0 at n=%d" % n)
-        if not fixed:
-            vals.append(-acc / lead)
-        elif q > 1:
-            vals.append(round_div(-acc, lead * qpow[r]))
-        else:
+    if N < r:
+        return vals
+    if len(vals) != r:
+        raise ValueError("need %d seeds, got %d" % (r, len(vals)))
+    if not isinstance(q, int):
+        scales = [q ** (k - r) for k in range(r)] + [1]
+        # reduce, not sum: from Python 3.12 sum() compensates float sums.
+        total = partial(reduce, add)
+
+        def step(acc, lead, n):
+            return -acc / lead
+    elif q > 1:
+        scales = [q**k for k in range(r + 1)]
+        total = sum
+
+        def step(acc, lead, n):
+            return (lead - 2 * acc) // (2 * lead)  # kernel.round_div(-acc, lead)
+    else:
+        scales = [q**k for k in range(r)] + [1]
+        total = sum
+
+        def step(acc, lead, n):
             quo, rem = divmod(-acc, lead)
             if rem:
                 raise ArithmeticError("P-recurrence division not exact at n=%d" % n)
-            vals.append(quo)
+            return quo
+    window = deque(vals, maxlen=r)
+    *columns, leads = [_values(p, s) for p, s in zip(polys, scales)]
+    try:
+        for n, row, lead in zip(range(N - r + 1), zip(*columns), leads):
+            v = step(total(map(mul, row, window), 0), lead, n)
+            window.append(v)
+            vals.append(v)
+    except ZeroDivisionError:
+        # Every mode divides by the leading coefficient, so a zero one
+        # raises here, at the first n it vanishes.
+        raise ValueError("leading coefficient is 0 at n=%d" % n) from None
     return vals
 
 

@@ -479,10 +479,13 @@ print(code, *sorted({"numpy", "mpmath"} & set(sys.modules)))
     (["layers", "--d", "4", "--n", "3", "--h", "0"], ""),
     (["--help"], ""),
     (["constants", "--d", "3", "--N", "100"], " mpmath numpy"),
-], ids=["seq-A", "seq-X", "layers", "help", "constants-control"])
+    (["asym", "--kind", "A", "--d", "4", "--n", "64"], " mpmath"),
+    (["asym", "--kind", "B", "--d", "3", "--n", "64"], " mpmath numpy"),
+], ids=["seq-A", "seq-X", "layers", "help", "constants-control", "asym-A", "asym-B"])
 def test_import_floor_exact_commands_load_neither_numpy_nor_mpmath(argv, loaded):
     # A fresh interpreter: the pure-integer commands must not pay for the
-    # numerics at start-up; the constants control shows the probe can fail.
+    # numerics at start-up, nor asym --kind A for numpy; the constants
+    # control shows the probe can fail.
     out = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, *argv],
                          capture_output=True, text=True, env=_src_env(), check=True)
     assert out.stdout == "0" + loaded + "\n"

@@ -17,7 +17,9 @@ from hypothesis import strategies as st
 
 import lattice_returns as lr
 from lattice_returns import catalog, walks
+from lattice_returns.constants import PREC
 from lattice_returns.errors import CapacityError
+from lattice_returns.kernel import round_div
 from lattice_returns.walks import iterate_p_recurrence
 
 # ---------------------------------------------------------------------------
@@ -193,6 +195,93 @@ def test_iterate_p_recurrence_rejects_vanishing_leading_coefficient():
     for seeds in ([1], [1.0]):
         with pytest.raises(ValueError, match="n=3"):
             iterate_p_recurrence(rec, seeds, 10)
+
+
+def _reference_iterate(rec, seeds, N, q=1):
+    """iterate_p_recurrence's oracle, the plain per-step loop: every
+    coefficient evaluated by Horner's rule and scaled at every step."""
+    def horner(coeffs, n):
+        acc = 0
+        for c in reversed(coeffs):
+            acc = acc * n + c
+        return acc
+
+    r = rec.order
+    polys = [p.coeffs for p in rec.coefficients]
+    vals = list(seeds)
+    fixed = isinstance(q, int)
+    qpow = [q**k for k in range(r + 1)] if fixed else [q ** (k - r) for k in range(r)]
+    for n in range(0, N - r + 1):
+        acc = 0
+        for k in range(r):
+            acc += horner(polys[k], n) * qpow[k] * vals[n + k]
+        lead = horner(polys[r], n)
+        if lead == 0:
+            raise ValueError("leading coefficient is 0 at n=%d" % n)
+        if not fixed:
+            vals.append(-acc / lead)
+        elif q > 1:
+            vals.append(round_div(-acc, lead * qpow[r]))
+        else:
+            quo, rem = divmod(-acc, lead)
+            if rem:
+                raise ArithmeticError("P-recurrence division not exact at n=%d" % n)
+            vals.append(quo)
+    return vals
+
+
+def _mode_args(d, mode, N):
+    """(seeds, q) for the A-recurrence of dimension d, scaled as
+    recurrence_values scales them in each mode."""
+    rec = catalog.a_recurrence(d)
+    ladder = lr.closed_walks(d, rec.order - 1).values
+    if mode == "exact":
+        return list(ladder), 1
+    q = (2 * d) ** 2
+    if mode == "float":
+        return [v / q**n for n, v in enumerate(ladder)], float(q)
+    bits = PREC + (d // 2 + 2) * N.bit_length() + 32  # as _normalized_a_summands_mp
+    return [round_div(v << bits, q**n) for n, v in enumerate(ladder)], q
+
+
+@pytest.mark.parametrize("mode", ["exact", "fixed", "float"])
+@pytest.mark.parametrize("d", range(1, 10))
+def test_iterate_p_recurrence_matches_the_per_step_loop(d, mode):
+    # N below the order returns the seeds unchanged; N = r takes one step.
+    # The per-step loop's values do not depend on N, so one run of it
+    # serves every N as a prefix.
+    rec = catalog.a_recurrence(d)
+    r = rec.order
+    Ns = [r - 1, r, r + 1, 5000]
+    seeds, q = _mode_args(d, mode, Ns[-1])
+    want = _reference_iterate(rec, seeds, Ns[-1], q)
+    for N in Ns:
+        got = iterate_p_recurrence(rec, seeds, N, q)
+        assert got == want[:N + 1]
+        assert {type(v) for v in got} == {int if isinstance(q, int) else float}
+
+
+def test_iterate_p_recurrence_raises_at_the_first_failing_n():
+    # (n - 10) u_{n+1} = ((n - 10) - n (n - 1) (n - 2)) u_n: exact up to
+    # n = 2, inexact at n = 3, and the leading coefficient vanishes at
+    # n = 10, later.
+    rec = lr.PRecurrence(1, (lr.UniPoly([10, 1, -3, 1]), lr.UniPoly([-10, 1])))
+    assert iterate_p_recurrence(rec, [1], 3) == [1, 1, 1, 1]
+    for run in (iterate_p_recurrence, _reference_iterate):
+        with pytest.raises(ArithmeticError, match="not exact at n=3$"):
+            run(rec, [1], 20)
+
+
+@pytest.mark.parametrize("seeds, q", [([1], 1), ([1 << 20], 2), ([1.0], 2.0)],
+                         ids=["exact", "fixed", "float"])
+def test_iterate_p_recurrence_vanishing_lead_far_along(seeds, q):
+    # (n - c) u_{n+1} = (n - c) u_n / q: every mode stops at n = c.
+    c = 5000
+    rec = lr.PRecurrence(1, (lr.UniPoly([c, -1]), lr.UniPoly([-c, 1])))
+    assert len(iterate_p_recurrence(rec, seeds, c, q)) == c + 1
+    for run in (iterate_p_recurrence, _reference_iterate):
+        with pytest.raises(ValueError, match="is 0 at n=%d$" % c):
+            run(rec, seeds, c + 10, q)
 
 
 def test_first_return_closed_form_1d():
