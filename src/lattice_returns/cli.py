@@ -11,8 +11,10 @@ failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
+import os
 import sys
 
 from . import catalog, holonomy, walks
@@ -24,6 +26,19 @@ def _write(out_path: str | None, text: str) -> None:
     else:
         with open(out_path, "w", newline="") as fh:
             fh.write(text)
+
+
+@contextlib.contextmanager
+def _unlimited_int_str():
+    """Lift the interpreter's limit on int/str conversion (Python 3.11+)
+    for the block: exact tables read and print integers of any length."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    set_limit = getattr(sys, "set_int_max_str_digits", lambda limit: None)
+    set_limit(0)
+    try:
+        yield
+    finally:
+        set_limit(limit)
 
 
 def _config_comment(pairs: list[tuple[str, object]]) -> str:
@@ -45,7 +60,9 @@ def _build_table(kind: str, d: int, N: int) -> walks.SequenceTable:
 def cmd_seq(args) -> int:
     if args.N < (1 if args.kind == "B" else 0):
         raise UsageError("N too small for kind %s" % args.kind)
-    table = _build_table(args.kind, args.d, args.N)
+    table = (_build_table(args.kind, args.d, args.N) if args.kind == "B" else
+             walks.SequenceTable(args.d, args.kind,  # Decimals print in linear time
+                                 walks.decimal_values(args.kind, args.d, args.N)))
     config = [("kind", args.kind), ("d", args.d), ("N", args.N),
               ("format", args.format)]
     if args.format == "json":
@@ -55,12 +72,13 @@ def cmd_seq(args) -> int:
     else:
         lines = [_config_comment(config), "n,value\n"]
         for n, v in table.iter_indexed():
-            lines.append("%d,%d\n" % (n, v))
+            lines.append("%d,%s\n" % (n, v))
         text = "".join(lines)
     _write(args.out, text)
     return 0
 
 
+@_unlimited_int_str()
 def parse_seq_csv(text: str) -> walks.SequenceTable:
     """Round-trip reader for cmd_seq CSV output."""
     meta: dict[str, str] = {}
@@ -77,6 +95,7 @@ def parse_seq_csv(text: str) -> walks.SequenceTable:
     return walks.SequenceTable(int(meta["d"]), meta["kind"], tuple(values))
 
 
+@_unlimited_int_str()
 def parse_seq_json(text: str) -> walks.SequenceTable:
     obj = json.loads(text)
     return walks.SequenceTable(obj["d"], obj["kind"],
@@ -90,8 +109,6 @@ def parse_seq_json(text: str) -> walks.SequenceTable:
 def cmd_layers(args) -> int:
     if args.d < 3:
         raise UsageError("layers need a target dimension d >= 3")
-    if abs(args.h) > args.n:
-        raise UsageError("|h| must be <= n")
     lay = walks.layer(args.d, args.n, args.h)
     config = [("d", args.d), ("n", args.n), ("h", args.h), ("format", "csv")]
     cols = ",".join("x%d" % (i + 1) for i in range(lay.counts.dimension))
@@ -410,20 +427,15 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    # Exact tables print integers of any length; the interpreter's limit
-    # on int/str conversion guards parsing, which argparse has finished.
-    limit = (sys.get_int_max_str_digits()
-             if hasattr(sys, "get_int_max_str_digits") else None)
+    # Nothing calls BLAS: numpy's OpenBLAS would only start idle threads.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    # The int/str limit guards parsing, which argparse has finished.
     try:
-        if limit is not None:
-            sys.set_int_max_str_digits(0)
-        return args.func(args)
+        with _unlimited_int_str():
+            return args.func(args)
     except (UsageError, ValueError, CapacityError, DivergenceError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 2
-    finally:
-        if limit is not None:
-            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":  # pragma: no cover

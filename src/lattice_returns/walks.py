@@ -31,6 +31,7 @@ cross-checks only.
 
 from __future__ import annotations
 
+import decimal
 from collections import deque
 from dataclasses import dataclass, field
 from functools import partial, reduce
@@ -221,7 +222,7 @@ def _distribution_formula(d: int, n: int, cache: dict) -> dict[tuple[int, ...], 
 
     Dimension 1 is the Pascal row; dimension d+1 is assembled from the
     heights h = -n..n, each height being a layer over the d-dimensional
-    distributions.  Fully independent of the step-convolution DP.
+    distributions, built once for +-h.  Independent of the step DP.
     """
     key = (d, n)
     if key in cache:
@@ -231,9 +232,9 @@ def _distribution_formula(d: int, n: int, cache: dict) -> dict[tuple[int, ...], 
                 for k in range(-n, n + 1, 2)}
     else:
         dist = {}
-        for h in range(-n, n + 1):
+        for h in range(n + 1):
             for p, c in _layer_counts(d, n, h, cache).items():
-                dist[p + (h,)] = c
+                dist[p + (h,)] = dist[p + (-h,)] = c
     cache[key] = dist
     return dist
 
@@ -406,11 +407,12 @@ def iterate_p_recurrence(rec, seeds: list, N: int, q=1) -> list:
     and sum_k P_k(n) v_{n+k} = 0 (r = rec.order).
 
     q = 1 with int seeds is exact: the division by the leading coefficient
-    must be exact (else ArithmeticError, a bug).  An int q > 1 with
-    fixed-point int seeds rounds once per step, u_{n+r} =
-    round(-sum_k P_k(n) q^k u_{n+k} / (P_r(n) q^r)); a float q gives
-    float64, u_{n+r} = -sum_k (P_k(n) q^(k-r)) u_{n+k} / P_r(n) summed
-    left to right.  On an A-recurrence with q = (2d)^2 this yields
+    must be exact (else ArithmeticError, a bug).  So is q = 1 with
+    ``decimal.Decimal`` integer seeds under a context that traps rounding
+    (``decimal_values``).  An int q > 1 with fixed-point int seeds rounds
+    once per step, u_{n+r} = round(-sum_k P_k(n) q^k u_{n+k} / (P_r(n)
+    q^r)); a float q gives float64, u_{n+r} = -sum_k (P_k(n) q^(k-r))
+    u_{n+k} / P_r(n) summed left to right.  On an A-recurrence with q = (2d)^2 this yields
     A_{2n}/(2d)^{2n} stably, as every other solution grows like
     (2k)^{2n} with k < d.  The coefficients must be integers and the
     leading one nonzero at every n reached (ValueError otherwise); the
@@ -482,6 +484,19 @@ def recurrence_values(kind: str, d: int, N: int, q=1, bits: int = 0) -> list:
     else:
         vals = list(ladder)
     return iterate_p_recurrence(rec, vals, N, q)
+
+
+def decimal_values(kind: str, d: int, N: int) -> list:
+    """recurrence_values(kind, d, N) as ``decimal.Decimal`` integers, whose
+    str() is linear in the digits where an int's is quadratic.  Every
+    rounding traps, so a wrong recurrence raises as in the int route."""
+    rec = catalog.x_recurrence(d) if kind == "X" else catalog.a_recurrence(d)
+    seeds = recurrence_values(kind, d, min(N, rec.order - 1))
+    with decimal.localcontext(decimal.Context(
+            prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN,
+            traps=[decimal.Inexact, decimal.Rounded, decimal.InvalidOperation,
+                   decimal.DivisionByZero])):
+        return iterate_p_recurrence(rec, list(map(decimal.Decimal, seeds)), N)
 
 
 def x_sequence_fast(d: int, N: int) -> SequenceTable:

@@ -77,7 +77,31 @@ def test_seq_prints_integers_past_the_str_digit_limit(capsys):
     assert code == 0
     n, value = out.splitlines()[-1].split(",")
     assert n == "2200" and len(value) > 4300
+    # ... and the readers take them back, in both formats.
+    table = lr.closed_walks_fast(5, 2200)
+    assert parse_seq_csv(out) == table
+    _, out, _ = run_cli(capsys, "seq", "--kind", "A", "--d", "5", "--N", "2200",
+                        "--format", "json")
+    assert parse_seq_json(out) == table
     assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+
+@pytest.mark.parametrize("d", range(1, 10))
+def test_seq_decimal_tables_print_the_int_tables(capsys, d):
+    # X and A print from Decimals; the bytes are those of the int tables.
+    order = catalog.a_recurrence(d).order
+    for kind, build in (("X", lr.x_sequence_fast), ("A", lr.closed_walks_fast)):
+        full = build(d, 300).values
+        for N in sorted({0, 1, order - 1, order, 300}):
+            table = walks.SequenceTable(d, kind, full[:N + 1])
+            _, out, _ = run_cli(capsys, "seq", "--kind", kind, "--d", str(d),
+                                "--N", str(N))
+            assert out == "# kind=%s d=%d N=%d format=csv\nn,value\n" % (kind, d, N) \
+                + "".join("%d,%d\n" % nv for nv in table.iter_indexed())
+            _, out, _ = run_cli(capsys, "seq", "--kind", kind, "--d", str(d),
+                                "--N", str(N), "--format", "json")
+            obj = dict(table.to_json_obj(), N=N)
+            assert out == json.dumps(obj, indent=2) + "\n"
 
 
 def test_seq_usage_error(capsys):
@@ -116,6 +140,11 @@ def test_layers_rejects_low_dimension(capsys):
 def test_layers_rejects_out_of_range_height(capsys):
     code, _, err = run_cli(capsys, "layers", "--d", "3", "--n", "2", "--h", "5")
     assert code == 2
+
+
+def test_layers_rejects_negative_steps(capsys):
+    code, _, err = run_cli(capsys, "layers", "--d", "4", "--n", "-1", "--h", "0")
+    assert code == 2 and err == "error: n must be >= 0\n"
 
 
 def test_layers_counts_match_library(capsys):
@@ -491,9 +520,39 @@ def test_import_floor_exact_commands_load_neither_numpy_nor_mpmath(argv, loaded)
     assert out.stdout == "0" + loaded + "\n"
 
 
+_THREADS_PROBE = """
+import contextlib, io, os, sys
+from lattice_returns.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(["seq", "--kind", "B", "--d", "3", "--N", "50"])
+print(code, "numpy" in sys.modules, len(os.listdir("/proc/self/task")),
+      os.environ.get("OPENBLAS_NUM_THREADS"))
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs Linux /proc")
+@pytest.mark.parametrize("preset", [None, "2"])
+def test_numpy_starts_no_blas_threads_unless_asked(preset):
+    # seq --kind B loads numpy; OpenBLAS stays single-threaded unless the
+    # environment asks for more.
+    env = _src_env()
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    out = subprocess.run([sys.executable, "-c", _THREADS_PROBE], capture_output=True,
+                         text=True, env=env, check=True)
+    code, numpy_loaded, tasks, threads = out.stdout.split()
+    assert (code, numpy_loaded) == ("0", "True")
+    if preset is None:
+        assert (tasks, threads) == ("1", "1")
+    else:
+        assert threads == preset
+
+
 @pytest.mark.parametrize("argv", [
     ["seq", "--kind", "B", "--d", "3", "--N", "50"],
     ["constants", "--d", "6", "--N", "120"],
+    ["seq", "--kind", "A", "--d", "5", "--N", "300"],
 ])
 def test_traced_launcher_matches_untraced_run(argv, tmp_path):
     # perfbench/traced.py patches the package's functions by name; a rename

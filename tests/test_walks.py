@@ -182,6 +182,18 @@ def test_iterate_p_recurrence_rejects_inexact_division():
         iterate_p_recurrence(_perturbed(rec, 1), seeds, 30)
 
 
+@pytest.mark.parametrize("kind, name", [("X", "x_recurrence"), ("A", "a_recurrence")])
+def test_decimal_values_reject_a_perturbed_recurrence(kind, name, monkeypatch):
+    # The decimal route divides exactly, as the int route does: a
+    # coefficient off by one raises instead of rounding.
+    assert walks.decimal_values(kind, 5, 60) == walks.recurrence_values(kind, 5, 60)
+    rec = getattr(catalog, name)(5)
+    monkeypatch.setattr(catalog, name, lambda d: _perturbed(rec, 1))
+    for values in (walks.recurrence_values, walks.decimal_values):
+        with pytest.raises(ArithmeticError):
+            values(kind, 5, 60)
+
+
 def test_iterate_p_recurrence_rejects_fractional_coefficient():
     rec = _perturbed(catalog.x_recurrence(3), Fraction(1, 2))
     with pytest.raises(ValueError):
