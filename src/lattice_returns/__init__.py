@@ -24,9 +24,9 @@ _EXPORTS = {name: module for module, names in {
     "errors": "CapacityError DependencyError DivergenceError InvertibilityError "
               "UnsupportedOrderError",
     "holonomy": "LinearODE PRecurrence TruncatedSeries VerificationReport apply_ode "
-                "check_ode check_p_recurrence hadamard legendre_series_identity "
-                "lucas_check ode_singularities ode_to_recurrence reciprocal_series "
-                "recurrence_to_ode series_from_sequence",
+                "check_ode check_p_recurrence check_singularities hadamard "
+                "legendre_series_identity lucas_check ode_to_recurrence "
+                "reciprocal_series recurrence_to_ode series_from_sequence",
     "kernel": "UniPoly binomial binomial_row legendre_poly poly_eval",
     "walks": "LatticeDistribution Layer SequenceTable closed_walks closed_walks_fast "
              "distribution_formula endpoint_count_2d first_return_closed_form_1d "

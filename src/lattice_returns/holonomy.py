@@ -1,13 +1,14 @@
 """Truncated power series over Q and mechanical verification tools:
-P-recurrence residuals, ODE annihilation, Hadamard convolution, series
-reciprocals, Legendre series identities, and Lucas congruences; and the
-translations between ODEs and P-recurrences, both ways.
+P-recurrence residuals, ODE annihilation, singularities, Hadamard
+convolution, series reciprocals, Legendre series identities, and Lucas
+congruences; and the translations between ODEs and P-recurrences.
 
 Every operation here is exact; a "pass" means an identity of integers or
 rationals held on the nose, not to within a tolerance.  Polynomial
 arithmetic (products, division, content) is ``kernel``'s alone: an ODE
-multiplies its series through ``TruncatedSeries``, and the singularities
-deflate the leading coefficient with ``kernel.poly_divmod``.
+multiplies its series through ``TruncatedSeries``, and the singularity
+check divides the predicted factors out of the leading coefficient with
+``kernel.poly_divmod`` instead of searching for roots.
 
 ``reciprocal_series`` inverts an int series with constant term +-1 (every
 B = 1 - 1/A table) by a multi-modular route: the majorant
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import InvertibilityError
 from .kernel import RationalLike, UniPoly, binomial, exact, poly_divmod, primitive
@@ -408,59 +409,30 @@ def recurrence_to_ode(rec: PRecurrence, name: str = "") -> LinearODE:
     return LinearODE(len(polys) - 1, tuple(primitive(polys)), name=name)
 
 
-def ode_singularities(ode: LinearODE) -> tuple[set[RationalLike], bool]:
-    """Rational roots of the leading coefficient, by the rational root
-    theorem on its primitive integer form.
-
-    Returns (roots, has_irrational_factor): if the deflated polynomial
-    does not fully factor over Q the flag is True (nothing is dropped
-    silently).
+def check_singularities(ode: LinearODE, expected: set[RationalLike],
+                        label: dict | None = None) -> VerificationReport:
+    """The leading coefficient splits over Q into exactly the predicted
+    roots: each factor q z - p of a predicted p/q is divided out of its
+    primitive form as often as it divides, and the check passes iff every
+    predicted root divided at least once and only a constant is left.
+    ``roots`` lists the predicted roots that divided.
     """
     lead = primitive([ode.coefficients[-1]])[0]
-    roots: set[RationalLike] = set()
-    while lead.degree > 0:
-        # A root p/q has p | lead[0] and q | lead[-1]; 0 when lead[0] = 0.
-        first, top = lead.coeffs[0], lead.coeffs[-1]
-        found = 0 if first == 0 else next(
-            (cand for p in _divisors(abs(first)) for q in _divisors(abs(top))
-             for cand in (Fraction(p, q), Fraction(-p, q)) if lead(cand) == 0),
-            None)
-        if found is None:
-            return roots, True
-        roots.add(found)
-        lead = primitive([poly_divmod(lead, UniPoly([-found, 1]))[0]])[0]
-    return roots, False
-
-
-def _divisors(n: int) -> Iterator[int]:
-    """The positive divisors of n >= 1, built lazily from its prime
-    factors.  Each factor is divided out as it is found, so trial division
-    runs to the square root of what is left, not of n.  The smallest
-    prime's exponent varies fastest: divisors made of small primes come
-    first, and a search that stops early stores none of the rest."""
-    factors = []
-    p = 2
-    while n > 1:
-        if p * p > n:
-            p = n  # what is left is prime
-        e = 0
-        while n % p == 0:
-            n //= p
-            e += 1
-        if e:
-            factors.append((p, e))
-        p += 1
-    return _products(factors)
-
-
-def _products(factors: list[tuple[int, int]]) -> Iterator[int]:
-    if not factors:
-        yield 1
-        return
-    *smaller, (p, e) = factors
-    for k in range(e + 1):
-        for v in _products(smaller):
-            yield v * p**k
+    divided = set()
+    for root in map(Fraction, expected):
+        factor = UniPoly([-root.numerator, root.denominator])
+        quotient, remainder = poly_divmod(lead, factor)
+        while not remainder:
+            lead = quotient
+            divided.add(root)
+            quotient, remainder = poly_divmod(lead, factor)
+    ok = divided == set(expected) and lead.degree == 0
+    return VerificationReport(
+        check="singularities",
+        parameters={**(label or {}), "roots": sorted(str(r) for r in divided)},
+        horizon=0, first_failure=None if ok else {
+            "expected": sorted(str(r) for r in expected),
+            "unexplained_degree": lead.degree})
 
 
 def is_prime(p: int) -> bool:

@@ -120,11 +120,11 @@ def test_criterion_05_singularity_prediction(capsys):
     for d in (3, 4, 5):
         ks = range(2 - d % 2, d + 1, 2)
         expected_f = {Fraction(1, k * k) for k in ks} | {Fraction(0)}
-        roots, irrational = lr.ode_singularities(catalog.f_ode(d))
-        assert roots == expected_f and not irrational
+        rep = lr.check_singularities(catalog.f_ode(d), expected_f)
+        assert rep.passed and rep.parameters["roots"] == sorted(map(str, expected_f))
         expected_a = {Fraction(1, 4 * k * k) for k in ks} | {Fraction(0)}
-        roots, irrational = lr.ode_singularities(catalog.a_ode(d))
-        assert roots == expected_a and not irrational
+        rep = lr.check_singularities(catalog.a_ode(d), expected_a)
+        assert rep.passed and rep.parameters["roots"] == sorted(map(str, expected_a))
     _announce(capsys, "PASS criterion 5 (singularities): F_d and A_d root sets exact for d=3,4,5")
 
 

@@ -177,6 +177,19 @@ def test_verify_singularities(capsys):
     assert json.loads(out)["status"] == "pass"
 
 
+def test_verify_singularities_reports_an_unexplained_factor(capsys, monkeypatch):
+    # A prediction missing a root leaves that root's linear factor.
+    predicted = catalog.expected_f_singularities
+    monkeypatch.setattr(catalog, "expected_f_singularities",
+                        lambda d: predicted(d) - {max(predicted(d))})
+    code, out, _ = run_cli(capsys, "verify", "singularities", "--d", "5")
+    assert code == 1
+    x, a = json.loads(out)["reports"]
+    assert x["status"] == "fail" and a["status"] == "pass"
+    assert x["first_failure"] == {"expected": ["0", "1/25", "1/9"],
+                                  "unexplained_degree": 1}
+
+
 def test_verify_ode_scoped(capsys):
     code, out, _ = run_cli(
         capsys, "verify", "ode", "--d", "5", "--kind", "X", "--order", "80")
@@ -470,6 +483,21 @@ def test_asym_rejects_unsupported_order(capsys):
     code, _, err = run_cli(
         capsys, "asym", "--kind", "A", "--d", "3", "--m", "13", "--n", "64")
     assert code == 2
+
+
+def test_internal_error_exits_3_with_one_closing_line(capsys, monkeypatch):
+    from lattice_returns import cli
+
+    def inexact(args):
+        raise ArithmeticError("inexact recurrence step at n=7")
+
+    monkeypatch.setattr(cli, "cmd_seq", inexact)
+    code, out, err = run_cli(capsys, "seq", "--kind", "A", "--d", "3", "--N", "4")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("Traceback (most recent call last):")
+    assert err.endswith("\ninternal error: ArithmeticError: "
+                        "inexact recurrence step at n=7\n")
 
 
 def test_unknown_subcommand_is_usage_error(capsys):

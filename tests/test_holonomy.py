@@ -235,14 +235,25 @@ def test_recurrence_catalog_rejects_unknown_dimension():
         catalog.a_recurrence(0)
 
 
+def _singularities_pass(ode, expected):
+    rep = lr.check_singularities(ode, expected)
+    assert rep.passed, rep.to_json_obj()
+    assert rep.parameters["roots"] == sorted(str(r) for r in expected)
+
+
 @pytest.mark.parametrize("d", range(2, 17))
 def test_f_odes_have_order_d_minus_1_and_predicted_singularities(d):
     ode = catalog.f_ode(d)
     assert ode.order == d - 1
-    assert lr.ode_singularities(ode) == (catalog.expected_f_singularities(d), False)
+    _singularities_pass(ode, catalog.expected_f_singularities(d))
     # the A-ODE is derived from the A-recurrence at run time
-    assert (lr.ode_singularities(catalog.a_ode(d))
-            == (catalog.expected_a_singularities(d), False))
+    _singularities_pass(catalog.a_ode(d), catalog.expected_a_singularities(d))
+
+
+@pytest.mark.parametrize("d", [24, 32])
+def test_predicted_singularities_past_the_tested_range(d):
+    _singularities_pass(catalog.f_ode(d), catalog.expected_f_singularities(d))
+    _singularities_pass(catalog.a_ode(d), catalog.expected_a_singularities(d))
 
 
 _z = UniPoly([0, 1])
@@ -404,26 +415,45 @@ def test_ode_to_recurrence_consistency(d):
 # ---------------------------------------------------------------------------
 
 
-def test_ode_singularities_frozen_sets():
-    roots, irr = lr.ode_singularities(catalog.f_ode(3))
-    assert roots == {Fraction(0), Fraction(1), Fraction(1, 9)}
-    assert not irr
-    roots, irr = lr.ode_singularities(catalog.a_ode(4))
-    assert roots == {Fraction(0), Fraction(1, 16), Fraction(1, 64)}
-    assert not irr
+def test_check_singularities_frozen_sets():
+    rep = lr.check_singularities(
+        catalog.f_ode(3), {Fraction(0), Fraction(1), Fraction(1, 9)},
+        {"kind": "X", "d": 3})
+    assert rep.to_json_obj() == {
+        "check": "singularities",
+        "parameters": {"kind": "X", "d": 3, "roots": ["0", "1", "1/9"]},
+        "horizon": 0, "status": "pass"}
+    _singularities_pass(catalog.a_ode(4),
+                        {Fraction(0), Fraction(1, 16), Fraction(1, 64)})
 
 
-def test_ode_singularities_flags_irrational_factor():
-    from lattice_returns.holonomy import LinearODE
+def _singularities_fail(ode, expected, unexplained_degree):
+    rep = lr.check_singularities(ode, expected)
+    assert not rep.passed
+    assert rep.first_failure == {"expected": sorted(str(r) for r in expected),
+                                 "unexplained_degree": unexplained_degree}
+    return rep
 
-    ode = LinearODE(
-        1,
-        (UniPoly([Fraction(1)]), UniPoly([Fraction(-2), Fraction(0), Fraction(1)])),
-        name="irrational",
-    )
-    roots, irr = lr.ode_singularities(ode)
-    assert roots == set()
-    assert irr
+
+def test_check_singularities_fails_on_irrational_factor():
+    # z^2 - 2 has no rational root: nothing divides and degree 2 is left.
+    ode = lr.LinearODE(1, (UniPoly([1]), UniPoly([-2, 0, 1])), name="irrational")
+    assert _singularities_fail(ode, set(), 2).parameters["roots"] == []
+    _singularities_fail(ode, {Fraction(1, 4)}, 2)
+
+
+def test_check_singularities_fails_on_an_unpredicted_root():
+    ode = catalog.f_ode(5)
+    expected = catalog.expected_f_singularities(5)
+    extra = lr.LinearODE(ode.order, ode.coefficients[:-1]
+                         + (ode.coefficients[-1] * UniPoly([-2, 1]),))
+    rep = _singularities_fail(extra, expected, 1)
+    assert rep.parameters["roots"] == sorted(str(r) for r in expected)
+    # A predicted set with one root missing leaves that root's factor.
+    _singularities_fail(ode, expected - {Fraction(1, 9)}, 1)
+    # A predicted root that does not divide: everything else is explained.
+    rep = _singularities_fail(ode, expected | {Fraction(1, 4)}, 0)
+    assert rep.parameters["roots"] == sorted(str(r) for r in expected)
 
 
 def test_expected_singularity_sets():
