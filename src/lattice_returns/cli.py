@@ -7,6 +7,12 @@ JSON carries big integers as decimal strings.  Identical configuration
 produces byte-identical output.  Exit codes: 0 success, 1 verification
 failure, 2 usage or capacity error (one ``error:`` line on stderr), 3
 internal error (the traceback, then one ``internal error:`` line).
+
+Every command writes through one writer, ``_write``.  ``seq`` streams its
+rows as they are made, so after exit 3 stdout (or ``--out``) may hold a
+partial table; usage and capacity errors fire before the first byte, so
+exit 2 writes nothing and creates no ``--out`` file.  A reader that
+closes the pipe early (``| head``) ends the run with exit 0.
 """
 
 from __future__ import annotations
@@ -17,16 +23,27 @@ import json
 import math
 import os
 import sys
+from typing import Iterable
 
 from . import catalog, holonomy, walks
 from .errors import CapacityError, DivergenceError
 
-def _write(out_path: str | None, text: str) -> None:
-    if out_path is None or out_path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(out_path, "w", newline="") as fh:
-            fh.write(text)
+
+def _write(out_path: str | None, chunks: Iterable[str]) -> None:
+    """Write the chunks in order to out_path, or to stdout for None or "-".
+
+    The file is opened when the first chunk arrives, so an error raised
+    before it leaves no file; an existing target (such as /dev/null) is
+    written in place, never unlinked or replaced.  sys.stdout is looked
+    up here, at write time, as test harnesses and tracers swap it.
+    """
+    with contextlib.ExitStack() as stack:
+        write = None
+        for chunk in chunks:
+            if write is None:
+                write = (sys.stdout.write if out_path is None or out_path == "-"
+                         else stack.enter_context(open(out_path, "w", newline="")).write)
+            write(chunk)
 
 
 @contextlib.contextmanager
@@ -58,24 +75,37 @@ def _build_table(kind: str, d: int, N: int) -> walks.SequenceTable:
     return walks.first_returns_fast(d, N)
 
 
+def _seq_csv(args, offset: int, values) -> Iterable[str]:
+    yield _config_comment([("kind", args.kind), ("d", args.d), ("N", args.N),
+                           ("format", args.format)])
+    yield "n,value\n"
+    for n, v in enumerate(values, offset):
+        yield "%d,%s\n" % (n, v)
+
+
+def _seq_json(args, offset: int, values) -> Iterable[str]:
+    """json.dumps of {kind, d, offset, values, N} with indent=2, a value at
+    a time; values is never empty."""
+    yield '{\n  "kind": "%s",\n  "d": %d,\n  "offset": %d,\n  "values": [' % (
+        args.kind, args.d, offset)
+    sep = "\n"
+    for v in values:
+        yield '%s    "%s"' % (sep, v)
+        sep = ",\n"
+    yield '\n  ],\n  "N": %d\n}\n' % args.N
+
+
 def cmd_seq(args) -> int:
     if args.N < (1 if args.kind == "B" else 0):
         raise UsageError("N too small for kind %s" % args.kind)
-    table = (_build_table(args.kind, args.d, args.N) if args.kind == "B" else
-             walks.SequenceTable(args.d, args.kind,  # Decimals print in linear time
-                                 walks.decimal_values(args.kind, args.d, args.N)))
-    config = [("kind", args.kind), ("d", args.d), ("N", args.N),
-              ("format", args.format)]
-    if args.format == "json":
-        obj = table.to_json_obj()
-        obj["N"] = args.N
-        text = json.dumps(obj, indent=2) + "\n"
+    # X and A stream from the recurrence as Decimals, which print in linear
+    # time; B needs the whole A-table for its reciprocal first.
+    if args.kind == "B":
+        offset, values = 1, _build_table("B", args.d, args.N).values
     else:
-        lines = [_config_comment(config), "n,value\n"]
-        for n, v in table.iter_indexed():
-            lines.append("%d,%s\n" % (n, v))
-        text = "".join(lines)
-    _write(args.out, text)
+        offset, values = 0, walks.decimal_values(args.kind, args.d, args.N)
+    render = _seq_json if args.format == "json" else _seq_csv
+    _write(args.out, render(args, offset, values))
     return 0
 
 
@@ -116,7 +146,7 @@ def cmd_layers(args) -> int:
     lines = [_config_comment(config), cols + ",count\n"]
     for point, count in lay.counts.sorted_items():
         lines.append(",".join(str(c) for c in point) + ",%d\n" % count)
-    _write(args.out, "".join(lines))
+    _write(args.out, ["".join(lines)])
     return 0
 
 
@@ -257,7 +287,7 @@ def cmd_verify(args) -> int:
         "status": status,
         "reports": [r.to_json_obj() for r in reports],
     }
-    _write(args.out, json.dumps(obj, indent=2) + "\n")
+    _write(args.out, [json.dumps(obj, indent=2) + "\n"])
     return 0 if status == "pass" else 1
 
 
@@ -275,7 +305,7 @@ def cmd_constants(args) -> int:
     if not bundle.recurrent and args.d <= 7:
         obj["b_1_empirical_fit"] = constants.empirical_b1(
             args.d, bundle.m, n=min(2000, args.N))
-    _write(args.out, json.dumps(obj, indent=2) + "\n")
+    _write(args.out, [json.dumps(obj, indent=2) + "\n"])
     return 0
 
 
@@ -350,7 +380,7 @@ def cmd_asym(args) -> int:
         e, a = exact[n], evals[n].normalized
         rel = abs(e - a) / e if e else math.inf
         lines.append("%d,%r,%r,%r\n" % (n, e, a, rel))
-    _write(args.out, "".join(lines))
+    _write(args.out, ["".join(lines)])
     return 0
 
 
@@ -424,6 +454,12 @@ def main(argv=None) -> int:
     try:
         with _unlimited_int_str():
             return args.func(args)
+    except BrokenPipeError:
+        # The reader closed the pipe (`| head`): end as a complete run
+        # does.  stdout now points at os.devnull, so that the flush at
+        # exit cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except (UsageError, ValueError, CapacityError, DivergenceError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 2

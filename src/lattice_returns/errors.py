@@ -2,7 +2,9 @@
 
 
 class CapacityError(Exception):
-    """A dynamic-programming box would exceed its cell budget."""
+    """A computation would exceed its budget, checked before it allocates:
+    a dynamic-programming box its cell budget, or an exact series
+    reciprocal (every B-table) its multiply-add budget."""
 
 
 class DivergenceError(ArithmeticError):

@@ -30,11 +30,15 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
 
-from .errors import InvertibilityError
+from .errors import CapacityError, InvertibilityError
 from .kernel import RationalLike, UniPoly, binomial, exact, poly_divmod, primitive
 
 if TYPE_CHECKING:  # pragma: no cover
     from .walks import SequenceTable
+
+# Integral reciprocals whose triangular solve would take more multiply-adds
+# than this are refused (N = 4000 terms of B at d = 3 is 7.6e9, about 20 s).
+RECIPROCAL_BUDGET = 10**10
 
 
 class TruncatedSeries:
@@ -241,6 +245,13 @@ def _integral_reciprocal(coeffs: Sequence[int]) -> list[int] | None:
     2^(n-1) R^n: every g_n has at most bits = N - 1 + ceil((N-1) log2 R)
     bits, and primes with product M > 2^(bits+1) determine it.  None if
     ``modular.crt_primes`` has not that many primes.
+
+    The solve makes about N^2 P / 2 multiply-adds over P ~ bits / 26
+    primes; above RECIPROCAL_BUDGET it raises CapacityError before any
+    prime or residue is made, which also bounds the exact loop that
+    ``reciprocal_series`` falls back to.  The residues of f are freed
+    before CRT, so the two N x P int64 matrices of the solve are the
+    largest objects alive.
     """
     import numpy as np
 
@@ -249,6 +260,12 @@ def _integral_reciprocal(coeffs: Sequence[int]) -> list[int] | None:
     N = len(coeffs)
     bits = N - 1 + max((-(-(N - 1) * c.bit_length() // k)
                         for k, c in enumerate(coeffs[1:], 1)), default=0)
+    P = bits // 26 + 1
+    if N * N * P // 2 > RECIPROCAL_BUDGET:
+        raise CapacityError(
+            "series reciprocal of %d terms: N^2 P/2 = %.1e multiply-adds over "
+            "P = %d primes exceeds the budget %.0e"
+            % (N, N * N * P // 2, P, RECIPROCAL_BUDGET))
     chosen = modular.crt_primes(bits + 1)
     if chosen is None:
         return None
@@ -267,6 +284,7 @@ def _integral_reciprocal(coeffs: Sequence[int]) -> list[int] | None:
             acc += np.einsum("ip,ip->p", f_rev[N - 1 - n + j:N - 1 - n + k],
                              g[j:k]) % p
         g[n] = (-coeffs[0] * acc) % p
+    del f_rev
     return modular.crt(g, p, M)
 
 
@@ -395,10 +413,11 @@ def recurrence_to_ode(rec: PRecurrence, name: str = "") -> LinearODE:
         stirling.append([0] + [j * prev[j] + prev[j - 1] for j in range(1, i + 1)])
     columns = [[0] * (r + s + 1) for _ in range(s + 1)]
     for t, poly in enumerate(rec.coefficients):
-        # R_t(x - t) in powers of x, then each x^i as theta^i.
+        # R_t(x - t) in powers of x by Horner's rule, then each x^i as
+        # theta^i.
         shifted = UniPoly()
-        for m, c in enumerate(poly.coeffs):
-            shifted = shifted + c * UniPoly([-t, 1]) ** m
+        for c in reversed(poly.coeffs):
+            shifted = shifted * UniPoly([-t, 1]) + c
         for i, c in enumerate(shifted.coeffs):
             for j in range(i + 1):
                 columns[j][r - t + j] += c * stirling[i][j]

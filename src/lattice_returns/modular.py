@@ -20,7 +20,7 @@ import numpy as np
 
 _LIMB = 16
 CHUNK = 1 << 11
-_ROWS = 256  # rows per block of the float64 limb matrices
+_ROWS = 64  # rows per block of the float64 limb matrices
 # Primes are taken from (2^25, 2^26), which holds 1,894,120 of them.  A
 # bound that may need more than 2^20 is left to the caller's exact route;
 # with at most 2^20 primes the CRT sums stay below 2^9 chunks of 2^53.

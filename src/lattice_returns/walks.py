@@ -22,7 +22,10 @@ The fast paths (``*_fast``) instead iterate the P-recurrences that
 ``catalog`` derives from X_d = I_0(2 sqrt z)^d for every d, seeded from
 the ladder's first terms.  The verify suites that check those
 recurrences and ODEs read the ladder, so they never check an ODE
-against itself.
+against itself.  ``iterate_p_recurrence`` is the one recurrence loop:
+it yields the terms one at a time and holds only the last r, so a
+consumer that prints each term as it comes (``decimal_values`` under
+``seq``) never holds the table, whose digits grow like N^2.
 
 An independent dynamic-programming oracle (full_distribution_dp,
 first_returns_dp) convolves unit steps directly and is used for
@@ -402,35 +405,41 @@ def _values(coeffs: tuple[int, ...], scale) -> Iterator:
     return values if exact else map(mul, values, repeat(scale))
 
 
-def iterate_p_recurrence(rec, seeds: list, N: int, q=1) -> list:
-    """Extend seeds u_0 .. u_{r-1} to u_0 .. u_N, where u_n = v_n / q^n
-    and sum_k P_k(n) v_{n+k} = 0 (r = rec.order).
+def iterate_p_recurrence(rec, seeds: list, N: int, q=1) -> Iterator:
+    """Yield u_0 .. u_N one at a time, from seeds u_0 .. u_{r-1}, where
+    u_n = v_n / q^n and sum_k P_k(n) v_{n+k} = 0 (r = rec.order).
+
+    The arguments are checked at the call: the coefficients must be
+    integers, and there must be r seeds unless N < r, when the seeds are
+    yielded unchanged (ValueError otherwise).  The steps run as the
+    values are consumed, so a step's error raises at the first n it
+    fails, when that value is asked for.
 
     q = 1 with int seeds is exact: the division by the leading coefficient
     must be exact (else ArithmeticError, a bug).  So is q = 1 with
-    ``decimal.Decimal`` integer seeds under a context that traps rounding
-    (``decimal_values``).  An int q > 1 with fixed-point int seeds rounds
-    once per step, u_{n+r} = round(-sum_k P_k(n) q^k u_{n+k} / (P_r(n)
-    q^r)); a float q gives float64, u_{n+r} = -sum_k (P_k(n) q^(k-r))
-    u_{n+k} / P_r(n) summed left to right.  On an A-recurrence with q = (2d)^2 this yields
-    A_{2n}/(2d)^{2n} stably, as every other solution grows like
-    (2k)^{2n} with k < d.  The coefficients must be integers and the
-    leading one nonzero at every n reached (ValueError otherwise); the
-    first n that fails raises.
+    ``decimal.Decimal`` integer seeds while a context that traps rounding
+    is active (``decimal_values``).  An int q > 1 with fixed-point int
+    seeds rounds once per step, u_{n+r} = round(-sum_k P_k(n) q^k u_{n+k}
+    / (P_r(n) q^r)); a float q gives float64, u_{n+r} = -sum_k (P_k(n)
+    q^(k-r)) u_{n+k} / P_r(n) summed left to right.  On an A-recurrence
+    with q = (2d)^2 this yields A_{2n}/(2d)^{2n} stably, as every other
+    solution grows like (2k)^{2n} with k < d.  The leading coefficient
+    must be nonzero at every n reached (ValueError at the first that is
+    not).
 
     The coefficient columns are lazy (``_values``): P_k(n) q^k for an int
     q, with P_r(n) q^r when rounding and P_r(n) when exact, or
     P_k(n) q^(k-r) and P_r(n) for a float q.  The mode picks its division
-    step before the one loop over the zipped rows, and no column is
-    held as a list.
+    step before the one loop over the zipped rows; only the last r values
+    are held.
     """
     r = rec.order
     polys = [_integer_coeffs(p) for p in rec.coefficients]
-    vals = list(seeds)
+    seeds = list(seeds)
     if N < r:
-        return vals
-    if len(vals) != r:
-        raise ValueError("need %d seeds, got %d" % (r, len(vals)))
+        return iter(seeds)
+    if len(seeds) != r:
+        raise ValueError("need %d seeds, got %d" % (r, len(seeds)))
     if not isinstance(q, int):
         scales = [q ** (k - r) for k in range(r)] + [1]
         # reduce, not sum: from Python 3.12 sum() compensates float sums.
@@ -453,18 +462,21 @@ def iterate_p_recurrence(rec, seeds: list, N: int, q=1) -> list:
             if rem:
                 raise ArithmeticError("P-recurrence division not exact at n=%d" % n)
             return quo
-    window = deque(vals, maxlen=r)
     *columns, leads = [_values(p, s) for p, s in zip(polys, scales)]
-    try:
-        for n, row, lead in zip(range(N - r + 1), zip(*columns), leads):
-            v = step(total(map(mul, row, window), 0), lead, n)
-            window.append(v)
-            vals.append(v)
-    except ZeroDivisionError:
-        # Every mode divides by the leading coefficient, so a zero one
-        # raises here, at the first n it vanishes.
-        raise ValueError("leading coefficient is 0 at n=%d" % n) from None
-    return vals
+
+    def run():
+        yield from seeds
+        window = deque(seeds, maxlen=r)
+        try:
+            for n, row, lead in zip(range(N - r + 1), zip(*columns), leads):
+                v = step(total(map(mul, row, window), 0), lead, n)
+                window.append(v)
+                yield v
+        except ZeroDivisionError:
+            # Every mode divides by the leading coefficient, so a zero one
+            # raises here, at the first n it vanishes.
+            raise ValueError("leading coefficient is 0 at n=%d" % n) from None
+    return run()
 
 
 def recurrence_values(kind: str, d: int, N: int, q=1, bits: int = 0) -> list:
@@ -482,31 +494,46 @@ def recurrence_values(kind: str, d: int, N: int, q=1, bits: int = 0) -> list:
     elif q > 1:
         vals = [round_div(v << bits, q**n) for n, v in enumerate(ladder)]
     else:
-        vals = list(ladder)
-    return iterate_p_recurrence(rec, vals, N, q)
+        vals = ladder
+    return list(iterate_p_recurrence(rec, vals, N, q))
 
 
-def decimal_values(kind: str, d: int, N: int) -> list:
-    """recurrence_values(kind, d, N) as ``decimal.Decimal`` integers, whose
-    str() is linear in the digits where an int's is quadratic.  Every
-    rounding traps, so a wrong recurrence raises as in the int route."""
+def decimal_values(kind: str, d: int, N: int) -> Iterator[decimal.Decimal]:
+    """Yield recurrence_values(kind, d, N) one at a time as
+    ``decimal.Decimal`` integers, whose str() is linear in the digits
+    where an int's is quadratic.  Each step runs under a context that
+    traps every rounding, so a wrong recurrence raises as in the int
+    route; the caller's own context is active between items.  The
+    recurrence and its seeds are fetched at the call, so a bad d raises
+    there."""
     rec = catalog.x_recurrence(d) if kind == "X" else catalog.a_recurrence(d)
     seeds = recurrence_values(kind, d, min(N, rec.order - 1))
-    with decimal.localcontext(decimal.Context(
-            prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN,
-            traps=[decimal.Inexact, decimal.Rounded, decimal.InvalidOperation,
-                   decimal.DivisionByZero])):
-        return iterate_p_recurrence(rec, list(map(decimal.Decimal, seeds)), N)
+    values = iterate_p_recurrence(rec, map(decimal.Decimal, seeds), N)
+    exact = decimal.Context(
+        prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN,
+        traps=[decimal.Inexact, decimal.Rounded, decimal.InvalidOperation,
+               decimal.DivisionByZero])
+
+    def run():
+        while True:
+            # The context wraps the step, never the yield, which would
+            # leave it active in the caller.
+            with decimal.localcontext(exact):
+                v = next(values, None)
+            if v is None:
+                return
+            yield v
+    return run()
 
 
 def x_sequence_fast(d: int, N: int) -> SequenceTable:
     """x-table via the catalog's P-recurrence (see ``recurrence_values``)."""
-    return SequenceTable(d, "X", tuple(recurrence_values("X", d, N)))
+    return SequenceTable(d, "X", recurrence_values("X", d, N))
 
 
 def closed_walks_fast(d: int, N: int) -> SequenceTable:
     """A-table via the catalog's P-recurrence (see ``recurrence_values``)."""
-    return SequenceTable(d, "A", tuple(recurrence_values("A", d, N)))
+    return SequenceTable(d, "A", recurrence_values("A", d, N))
 
 
 def first_returns_fast(d: int, N: int) -> SequenceTable:

@@ -9,6 +9,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -86,6 +87,19 @@ def test_seq_prints_integers_past_the_str_digit_limit(capsys):
     assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
 
 
+def _assert_seq_renders(capsys, table, N):
+    """seq streams exactly what rendering the whole table gave: one
+    "%d,%s" line per row, and json.dumps(obj, indent=2)."""
+    kind, d = table.kind, table.dimension
+    _, out, _ = run_cli(capsys, "seq", "--kind", kind, "--d", str(d), "--N", str(N))
+    assert out == "# kind=%s d=%d N=%d format=csv\nn,value\n" % (kind, d, N) \
+        + "".join("%d,%s\n" % nv for nv in table.iter_indexed())
+    _, out, _ = run_cli(capsys, "seq", "--kind", kind, "--d", str(d),
+                        "--N", str(N), "--format", "json")
+    obj = dict(table.to_json_obj(), N=N)
+    assert out == json.dumps(obj, indent=2) + "\n"
+
+
 @pytest.mark.parametrize("d", range(1, 10))
 def test_seq_decimal_tables_print_the_int_tables(capsys, d):
     # X and A print from Decimals; the bytes are those of the int tables.
@@ -93,20 +107,88 @@ def test_seq_decimal_tables_print_the_int_tables(capsys, d):
     for kind, build in (("X", lr.x_sequence_fast), ("A", lr.closed_walks_fast)):
         full = build(d, 300).values
         for N in sorted({0, 1, order - 1, order, 300}):
-            table = walks.SequenceTable(d, kind, full[:N + 1])
-            _, out, _ = run_cli(capsys, "seq", "--kind", kind, "--d", str(d),
-                                "--N", str(N))
-            assert out == "# kind=%s d=%d N=%d format=csv\nn,value\n" % (kind, d, N) \
-                + "".join("%d,%d\n" % nv for nv in table.iter_indexed())
-            _, out, _ = run_cli(capsys, "seq", "--kind", kind, "--d", str(d),
-                                "--N", str(N), "--format", "json")
-            obj = dict(table.to_json_obj(), N=N)
-            assert out == json.dumps(obj, indent=2) + "\n"
+            _assert_seq_renders(capsys, walks.SequenceTable(d, kind, full[:N + 1]), N)
+
+
+@pytest.mark.parametrize("d", range(1, 10))
+def test_seq_b_tables_stream_the_whole_table_rendering(capsys, d):
+    order = catalog.a_recurrence(d).order
+    full = lr.first_returns_fast(d, 300).values
+    for N in sorted({1, order - 1, order, 300} - {0}):
+        _assert_seq_renders(capsys, walks.SequenceTable(d, "B", full[:N]), N)
 
 
 def test_seq_usage_error(capsys):
     code, _, err = run_cli(capsys, "seq", "--kind", "B", "--d", "3", "--N", "0")
     assert code == 2 and "error" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["seq", "--kind", "B", "--d", "3", "--N", "0"],
+    ["seq", "--kind", "A", "--d", "0", "--N", "5"],
+    ["seq", "--kind", "X", "--d", "0", "--N", "5", "--format", "json"],
+    ["verify", "lucas", "--kind", "B", "--d", "3", "--p", "101"],
+], ids=["usage", "bad-d-csv", "bad-d-json", "capacity"])
+def test_refusals_create_no_out_file(capsys, tmp_path, argv):
+    # The writer opens --out at its first chunk, which comes after every
+    # usage and capacity check.
+    path = tmp_path / "out.txt"
+    code, out, err = run_cli(capsys, *argv, "--out", str(path))
+    assert code == 2 and out == "" and err.count("\n") == 1
+    assert not path.exists()
+
+
+def test_out_target_is_written_in_place(capsys, tmp_path):
+    # An existing target keeps its inode: --out /dev/null must stay a device.
+    path = tmp_path / "out.csv"
+    path.write_text("old contents, longer than the table\n" * 10)
+    inode = path.stat().st_ino
+    code, _, _ = run_cli(capsys, "seq", "--kind", "A", "--d", "3", "--N", "4",
+                         "--out", str(path))
+    assert code == 0 and path.stat().st_ino == inode
+    assert path.read_text().endswith("n,value\n0,1\n1,6\n2,90\n3,1860\n4,44730\n")
+
+
+# A child's ru_maxrss counts the pages of the process it was forked from,
+# so the CLI is spawned from this small interpreter, not from pytest.
+_RSS_PROBE = """
+import os, subprocess, sys
+proc = subprocess.Popen([sys.executable, "-m", "lattice_returns.cli", *sys.argv[1:]],
+                        stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(proc.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss / 1024)
+"""
+
+
+def test_seq_streams_in_bounded_memory():
+    # An N-term A-table holds about N^2 digits: 37 MB of text at N = 6000.
+    # Streamed, the run stays near the interpreter's own footprint, where
+    # holding the table and its text took over 100 MB.
+    out = subprocess.run([sys.executable, "-c", _RSS_PROBE, "seq", "--kind", "A",
+                          "--d", "5", "--N", "6000"],
+                         capture_output=True, text=True, env=_src_env(), check=True)
+    code, peak_mb = out.stdout.split()
+    assert code == "0" and out.stderr == ""
+    assert float(peak_mb) < 40, "peak RSS %s MB" % peak_mb
+
+
+@pytest.mark.parametrize("argv", [
+    ["seq", "--kind", "A", "--d", "5", "--N", "2400"],
+    ["seq", "--kind", "X", "--d", "3", "--N", "2000", "--format", "json"],
+    ["seq", "--kind", "B", "--d", "3", "--N", "400"],
+])
+def test_seq_into_a_closed_pipe_exits_quietly(argv):
+    # `seq ... | head -1`: the reader leaves after one line, long before
+    # the table ends, and the run ends with exit 0 and nothing on stderr.
+    with subprocess.Popen([sys.executable, "-m", "lattice_returns.cli", *argv],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          env=_src_env()) as proc:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    assert code == 0
+    assert first.startswith((b"#", b"{")) and err == b""
 
 
 # ---------------------------------------------------------------------------
@@ -332,6 +414,21 @@ def test_verify_refuses_a_non_prime_p_before_any_table(capsys, monkeypatch):
                              "--kind", "A")
     assert code == 2
     assert out == "" and err == "error: 1000 is not prime\n"
+
+
+def test_verify_lucas_refuses_a_b_table_past_the_budget(capsys, monkeypatch):
+    # p = 101 needs 10,302 exact B terms: the reciprocal's estimate is
+    # refused before any prime or residue is made.
+    def no_primes(bits):
+        raise AssertionError("chose primes for %d bits" % bits)
+
+    monkeypatch.setattr(lr.modular, "crt_primes", no_primes)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "verify", "lucas", "--kind", "B", "--p", "101")
+    assert time.perf_counter() - start < 2
+    assert code == 2 and out == "" and err.count("\n") == 1
+    assert err.startswith("error: series reciprocal of 10303 terms: N^2 P/2 = ")
+    assert err.endswith(" exceeds the budget 1e+10\n")
 
 
 def test_verify_all_builds_one_ladder_per_dimension(capsys, monkeypatch):

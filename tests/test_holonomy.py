@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import lattice_returns as lr
 from lattice_returns import catalog, modular
-from lattice_returns.errors import InvertibilityError
+from lattice_returns.errors import CapacityError, InvertibilityError
 from lattice_returns.holonomy import TruncatedSeries, is_prime
 from lattice_returns.kernel import UniPoly, primitive
 
@@ -135,6 +135,16 @@ def test_integral_reciprocal_leaves_huge_bounds_to_the_exact_loop():
     f1 = 1 << (25 << 20)
     assert holonomy._integral_reciprocal([1, f1]) is None
     assert lr.reciprocal_series(TruncatedSeries([1, f1])).coeffs == [1, -f1]
+
+
+def test_integral_reciprocal_refuses_work_past_the_budget():
+    from lattice_returns import holonomy
+
+    # 10^4 unit coefficients: about 2 * 10^4 bits, 770 primes and 3.8e10
+    # multiply-adds, refused before any residue.
+    with pytest.raises(CapacityError, match=r"N\^2 P/2 = 3\.8e\+10 .* budget 1e\+10$"):
+        holonomy._integral_reciprocal([1] * 10**4)
+    assert holonomy._integral_reciprocal([1] * 2000) == [1, -1] + [0] * 1998
 
 
 def test_series_from_sequence_offsets():

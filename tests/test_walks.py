@@ -6,6 +6,7 @@ table literals are frozen here independently of the package's embedded
 fixtures.
 """
 
+import decimal
 import itertools
 import math
 from collections import Counter
@@ -177,21 +178,21 @@ def _perturbed(rec, delta):
 def test_iterate_p_recurrence_rejects_inexact_division():
     rec = catalog.x_recurrence(3)
     seeds = list(lr.x_sequence(3, 1).values)
-    assert iterate_p_recurrence(rec, seeds, 30) == list(lr.x_sequence(3, 30).values)
+    assert list(iterate_p_recurrence(rec, seeds, 30)) == list(lr.x_sequence(3, 30).values)
     with pytest.raises(ArithmeticError):
-        iterate_p_recurrence(_perturbed(rec, 1), seeds, 30)
+        list(iterate_p_recurrence(_perturbed(rec, 1), seeds, 30))
 
 
 @pytest.mark.parametrize("kind, name", [("X", "x_recurrence"), ("A", "a_recurrence")])
 def test_decimal_values_reject_a_perturbed_recurrence(kind, name, monkeypatch):
     # The decimal route divides exactly, as the int route does: a
     # coefficient off by one raises instead of rounding.
-    assert walks.decimal_values(kind, 5, 60) == walks.recurrence_values(kind, 5, 60)
+    assert list(walks.decimal_values(kind, 5, 60)) == walks.recurrence_values(kind, 5, 60)
     rec = getattr(catalog, name)(5)
     monkeypatch.setattr(catalog, name, lambda d: _perturbed(rec, 1))
     for values in (walks.recurrence_values, walks.decimal_values):
         with pytest.raises(ArithmeticError):
-            values(kind, 5, 60)
+            list(values(kind, 5, 60))
 
 
 def test_iterate_p_recurrence_rejects_fractional_coefficient():
@@ -200,13 +201,36 @@ def test_iterate_p_recurrence_rejects_fractional_coefficient():
         iterate_p_recurrence(rec, [1, 3], 10)
 
 
+def test_iterate_p_recurrence_checks_its_arguments_at_the_call():
+    # Lazy steps, eager checks: nothing is consumed below.
+    rec = catalog.x_recurrence(3)
+    with pytest.raises(ValueError, match="need 2 seeds, got 1"):
+        iterate_p_recurrence(rec, [1], 10)
+    with pytest.raises(ValueError, match="not an integer"):
+        iterate_p_recurrence(_perturbed(rec, Fraction(1, 2)), [1, 3], 10)
+    with pytest.raises(ValueError, match="dimension"):
+        walks.decimal_values("A", 0, 10)
+    values = iterate_p_recurrence(rec, [1, 3], 10 ** 9)
+    assert next(values) == 1 and next(values) == 3 and next(values) == 15
+
+
+def test_decimal_values_leave_the_callers_context_between_items():
+    # The exact context wraps each step, never the yield.
+    context = decimal.getcontext()
+    values = walks.decimal_values("A", 5, 40)
+    for n, v in enumerate(values):
+        assert decimal.getcontext() is context, n
+        assert context.prec == 28 and not context.traps[decimal.Inexact]
+    assert n == 40 and v == lr.closed_walks_fast(5, 40).values[-1]
+
+
 def test_iterate_p_recurrence_rejects_vanishing_leading_coefficient():
     # (n - 3) u_{n+1} = (n - 3) u_n: the division fails at n = 3.
     rec = lr.PRecurrence(1, (lr.UniPoly([3, -1]), lr.UniPoly([-3, 1])))
-    assert iterate_p_recurrence(rec, [1], 3) == [1, 1, 1, 1]
+    assert list(iterate_p_recurrence(rec, [1], 3)) == [1, 1, 1, 1]
     for seeds in ([1], [1.0]):
         with pytest.raises(ValueError, match="n=3"):
-            iterate_p_recurrence(rec, seeds, 10)
+            list(iterate_p_recurrence(rec, seeds, 10))
 
 
 def _reference_iterate(rec, seeds, N, q=1):
@@ -268,7 +292,7 @@ def test_iterate_p_recurrence_matches_the_per_step_loop(d, mode):
     seeds, q = _mode_args(d, mode, Ns[-1])
     want = _reference_iterate(rec, seeds, Ns[-1], q)
     for N in Ns:
-        got = iterate_p_recurrence(rec, seeds, N, q)
+        got = list(iterate_p_recurrence(rec, seeds, N, q))
         assert got == want[:N + 1]
         assert {type(v) for v in got} == {int if isinstance(q, int) else float}
 
@@ -278,10 +302,10 @@ def test_iterate_p_recurrence_raises_at_the_first_failing_n():
     # n = 2, inexact at n = 3, and the leading coefficient vanishes at
     # n = 10, later.
     rec = lr.PRecurrence(1, (lr.UniPoly([10, 1, -3, 1]), lr.UniPoly([-10, 1])))
-    assert iterate_p_recurrence(rec, [1], 3) == [1, 1, 1, 1]
+    assert list(iterate_p_recurrence(rec, [1], 3)) == [1, 1, 1, 1]
     for run in (iterate_p_recurrence, _reference_iterate):
         with pytest.raises(ArithmeticError, match="not exact at n=3$"):
-            run(rec, [1], 20)
+            list(run(rec, [1], 20))
 
 
 @pytest.mark.parametrize("seeds, q", [([1], 1), ([1 << 20], 2), ([1.0], 2.0)],
@@ -290,10 +314,10 @@ def test_iterate_p_recurrence_vanishing_lead_far_along(seeds, q):
     # (n - c) u_{n+1} = (n - c) u_n / q: every mode stops at n = c.
     c = 5000
     rec = lr.PRecurrence(1, (lr.UniPoly([c, -1]), lr.UniPoly([-c, 1])))
-    assert len(iterate_p_recurrence(rec, seeds, c, q)) == c + 1
+    assert len(list(iterate_p_recurrence(rec, seeds, c, q))) == c + 1
     for run in (iterate_p_recurrence, _reference_iterate):
         with pytest.raises(ValueError, match="is 0 at n=%d$" % c):
-            run(rec, seeds, c + 10, q)
+            list(run(rec, seeds, c + 10, q))
 
 
 def test_first_return_closed_form_1d():
