@@ -35,7 +35,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache, reduce
 
-from .holonomy import LinearODE, PRecurrence, recurrence_to_ode
+from .holonomy import LinearODE, PRecurrence, recurrence_to_ode, theta_to_recurrence
 from .kernel import UniPoly, poly_divmod, poly_gcd, primitive
 
 _z = UniPoly([0, 1])
@@ -77,28 +77,26 @@ def x_recurrence(d: int) -> PRecurrence:
     Franel recurrence
     (n+2)^2 x_{n+2} - (10n^2+30n+23) x_{n+1} + 9(n+1)^2 x_n = 0.
 
-    With Q_i(m) = sum_k q_{k,i} m^k and I the z-degree of the kernel,
-    [z^(n+I)] of the operator gives the coefficient
-    Q_{I-j}(n+j) prod_{l=j+1..I} (n+l)^2 of x_{n+j}.  Their common factor,
-    (n+I)^2 for every d measured (1..16), and their content are divided
-    out.  If the leading coefficient does not vanish at n = -I, every
-    coefficient is multiplied by n + I: ``recurrence_to_ode`` leaves that
-    value times x_0 as the operator's constant term, so the factor makes
-    the ODE homogeneous.
+    The kernel is the theta-form sum_i z^i Q_i(theta), Q_i(m) =
+    sum_k q_{k,i} m^k, of z-degree I.  Its recurrence in c_n = x_n/n!^2
+    (``theta_to_recurrence``), times (n+I)!^2/n!^2, gives x_{n+j} the
+    coefficient Q_{I-j}(n+j) prod_{l=j+1..I} (n+l)^2.  Their common
+    factor, (n+I)^2 for every d measured (1..16), and their content are
+    divided out.  If the leading coefficient does not vanish at n = -I,
+    every coefficient is multiplied by n + I: ``recurrence_to_ode`` leaves
+    that value times x_0 as the operator's constant term, so the factor
+    makes the ODE homogeneous.
     """
     if d < 1:
         raise ValueError("dimension must be >= 1, got %d" % d)
     q = _theta_kernel(d)
     order = max(p.degree for p in q)
-    polys = []
-    for j in range(order + 1):
-        poly = UniPoly()
-        for qk in reversed(q):
-            c = qk.coeffs[order - j] if order - j <= qk.degree else 0
-            poly = poly * UniPoly([j, 1]) + c
+    polys = theta_to_recurrence(
+        [UniPoly(p.coeffs[i] if i <= p.degree else 0 for p in q)
+         for i in range(order + 1)])
+    for j in range(order):
         for l in range(j + 1, order + 1):
-            poly = poly * UniPoly([l, 1]) ** 2
-        polys.append(poly)
+            polys[j] *= UniPoly([l, 1]) ** 2
     common = reduce(poly_gcd, polys)
     polys = primitive(poly_divmod(p, common)[0] for p in polys)
     if polys[-1](-order):

@@ -11,8 +11,9 @@ internal error (the traceback, then one ``internal error:`` line).
 Every command writes through one writer, ``_write``.  ``seq`` streams its
 rows as they are made, so after exit 3 stdout (or ``--out``) may hold a
 partial table; usage and capacity errors fire before the first byte, so
-exit 2 writes nothing and creates no ``--out`` file.  A reader that
-closes the pipe early (``| head``) ends the run with exit 0.
+exit 2 writes nothing and creates no ``--out`` file (nor does an ``--out``
+that cannot be written, refused first).  A reader that closes the pipe
+early (``| head``) ends the run with exit 0.
 """
 
 from __future__ import annotations
@@ -44,6 +45,18 @@ def _write(out_path: str | None, chunks: Iterable[str]) -> None:
                 write = (sys.stdout.write if out_path is None or out_path == "-"
                          else stack.enter_context(open(out_path, "w", newline="")).write)
             write(chunk)
+
+
+def _check_out(out_path: str | None) -> None:
+    """UsageError unless ``_write`` can open out_path: a writable file, or
+    a new one in a writable directory (None and "-" are stdout)."""
+    if out_path in (None, "-"):
+        return
+    folder = os.path.dirname(out_path) or "."
+    target = out_path if os.path.exists(out_path) else folder
+    if (os.path.isdir(out_path) or not os.path.isdir(folder)
+            or not os.access(target, os.W_OK)):
+        raise UsageError("--out %s is not a writable file" % out_path)
 
 
 @contextlib.contextmanager
@@ -314,17 +327,15 @@ def cmd_constants(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _exact_normalized_a(d: int, ns: list[int]) -> dict[int, float]:
-    from mpmath import mp, mpf
+    """A_{2n} (pi n)^(d/2) / (2d)^(2n) from the constants' summands."""
+    from mpmath import mp
 
     from . import constants
 
-    table = walks.closed_walks_fast(d, max(ns))
-    out = {}
+    us, bits = constants._normalized_a_summands_mp(d, max(ns))
     with mp.workdps(constants.DPS):
-        for n in ns:
-            v = mpf(table.value(n)) * (mp.pi * n) ** (mpf(d) / 2) / mpf(2 * d) ** (2 * n)
-            out[n] = float(v)
-    return out
+        return {n: float(mp.ldexp(us[n], -bits) * (mp.pi * n) ** (mp.mpf(d) / 2))
+                for n in ns}
 
 
 def _exact_normalized_b(d: int, ns: list[int]) -> dict[int, float]:
@@ -452,6 +463,7 @@ def main(argv=None) -> int:
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     # The int/str limit guards parsing, which argparse has finished.
     try:
+        _check_out(args.out)
         with _unlimited_int_str():
             return args.func(args)
     except BrokenPipeError:

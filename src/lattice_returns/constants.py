@@ -23,7 +23,7 @@ such; the underlying series admit no desk-scale rigorous bounds.
 
 mpmath loads with the module.  numpy loads inside the functions that
 build float arrays (normalized_a_series, _series_inverse_float and
-build_bundle), so ``asym --kind A``, which reads only DPS, never loads it.
+build_bundle), so ``asym --kind A``, which reads the summands, never loads it.
 """
 
 from __future__ import annotations
@@ -117,13 +117,11 @@ class ConstantsBundle:
 
 def _normalized_a_summands_mp(d: int, N: int) -> tuple[list[int], int]:
     """(U, bits), U_n = round(t_n 2^bits) for n <= N: the one summand list
-    the constants of dimension d come from.  Past PREC, bits holds
-    (d//2 + 2) log2 N bits for the (d/2) log2 N that t_N ~ N^{-d/2} loses
-    and the rounding errors the recurrence carries (see _estimate), and 32
-    spare: at d = 5, N = 4000 the worst relative error is 5e-55, with 8
-    guard bits in their place 6e-33."""
-    if N < 8:
-        raise ValueError("N too small to anchor the tail estimate")
+    of dimension d, for its constants and ``asym --kind A``.  Past PREC,
+    bits holds (d//2 + 2) log2 N bits for the (d/2) log2 N that
+    t_N ~ N^{-d/2} loses and the rounding errors the recurrence carries
+    (see _estimate), and 32 spare: at d = 5, N = 4000 the worst relative
+    error is 5e-55, with 8 guard bits in their place 6e-33."""
     bits = PREC + (d // 2 + 2) * N.bit_length() + 32
     return walks.recurrence_values("A", d, N, (2 * d) ** 2, bits), bits
 
@@ -140,6 +138,8 @@ def _estimate(d: int, us: list[int], bits: int, weight: int) -> Estimate:
     """sum_n n^weight t_n over the fixed-point summands us plus the tail
     beyond N, the asymptotic integrand summed over n > N, at DPS digits."""
     N = len(us) - 1
+    if N < 8:
+        raise ValueError("N too small to anchor the tail estimate")
     with mp.workdps(DPS):
         total = sum(us) if weight == 0 else sum(n * u for n, u in enumerate(us))
         partial = mp.ldexp(total, -bits)

@@ -5,20 +5,23 @@ congruences; and the translations between ODEs and P-recurrences.
 
 Every operation here is exact; a "pass" means an identity of integers or
 rationals held on the nose, not to within a tolerance.  Polynomial
-arithmetic (products, division, content) is ``kernel``'s alone: an ODE
-multiplies its series through ``TruncatedSeries``, and the singularity
-check divides the predicted factors out of the leading coefficient with
-``kernel.poly_divmod`` instead of searching for roots.
+arithmetic (products, shifts, division, content) is ``kernel``'s alone:
+series products and ``apply_ode`` call ``kernel.product``, and the
+singularity check divides the predicted factors out of the leading
+coefficient with ``kernel.poly_divmod`` instead of searching for roots.
+``theta_to_recurrence`` is the one reading of an operator in
+theta = z d/dz as a recurrence.
 
 ``reciprocal_series`` inverts an int series with constant term +-1 (every
 B = 1 - 1/A table) by a multi-modular route: the majorant
 1/(1 - sum_{k>=1} R^k z^k), log2 R = max_k bitlen(f_k)/k, bounds the
 inverse's coefficients; the triangular recurrence runs in numpy modulo
 just enough primes below 2^26 to cover twice that bound, and CRT
-rebuilds each coefficient (``modular``).  ``TruncatedSeries.__mul__`` stays a
-schoolbook product of Python ints, so the Hadamard suite's
-(1 - B) A = 1 checks the inverse by an independent route: a CRT product
-sharing a too-small bound would agree with a wrong B modulo the same M.
+rebuilds each coefficient (``modular``).  ``TruncatedSeries.__mul__``
+stays a schoolbook product of Python ints (``kernel.product``), so the
+Hadamard suite's (1 - B) A = 1 checks the inverse by an independent
+route: a CRT product sharing a too-small bound would agree with a wrong
+B modulo the same M.
 
 This inverse imports numpy and ``modular`` on first use, so the other
 exact paths never load them.
@@ -31,7 +34,8 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
 
 from .errors import CapacityError, InvertibilityError
-from .kernel import RationalLike, UniPoly, binomial, exact, poly_divmod, primitive
+from .kernel import (RationalLike, UniPoly, binomial, exact, poly_divmod, primitive,
+                     product)
 
 if TYPE_CHECKING:  # pragma: no cover
     from .walks import SequenceTable
@@ -76,15 +80,8 @@ class TruncatedSeries:
     def __mul__(self, other) -> "TruncatedSeries":
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        N = min(self.order, other.order)
-        out = [0] * N
-        for i, a in enumerate(self.coeffs[:N]):
-            if a:
-                for j in range(N - i):
-                    b = other.coeffs[j]
-                    if b:
-                        out[i + j] += a * b
-        return TruncatedSeries(out)
+        return TruncatedSeries(product(self.coeffs, other.coeffs,
+                                       min(self.order, other.order)))
 
     def differentiate(self) -> "TruncatedSeries":
         """Formal derivative; order drops by one."""
@@ -330,18 +327,15 @@ def apply_ode(ode: LinearODE, f: TruncatedSeries) -> tuple[TruncatedSeries, int]
             "series order %d too small for ODE of order %d, degree %d"
             % (f.order, ode.order, ode.max_degree)
         )
-    residual = None
+    residual = [0] * horizon
     deriv = f
-    for k in range(ode.order + 1):
+    for k, q in enumerate(ode.coefficients):
         if k > 0:
             deriv = deriv.differentiate()
-        # The polynomial, padded to the derivative's order, is the left
-        # operand: the product skips its zero coefficients, so this costs
-        # O(degree * order).
-        q = ode.coefficients[k].coeffs
-        term = TruncatedSeries(q + (0,) * (deriv.order - len(q))) * deriv
-        residual = term if residual is None else residual + term
-    return residual.truncate(horizon), horizon
+        # O(degree * horizon): the polynomial is the outer factor.
+        for i, c in enumerate(product(q.coeffs, deriv.coeffs, horizon)):
+            residual[i] += c
+    return TruncatedSeries(residual), horizon
 
 
 def check_ode(ode: LinearODE, f: TruncatedSeries, label: dict | None = None
@@ -363,35 +357,38 @@ def check_ode(ode: LinearODE, f: TruncatedSeries, label: dict | None = None
     )
 
 
+def theta_to_recurrence(theta_form: Sequence[UniPoly]) -> list[UniPoly]:
+    """The recurrence of the operator sum_m z^m P_m(theta), theta = z d/dz,
+    given as [P_0, ..., P_M]: as theta z^n = n z^n, [z^(n+M)] of the
+    operator applied to sum_n u_n z^n is sum_t R_t(n) u_{n+t} with
+    R_t(n) = P_{M-t}(n + t), t = 0 .. M."""
+    M = len(theta_form) - 1
+    return [theta_form[M - t].shift(t) for t in range(M + 1)]
+
+
 def ode_to_recurrence(ode: LinearODE) -> PRecurrence:
     """Translate an ODE into the recurrence its coefficients satisfy.
 
-    From [z^n] of Q(z) f^(k)(z) with Q = sum_j q_j z^j:
-
-        sum_{k,j} q_{k,j} * ff(n - j + k, k) * u_{n-j+k}
-
-    (ff = falling factorial).  Shifting n by g = max(j - k) over the
-    nonzero q_{k,j}, the least shift that makes every offset nonnegative,
-    gives the recurrence R with sum_t R_t(n) u_{n+t} = 0 for all n >= 0,
-    t ranging over 0 .. order + g.  Because the shift is least, R_0 is
-    not identically zero unless its terms cancel.  The catalog derives
-    its recurrences without it; the tests use it to translate the
-    printed ODEs independently.
+    z^j D^k = z^(j-k) ff(theta, k) (ff = falling factorial), so with
+    s = max(k - j) over the nonzero q_{k,j} (the z^j coefficient of the
+    k-th polynomial), z^s times the ODE is the theta-form read by
+    ``theta_to_recurrence``, P_m = sum_{j-k+s=m} q_{k,j} ff(theta, k).
+    Each P_m sums falling factorials of distinct degrees, so neither end
+    of the recurrence vanishes.  The catalog derives its recurrences
+    without it; the tests use it to translate the printed ODEs
+    independently.
     """
     terms = [(k, j, qj) for k, q in enumerate(ode.coefficients)
              for j, qj in enumerate(q.coeffs) if qj]
-    g = max(j - k for k, j, _ in terms)
-    shifts: dict[int, UniPoly] = {}
+    s = max(k - j for k, j, _ in terms)
+    falling = [UniPoly([1])]
+    for k in range(ode.order):
+        falling.append(falling[-1] * UniPoly([-k, 1]))
+    theta_form = [UniPoly()] * (max(j - k for k, j, _ in terms) + s + 1)
     for k, j, qj in terms:
-        t = k - j + g
-        # ff(n + t, k) as a polynomial in n: product_{i<k} (n + t - i).
-        poly = UniPoly([qj])
-        for i in range(k):
-            poly = poly * UniPoly([t - i, 1])
-        shifts[t] = shifts.get(t, UniPoly()) + poly
-    max_t = max(t for t, p in shifts.items() if p)
-    coeffs = tuple(shifts.get(t, UniPoly()) for t in range(max_t + 1))
-    return PRecurrence(max_t, coeffs, name=(ode.name + " (translated)") if ode.name else "")
+        theta_form[j - k + s] += qj * falling[k]
+    return PRecurrence(len(theta_form) - 1, tuple(theta_to_recurrence(theta_form)),
+                       name=(ode.name + " (translated)") if ode.name else "")
 
 
 def recurrence_to_ode(rec: PRecurrence, name: str = "") -> LinearODE:
@@ -413,12 +410,8 @@ def recurrence_to_ode(rec: PRecurrence, name: str = "") -> LinearODE:
         stirling.append([0] + [j * prev[j] + prev[j - 1] for j in range(1, i + 1)])
     columns = [[0] * (r + s + 1) for _ in range(s + 1)]
     for t, poly in enumerate(rec.coefficients):
-        # R_t(x - t) in powers of x by Horner's rule, then each x^i as
-        # theta^i.
-        shifted = UniPoly()
-        for c in reversed(poly.coeffs):
-            shifted = shifted * UniPoly([-t, 1]) + c
-        for i, c in enumerate(shifted.coeffs):
+        # R_t(x - t) in powers of x, then each x^i as theta^i.
+        for i, c in enumerate(poly.shift(-t).coeffs):
             for j in range(i + 1):
                 columns[j][r - t + j] += c * stirling[i][j]
     low = min(i for col in columns for i, c in enumerate(col) if c)

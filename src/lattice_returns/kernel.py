@@ -1,5 +1,5 @@
-"""Exact arithmetic kernel: big integers, rationals, univariate polynomials,
-and binomial coefficients.
+"""Exact arithmetic kernel: big integers, rationals, univariate polynomials
+(the one schoolbook ``product`` and Taylor ``shift``), and binomials.
 
 Walk counts are plain Python ints (arbitrary precision, never rounded).
 Every exact value goes through ``exact``: an int when it is integral, a
@@ -115,14 +115,7 @@ class UniPoly:
         if other is None:
             return NotImplemented
         a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return UniPoly()
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    out[i + j] += ai * bj
-        return UniPoly(out)
+        return UniPoly(product(a, b, len(a) + len(b) - 1))
 
     __rmul__ = __mul__
 
@@ -134,11 +127,14 @@ class UniPoly:
             out = out * self
         return out
 
-    def shift_x(self, k: int = 1) -> "UniPoly":
-        """Multiply by x**k."""
-        if not self.coeffs:
-            return self
-        return UniPoly((0,) * k + self.coeffs)
+    def shift(self, t) -> "UniPoly":
+        """p(x + t), by Horner's rule: dividing by x - t once per degree
+        leaves the Taylor coefficients at t in place."""
+        c = list(self.coeffs)
+        for i in range(len(c) - 1):
+            for j in reversed(range(i, len(c) - 1)):
+                c[j] += t * c[j + 1]
+        return UniPoly(c)
 
     def derivative(self) -> "UniPoly":
         return UniPoly([i * c for i, c in enumerate(self.coeffs)][1:])
@@ -156,6 +152,19 @@ def _coerce(value) -> UniPoly | None:
     if isinstance(value, (int, Fraction)):
         return UniPoly([value])
     return None
+
+
+def product(a, b, n: int) -> list:
+    """The first n coefficients of a b, for coefficient lists a and b, by
+    the schoolbook rule, skipping the zero terms of both.  ``UniPoly`` and
+    ``holonomy``'s series multiply through it."""
+    out = [0] * n
+    for i, ai in enumerate(a[:n]):
+        if ai:
+            for j, bj in enumerate(b[:n - i], i):
+                if bj:
+                    out[j] += ai * bj
+    return out
 
 
 def poly_eval(p: UniPoly, x) -> RationalLike:
@@ -215,7 +224,7 @@ def legendre_poly(n: int) -> UniPoly:
         return p_prev
     p_cur = UniPoly([0, 1])
     for m in range(1, n):
-        p_next = (Fraction(2 * m + 1, m + 1) * p_cur.shift_x()
+        p_next = (UniPoly([0, Fraction(2 * m + 1, m + 1)]) * p_cur
                   - Fraction(m, m + 1) * p_prev)
         p_prev, p_cur = p_cur, p_next
     return p_cur

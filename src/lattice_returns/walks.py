@@ -366,33 +366,16 @@ def first_returns_dp(d: int, n: int) -> BigCount:
 # big-integer steps instead of the O(d N^2) ladder.
 # ---------------------------------------------------------------------------
 
-def _integer_coeffs(poly) -> tuple[int, ...]:
-    """Ascending coefficients of poly; ValueError unless all are ints
-    (``kernel.exact`` makes every integral coefficient an int)."""
-    for c in poly.coeffs:
-        if not isinstance(c, int):
-            raise ValueError("recurrence coefficient %s is not an integer" % c)
-    return poly.coeffs
+def _values(poly, scale) -> Iterator:
+    """P(0) scale, P(1) scale, ... without end, P an int ``kernel.UniPoly``.
 
-
-def _horner(coeffs: tuple[int, ...], n: int) -> int:
-    acc = 0
-    for c in reversed(coeffs):
-        acc = acc * n + c
-    return acc
-
-
-def _values(coeffs: tuple[int, ...], scale) -> Iterator:
-    """P(0) scale, P(1) scale, ... without end, P given by its ascending
-    int coeffs.
-
-    deg + 1 Horner values give the forward differences of P at 0, and deg
-    chained running sums rebuild the values from them with additions only
-    (Knuth, TAOCP vol. 2, 4.6.4).  An int scale multiplies the
-    differences; a float one multiplies each exact int value, so that
-    P(n) scale is rounded once."""
-    deg = max(len(coeffs) - 1, 0)
-    diffs = [_horner(coeffs, n) for n in range(deg + 1)]
+    deg + 1 Horner values (``kernel.poly_eval``) give the forward
+    differences of P at 0, and deg chained running sums rebuild the values
+    from them with additions only (Knuth, TAOCP vol. 2, 4.6.4).  An int
+    scale multiplies the differences; a float one multiplies each exact
+    int value, so that P(n) scale is rounded once."""
+    deg = max(poly.degree, 0)
+    diffs = [poly(n) for n in range(deg + 1)]
     for j in range(deg):
         for i in range(deg, j, -1):
             diffs[i] -= diffs[i - 1]
@@ -434,7 +417,10 @@ def iterate_p_recurrence(rec, seeds: list, N: int, q=1) -> Iterator:
     are held.
     """
     r = rec.order
-    polys = [_integer_coeffs(p) for p in rec.coefficients]
+    # kernel.exact makes every integral coefficient an int.
+    bad = [c for p in rec.coefficients for c in p.coeffs if not isinstance(c, int)]
+    if bad:
+        raise ValueError("recurrence coefficient %s is not an integer" % bad[0])
     seeds = list(seeds)
     if N < r:
         return iter(seeds)
@@ -462,7 +448,7 @@ def iterate_p_recurrence(rec, seeds: list, N: int, q=1) -> Iterator:
             if rem:
                 raise ArithmeticError("P-recurrence division not exact at n=%d" % n)
             return quo
-    *columns, leads = [_values(p, s) for p, s in zip(polys, scales)]
+    *columns, leads = [_values(p, s) for p, s in zip(rec.coefficients, scales)]
 
     def run():
         yield from seeds

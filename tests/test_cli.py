@@ -149,6 +149,43 @@ def test_out_target_is_written_in_place(capsys, tmp_path):
     assert path.read_text().endswith("n,value\n0,1\n1,6\n2,90\n3,1860\n4,44730\n")
 
 
+@pytest.mark.parametrize("target", ["missing/out.csv", "."],
+                         ids=["missing-directory", "directory"])
+def test_unwritable_out_is_refused_before_the_command(capsys, tmp_path, monkeypatch,
+                                                      target):
+    # Without the check, seq --kind B would build its table before the
+    # writer failed to open the target, and exit 3.
+    from lattice_returns import cli
+
+    monkeypatch.setattr(cli, "_build_table", lambda *a: pytest.fail("built a table"))
+    path = tmp_path / target
+    code, out, err = run_cli(capsys, "seq", "--kind", "B", "--d", "3", "--N", "400",
+                             "--out", str(path))
+    assert code == 2 and out == ""
+    assert err == "error: --out %s is not a writable file\n" % path
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_out_without_write_access_is_refused(capsys, tmp_path, monkeypatch):
+    # A superuser passes every permission check, so the test denies it.
+    path = tmp_path / "out.csv"
+    monkeypatch.setattr(os, "access", lambda target, mode: False)
+    code, out, err = run_cli(capsys, "seq", "--kind", "X", "--d", "3", "--N", "5",
+                             "--out", str(path))
+    monkeypatch.undo()
+    assert code == 2 and out == ""
+    assert err == "error: --out %s is not a writable file\n" % path
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("target", ["-", os.devnull])
+def test_stdout_and_devices_stay_valid_out_targets(capsys, target):
+    code, out, err = run_cli(capsys, "seq", "--kind", "X", "--d", "3", "--N", "5",
+                             "--out", target)
+    assert code == 0 and err == ""
+    assert out.endswith("5,4653\n") == (target == "-")
+
+
 # A child's ru_maxrss counts the pages of the process it was forked from,
 # so the CLI is spawned from this small interpreter, not from pytest.
 _RSS_PROBE = """
@@ -474,6 +511,14 @@ def test_constants_rejects_negative_N(capsys):
     assert out == "" and err == "error: N must be >= 0\n"
 
 
+def test_constants_refuse_an_N_too_small_for_the_tail(capsys):
+    code, out, err = run_cli(capsys, "constants", "--d", "3", "--N", "5")
+    assert code == 2 and out == ""
+    assert err == "error: N too small to anchor the tail estimate\n"
+    with pytest.raises(ValueError, match="N too small to anchor the tail estimate"):
+        lr.estimate_m(3, 5)
+
+
 def test_constants_d3_bundle(capsys):
     code, out, _ = run_cli(capsys, "constants", "--d", "3", "--N", "4000")
     assert code == 0
@@ -527,6 +572,33 @@ def test_asym_table_errors_shrink(capsys):
     rels = [float(line.split(",")[3]) for line in lines[2:]]
     assert rels[0] > rels[1] > rels[2]
     assert rels[2] < 1e-12
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_asym_a_exact_column_is_the_exact_table_formula(capsys, d):
+    # The reference is the exact-table formula that the column once used.
+    from mpmath import mp, mpf
+
+    ns = (2, 3, 7, 8, 300)
+    code, out, _ = run_cli(capsys, "asym", "--kind", "A", "--d", str(d),
+                           "--n", *map(str, ns))
+    assert code == 0
+    table = walks.closed_walks_fast(d, max(ns))
+    with mp.workdps(40):
+        ref = [repr(float(mpf(table.value(n)) * (mp.pi * n) ** (mpf(d) / 2)
+                          / mpf(2 * d) ** (2 * n))) for n in ns]
+    assert [row.split(",")[1] for row in out.splitlines()[2:]] == ref
+
+
+def test_asym_a_reads_the_summands_in_bounded_memory():
+    # The exact A-table to n = 20000 holds about 10^8 digits (152 MB peak);
+    # the fixed-point summands are a few MB.
+    out = subprocess.run([sys.executable, "-c", _RSS_PROBE, "asym", "--kind", "A",
+                          "--d", "3", "--n", "100", "20000"],
+                         capture_output=True, text=True, env=_src_env(), check=True)
+    code, peak_mb = out.stdout.split()
+    assert code == "0" and out.stderr == ""
+    assert float(peak_mb) < 40, "peak RSS %s MB" % peak_mb
 
 
 def test_asym_b_kind_uses_bundle(capsys):

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import lattice_returns as lr
 from lattice_returns import catalog, modular
 from lattice_returns.errors import CapacityError, InvertibilityError
-from lattice_returns.holonomy import TruncatedSeries, is_prime
+from lattice_returns.holonomy import TruncatedSeries, is_prime, theta_to_recurrence
 from lattice_returns.kernel import UniPoly, primitive
 
 # ---------------------------------------------------------------------------
@@ -406,6 +406,12 @@ def test_ode_to_recurrence_matches_footnote():
     x2 = lr.x_sequence(2, rec.order + 31)
     for n in range(30):
         assert rec.residual(x2.values, n) == 0
+
+
+def test_theta_to_recurrence_reads_the_footnote_operator():
+    # z (4 theta + 2) - theta annihilates F_2: (n+1) f_{n+1} = 2(2n+1) f_n.
+    assert (theta_to_recurrence([UniPoly([0, -1]), UniPoly([2, 4])])
+            == [UniPoly([2, 4]), UniPoly([-1, -1])])
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])

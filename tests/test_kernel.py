@@ -20,6 +20,7 @@ from lattice_returns.kernel import (
     exact,
     legendre_poly,
     poly_eval,
+    product,
 )
 
 # ---------------------------------------------------------------------------
@@ -151,9 +152,30 @@ def test_degree_and_normalization():
 
 def test_shift_and_derivative():
     f = UniPoly([1, 3, 2])  # 1 + 3x + 2x^2
-    g = f.shift_x(2)  # x^2 * f
+    g = UniPoly([0, 0, 1]) * f  # x^2 * f
     assert list(g.coeffs) == [0, 0, 1, 3, 2]
     assert list(f.derivative().coeffs) == [3, 4]
+
+
+@settings(max_examples=60)
+@given(polys, coeff, coeff)
+def test_taylor_shift(f, t, x):
+    assert f.shift(t)(x) == f(x + t)
+    assert f.shift(t).shift(-t) == f
+
+
+@pytest.mark.parametrize("a, b", [
+    ([1, 0, -2], [3, 5]),
+    ([0, 0, 4], [0, 7, 0, Fraction(1, 2)]),
+    ([], [1, 2]),
+    ([1, 2], []),
+    ([], []),
+])
+def test_product_is_a_prefix_of_the_full_product(a, b):
+    full = _list_mul(a, b) if a and b else []
+    # n runs below, at and above len(a) + len(b) - 1.
+    for n in range(len(a) + len(b) + 2):
+        assert product(a, b, n) == (full + [0] * n)[:n]
 
 
 def test_pow():
