@@ -327,15 +327,17 @@ def cmd_constants(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _exact_normalized_a(d: int, ns: list[int]) -> dict[int, float]:
-    """A_{2n} (pi n)^(d/2) / (2d)^(2n) from the constants' summands."""
+    """A_{2n} (pi n)^(d/2) / (2d)^(2n) from the constants' summand stream,
+    of which only the terms at ns are kept."""
     from mpmath import mp
 
     from . import constants
 
     us, bits = constants._normalized_a_summands_mp(d, max(ns))
+    wanted = set(ns)
     with mp.workdps(constants.DPS):
-        return {n: float(mp.ldexp(us[n], -bits) * (mp.pi * n) ** (mp.mpf(d) / 2))
-                for n in ns}
+        return {n: float(mp.ldexp(u, -bits) * (mp.pi * n) ** (mp.mpf(d) / 2))
+                for n, u in enumerate(us) if n in wanted}
 
 
 def _exact_normalized_b(d: int, ns: list[int]) -> dict[int, float]:

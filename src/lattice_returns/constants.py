@@ -10,37 +10,45 @@ B-asymptotic constants b_d, b_1(d), as one ConstantsBundle for every d >= 1.
                 -81/(8 pi^2 m_3^2))
 
 The summands t_n = A_{2n}/(2d)^{2n} of m_d, m_tilde_d and p_d (d >= 3)
-are one list of fixed-point ints U_n = round(t_n 2^bits), bits being PREC
-(136, whatever the ambient mpmath precision) plus guard bits, from
+are one stream of fixed-point ints U_n = round(t_n 2^bits), bits being
+PREC (136, whatever the ambient mpmath precision) plus guard bits, from
 walks.recurrence_values: the A-recurrence run forward in ints with
-q = (2d)^2.  m_d and m_tilde_d are exact int sums divided once by 2^bits;
-the B-side float series inverts the list's correctly rounded float64
-copy by FFT Newton.  Tails beyond N sum the asymptotic expansion of the summand, through
-TAIL_TERMS derived orders (asymptotics.a_coeffs), exactly over the
-integers with the Hurwitz zeta function.  Error bounds are heuristic --
-twice the estimated first omitted contribution -- and are labeled as
-such; the underlying series admit no desk-scale rigorous bounds.
+q = (2d)^2.  One pass (_summand_pass) reads the stream in chunks and
+keeps only the exact int sums of U_n and n U_n, which are divided once
+by 2^bits, and U_N; a bundle's pass also writes each U_n's correctly
+rounded float64 value into one preallocated array, which the B-side
+float series inverts by FFT Newton.  Tails beyond N sum the asymptotic
+expansion of the summand, through TAIL_TERMS derived orders
+(asymptotics.a_coeffs), exactly over the integers with the Hurwitz zeta
+function.  Error bounds are heuristic -- twice the estimated first
+omitted contribution -- and are labeled as such; the underlying series
+admit no desk-scale rigorous bounds.
 
-mpmath loads with the module.  numpy loads inside the functions that
-build float arrays (normalized_a_series, _series_inverse_float and
-build_bundle), so ``asym --kind A``, which reads the summands, never loads it.
+A bundle runs in three phases whose large transients never overlap:
+the summand pass, then the FFT inverse (after which the float A-series
+is freed), then the mpmath tails.  numpy and mpmath load inside the
+functions that use them, so ``asym --kind A``, which reads the
+summands, never loads numpy, and the bundles and B-tables of the
+recurrent d = 1, 2 never load mpmath.  The float B route is budgeted: a series
+whose copy and last Newton transform are estimated above
+FLOAT_ROUTE_BUDGET bytes raises CapacityError before the pass.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
-
-from mpmath import mp, mpf, zeta
-from mpmath.libmp import dps_to_prec
+from itertools import islice, repeat
+from operator import mul, truediv
+from typing import TYPE_CHECKING, Iterator
 
 from . import walks
 from .asymptotics import a_coeffs, leading_constant_a
-from .errors import DependencyError, DivergenceError
+from .errors import CapacityError, DependencyError, DivergenceError
 
 if TYPE_CHECKING:  # pragma: no cover
     import numpy as np
+    from mpmath import mpf
 
 # Orders of the asymptotic summand that the tails sum.  With four, m~_6 at
 # N = 600 came out one ulp off; with eight, every m_d and m~_d the
@@ -48,9 +56,15 @@ if TYPE_CHECKING:  # pragma: no cover
 TAIL_TERMS = 8
 
 # The one working precision: tails and sums at DPS digits, summands at
-# PREC = 136 bits plus guard bits.
+# PREC = 136 bits plus guard bits.  PREC is mpmath.libmp.dps_to_prec(DPS),
+# written out so that the module loads without mpmath.
 DPS = 40
-PREC = dps_to_prec(DPS)
+PREC = round((DPS + 1) * math.log2(10))
+
+# Bytes the float B route may take: the float64 A-series plus its last
+# Newton transform (_float_route_bytes).  2^30 admits N up to 2^23 =
+# 8,388,608, where the estimate is 738 MB.
+FLOAT_ROUTE_BUDGET = 2**30
 
 
 @dataclass(frozen=True)
@@ -115,10 +129,10 @@ class ConstantsBundle:
 # Summand generation: t_n = A_{2n} / (2d)^{2n} in fixed point.
 # ---------------------------------------------------------------------------
 
-def _normalized_a_summands_mp(d: int, N: int) -> tuple[list[int], int]:
-    """(U, bits), U_n = round(t_n 2^bits) for n <= N: the one summand list
-    of dimension d, for its constants and ``asym --kind A``.  Past PREC,
-    bits holds (d//2 + 2) log2 N bits for the (d/2) log2 N that
+def _normalized_a_summands_mp(d: int, N: int) -> tuple[Iterator[int], int]:
+    """(U, bits), U yielding U_n = round(t_n 2^bits) for n <= N: the one
+    summand stream of dimension d, for its constants and ``asym --kind A``.
+    Past PREC, bits holds (d//2 + 2) log2 N bits for the (d/2) log2 N that
     t_N ~ N^{-d/2} loses and the rounding errors the recurrence carries
     (see _estimate), and 32 spare: at d = 5, N = 4000 the worst relative
     error is 5e-55, with 8 guard bits in their place 6e-33."""
@@ -126,22 +140,50 @@ def _normalized_a_summands_mp(d: int, N: int) -> tuple[list[int], int]:
     return walks.recurrence_values("A", d, N, (2 * d) ** 2, bits), bits
 
 
-def _asym_tail_coeffs(d: int, weight: int) -> list[tuple[float, "mpf"]]:
+def _summand_pass(d: int, N: int, a: np.ndarray | None = None
+                  ) -> tuple[tuple[int, int], int, int]:
+    """((sum U_n, sum n U_n), U_N, bits) in one pass over the summand
+    stream, which is read in chunks and never held.  Given an array a
+    of N + 1 floats, the pass also writes a[n] = U_n / 2^bits, correctly
+    rounded (int / int is; float(U_n) 2^-bits would overflow once
+    bits >= 1024)."""
+    if a is not None:
+        import numpy as np
+
+    us, bits = _normalized_a_summands_mp(d, N)
+    scale = 1 << bits
+    total = weighted = 0
+    size = 4096  # summands held at a time
+    for n0 in range(0, N + 1, size):
+        chunk = list(islice(us, size))
+        n1 = n0 + len(chunk)
+        total += sum(chunk)
+        weighted += sum(map(mul, range(n0, n1), chunk))
+        if a is not None:
+            a[n0:n1] = np.fromiter(map(truediv, chunk, repeat(scale)), float, len(chunk))
+    return (total, weighted), chunk[-1], bits
+
+
+def _asym_tail_coeffs(d: int, weight: int) -> list[tuple[mpf, mpf]]:
     """(exponent s_k, coefficient c_k) with the tail summand approximated
     by sum_k c_k n^{-s_k}; weight 0 for m_d, 1 for m_tilde_d."""
+    from mpmath import mp, mpf
+
     scale = mp.sqrt(mpf(d) ** d) / 2 ** (d - 1) / mp.pi ** (mpf(d) / 2)
     return [(mpf(d) / 2 + k - weight, scale * c.numerator / c.denominator)
             for k, c in enumerate(a_coeffs(d, TAIL_TERMS))]
 
 
-def _estimate(d: int, us: list[int], bits: int, weight: int) -> Estimate:
-    """sum_n n^weight t_n over the fixed-point summands us plus the tail
-    beyond N, the asymptotic integrand summed over n > N, at DPS digits."""
-    N = len(us) - 1
+def _estimate(d: int, total: int, last: int, N: int, bits: int,
+              weight: int) -> Estimate:
+    """sum_n n^weight t_n, from total = sum_{n <= N} n^weight U_n and
+    last = U_N of the fixed-point summands, plus the tail beyond N, the
+    asymptotic integrand summed over n > N, at DPS digits."""
     if N < 8:
         raise ValueError("N too small to anchor the tail estimate")
+    from mpmath import mp, mpf, zeta
+
     with mp.workdps(DPS):
-        total = sum(us) if weight == 0 else sum(n * u for n, u in enumerate(us))
         partial = mp.ldexp(total, -bits)
         terms = _asym_tail_coeffs(d, weight)
         tail = sum(c * zeta(s, N + 1) for s, c in terms)
@@ -156,7 +198,7 @@ def _estimate(d: int, us: list[int], bits: int, weight: int) -> Estimate:
         # integrals, the worst error over bound is 0.52 at d = 5, N = 8;
         # with the faster decay it is 0.90).
         edge = sum(c * mpf(N) ** (-s) for s, c in terms)
-        delta = abs(mp.ldexp(us[N] * N**weight, -bits) - edge)
+        delta = abs(mp.ldexp(last * N**weight, -bits) - edge)
         omitted = delta * mpf(N) / (mpf(d) / 2 + 4 - weight)
         # Noise: the int sum is exact.  Each recurrence step rounds by half a
         # unit of 2^-bits, carried on without growth as the recurrence is
@@ -172,7 +214,8 @@ def estimate_m(d: int, N: int) -> Estimate:
     """m_d from N+1 exact-series terms plus an asymptotic tail."""
     if d <= 2:
         raise DivergenceError("m_d diverges for d <= 2 (recurrent walk)")
-    return _estimate(d, *_normalized_a_summands_mp(d, N), 0)
+    sums, last, bits = _summand_pass(d, N)
+    return _estimate(d, sums[0], last, N, bits, 0)
 
 
 def estimate_m_tilde(d: int, N: int) -> Estimate:
@@ -182,7 +225,8 @@ def estimate_m_tilde(d: int, N: int) -> Estimate:
     has a pole there."""
     if d <= 2 or d == 4:
         raise DivergenceError("m_tilde_d diverges for d = 1, 2, 4")
-    return _estimate(d, *_normalized_a_summands_mp(d, N), 1)
+    sums, last, bits = _summand_pass(d, N)
+    return _estimate(d, sums[1], last, N, bits, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +250,7 @@ def normalized_a_series(d: int, N: int) -> np.ndarray:
         for n in range(1, N + 1):
             rho[n] = rho[n - 1] * (2 * n - 1) / (2 * n)
         return rho * rho
-    return np.array(walks.recurrence_values("A", d, N, float((2 * d) ** 2)))
+    return np.fromiter(walks.recurrence_values("A", d, N, float((2 * d) ** 2)), float, N + 1)
 
 
 def _series_inverse_float(a: np.ndarray) -> np.ndarray:
@@ -241,6 +285,28 @@ def _series_inverse_float(a: np.ndarray) -> np.ndarray:
     return x[:n]
 
 
+def _float_route_bytes(N: int) -> int:
+    """Estimated peak bytes of the float B route at N: the float64
+    A-series (8 (N + 1)) plus 40 bytes per point of the last, and largest,
+    Newton transform of _series_inverse_float, whose size is
+    2^bit_length(length + previous length - 2).  The inverse's own peak,
+    traced by tracemalloc at N = 10^5 and 10^6, is 28 bytes per point;
+    the rest is left to pocketfft's work buffers."""
+    n = N + 1
+    if n == 1:
+        return 8
+    previous = 1 << ((n - 1).bit_length() - 1)
+    return 8 * n + 40 * (1 << (n + previous - 2).bit_length())
+
+
+def _check_float_route(N: int) -> None:
+    estimate = _float_route_bytes(N)
+    if estimate > FLOAT_ROUTE_BUDGET:
+        raise CapacityError(
+            "float B series to N = %d needs about %.3g bytes, over the budget %.3g"
+            % (N, estimate, FLOAT_ROUTE_BUDGET))
+
+
 def _b_series(a: np.ndarray) -> np.ndarray:
     """[0, b_1, ..., b_N] from a normalized A-series by B = 1 - 1/A."""
     b = -_series_inverse_float(a)
@@ -250,7 +316,9 @@ def _b_series(a: np.ndarray) -> np.ndarray:
 
 def normalized_b_series(d: int, N: int) -> np.ndarray:
     """float64 array [0, B_2/(2d)^2, ..., B_{2N}/(2d)^{2N}] via the series
-    identity B = 1 - 1/A applied to the normalized A-series."""
+    identity B = 1 - 1/A applied to the normalized A-series; CapacityError
+    above FLOAT_ROUTE_BUDGET, before the series is made."""
+    _check_float_route(N)
     return _b_series(normalized_a_series(d, N))
 
 
@@ -261,6 +329,8 @@ def _fit_b_tail(d: int, b: np.ndarray, N: int):
     anchor points, then summed exactly over integers with Hurwitz zeta.
     Independent of m_d and of the A-side coefficient tables.
     """
+    from mpmath import zeta
+
     n1, n2 = N // 2, N
     s = d / 2
     y1 = float(b[n1]) * n1**s
@@ -325,10 +395,12 @@ def empirical_b1(d: int, m: Estimate | float, n: int = 2000) -> float:
 def build_bundle(d: int, N: int) -> ConstantsBundle:
     """The constants bundle of dimension d >= 1 from N + 1 terms.
 
-    d >= 3: from one summand list, m_d and m_tilde_d (d >= 5, and d = 3
-    regularised) are its int sums, and its correctly rounded float64 copy
-    is inverted into the B-series of p_d's direct route.  d = 1, 2: the
-    recurrent bundle, p = 1 beside the partial sum of the float B-series."""
+    d >= 3: one pass over the summand stream gives the int sums of m_d and
+    m_tilde_d (d >= 5, and d = 3 regularised) and the correctly rounded
+    float64 A-series, which is inverted into the B-series of p_d's direct
+    route and freed before mpmath loads for the tails.  d = 1, 2: the
+    recurrent bundle, p = 1 beside the partial sum of the float B-series.
+    Both raise CapacityError past FLOAT_ROUTE_BUDGET before the pass."""
     if d < 1:
         raise ValueError("d must be >= 1")
     if N < 0:
@@ -338,14 +410,16 @@ def build_bundle(d: int, N: int) -> ConstantsBundle:
     if d <= 2:
         return ConstantsBundle(dimension=d, m=None, p=1.0, terms_used=N,
                                partial_sum_raw=float(np.sum(normalized_b_series(d, N))))
-    us, bits = _normalized_a_summands_mp(d, N)
-    m = _estimate(d, us, bits, 0)
-    m_tilde = _estimate(d, us, bits, 1) if d != 4 else None
-    scale = 1 << bits
-    a = np.array([u / scale for u in us])
-    del us  # the int list would otherwise stay alive through the inversion
+    _check_float_route(N)
+    a = np.empty(N + 1)
+    sums, last, bits = _summand_pass(d, N, a)
     b_series = _b_series(a)
+    del a
     raw = float(np.sum(b_series))
+    m = _estimate(d, sums[0], last, N, bits, 0)
+    m_tilde = _estimate(d, sums[1], last, N, bits, 1) if d != 4 else None
+    from mpmath import mp
+
     with mp.workdps(DPS):
         p_direct = float(raw + _fit_b_tail(d, b_series, N))
     b, b1, b1_log_coefficient = b_constants(d, m, m_tilde)

@@ -465,12 +465,18 @@ def iterate_p_recurrence(rec, seeds: list, N: int, q=1) -> Iterator:
     return run()
 
 
-def recurrence_values(kind: str, d: int, N: int, q=1, bits: int = 0) -> list:
-    """u_0 .. u_N with u_n = v_n / q^n, where v is the x-sequence (kind
-    "X") or the A-sequence (kind "A") of dimension d.  q = 1 gives the
-    exact integers, an int q > 1 the ints round(v_n 2^bits / q^n), a float
-    q float64 values.  The catalog's P-recurrence runs forward from seeds
-    u_0 .. u_{r-1}, the ladder's terms scaled as stated (r = rec.order).
+def recurrence_values(kind: str, d: int, N: int, q=1, bits: int = 0) -> Iterator:
+    """Yield u_0 .. u_N with u_n = v_n / q^n, where v is the x-sequence
+    (kind "X") or the A-sequence (kind "A") of dimension d.  q = 1 gives
+    the exact integers, an int q > 1 the ints round(v_n 2^bits / q^n), a
+    float q float64 values.  The catalog's P-recurrence runs forward from
+    seeds u_0 .. u_{r-1}, the ladder's terms scaled as stated
+    (r = rec.order).
+
+    The recurrence, its seeds and the arguments are made and checked at
+    the call; the steps run as the values are consumed
+    (``iterate_p_recurrence``), so a consumer that folds each value in as
+    it comes holds only the recurrence's last r terms.
     """
     rec = catalog.x_recurrence(d) if kind == "X" else catalog.a_recurrence(d)
     ladder = (x_sequence if kind == "X" else closed_walks)(
@@ -481,7 +487,7 @@ def recurrence_values(kind: str, d: int, N: int, q=1, bits: int = 0) -> list:
         vals = [round_div(v << bits, q**n) for n, v in enumerate(ladder)]
     else:
         vals = ladder
-    return list(iterate_p_recurrence(rec, vals, N, q))
+    return iterate_p_recurrence(rec, vals, N, q)
 
 
 def decimal_values(kind: str, d: int, N: int) -> Iterator[decimal.Decimal]:
@@ -514,12 +520,12 @@ def decimal_values(kind: str, d: int, N: int) -> Iterator[decimal.Decimal]:
 
 def x_sequence_fast(d: int, N: int) -> SequenceTable:
     """x-table via the catalog's P-recurrence (see ``recurrence_values``)."""
-    return SequenceTable(d, "X", recurrence_values("X", d, N))
+    return SequenceTable(d, "X", tuple(recurrence_values("X", d, N)))
 
 
 def closed_walks_fast(d: int, N: int) -> SequenceTable:
     """A-table via the catalog's P-recurrence (see ``recurrence_values``)."""
-    return SequenceTable(d, "A", recurrence_values("A", d, N))
+    return SequenceTable(d, "A", tuple(recurrence_values("A", d, N)))
 
 
 def first_returns_fast(d: int, N: int) -> SequenceTable:

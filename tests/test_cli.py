@@ -519,6 +519,33 @@ def test_constants_refuse_an_N_too_small_for_the_tail(capsys):
         lr.estimate_m(3, 5)
 
 
+def test_constants_refuse_a_float_b_route_past_the_budget(capsys):
+    # 10^9 terms: 10^9 recurrence steps and an 8 GB float series, refused
+    # before the first step.
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "constants", "--d", "3", "--N", str(10**9))
+    assert time.perf_counter() - start < 2
+    assert code == 2 and out == ""
+    assert err == ("error: float B series to N = 1000000000 needs about 9.39e+10 "
+                   "bytes, over the budget 1.07e+09\n")
+
+
+def test_constants_bundle_memory_does_not_hold_the_summands():
+    # One streaming pass: the 100,001 summands (about 6 MB as a list of
+    # ints, plus a float list) are never held, and mpmath loads after the
+    # FFT's transient.  Relative to a small N, so that the numpy and
+    # mpmath versions cancel.
+    peaks = []
+    for N in ("2000", "100000"):
+        out = subprocess.run([sys.executable, "-c", _RSS_PROBE, "constants", "--d", "5",
+                              "--N", N],
+                             capture_output=True, text=True, env=_src_env(), check=True)
+        code, peak_mb = out.stdout.split()
+        assert code == "0" and out.stderr == ""
+        peaks.append(float(peak_mb))
+    assert peaks[1] - peaks[0] < 10, "peak RSS %s MB" % peaks
+
+
 def test_constants_d3_bundle(capsys):
     code, out, _ = run_cli(capsys, "constants", "--d", "3", "--N", "4000")
     assert code == 0
@@ -591,14 +618,15 @@ def test_asym_a_exact_column_is_the_exact_table_formula(capsys, d):
 
 
 def test_asym_a_reads_the_summands_in_bounded_memory():
-    # The exact A-table to n = 20000 holds about 10^8 digits (152 MB peak);
-    # the fixed-point summands are a few MB.
+    # The exact A-table to n = 20000 alone holds about 10^8 digits (152 MB
+    # peak), and the 200,001 fixed-point summands about 7 MB as a list
+    # (34 MB peak); the stream keeps the two requested.
     out = subprocess.run([sys.executable, "-c", _RSS_PROBE, "asym", "--kind", "A",
-                          "--d", "3", "--n", "100", "20000"],
+                          "--d", "3", "--n", "100", "200000"],
                          capture_output=True, text=True, env=_src_env(), check=True)
     code, peak_mb = out.stdout.split()
     assert code == "0" and out.stderr == ""
-    assert float(peak_mb) < 40, "peak RSS %s MB" % peak_mb
+    assert float(peak_mb) < 25, "peak RSS %s MB" % peak_mb
 
 
 def test_asym_b_kind_uses_bundle(capsys):
@@ -707,11 +735,15 @@ print(code, *sorted({"numpy", "mpmath"} & set(sys.modules)))
     (["constants", "--d", "3", "--N", "100"], " mpmath numpy"),
     (["asym", "--kind", "A", "--d", "4", "--n", "64"], " mpmath"),
     (["asym", "--kind", "B", "--d", "3", "--n", "64"], " mpmath numpy"),
-], ids=["seq-A", "seq-X", "layers", "help", "constants-control", "asym-A", "asym-B"])
+    (["asym", "--kind", "B", "--d", "2", "--n", "500", "1000"], " numpy"),
+    (["constants", "--d", "2", "--N", "100"], " numpy"),
+], ids=["seq-A", "seq-X", "layers", "help", "constants-control", "asym-A", "asym-B",
+        "asym-B-d2", "constants-d2"])
 def test_import_floor_exact_commands_load_neither_numpy_nor_mpmath(argv, loaded):
     # A fresh interpreter: the pure-integer commands must not pay for the
-    # numerics at start-up, nor asym --kind A for numpy; the constants
-    # control shows the probe can fail.
+    # numerics at start-up, nor asym --kind A for numpy, nor the recurrent
+    # d = 2 bundle and B-table, which call no mpmath function, for mpmath;
+    # the constants control shows the probe can fail.
     out = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, *argv],
                          capture_output=True, text=True, env=_src_env(), check=True)
     assert out.stdout == "0" + loaded + "\n"

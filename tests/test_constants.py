@@ -21,7 +21,7 @@ from lattice_returns.constants import (
     normalized_a_series,
     normalized_b_series,
 )
-from lattice_returns.errors import DependencyError, DivergenceError
+from lattice_returns.errors import CapacityError, DependencyError, DivergenceError
 
 M3_LITERATURE = 1.5163860591519780
 P3_LITERATURE = 0.3405373295509991
@@ -157,6 +157,7 @@ def _worst_summand_error(d: int, N: int, ns) -> Fraction:
     fixed-point summands (U, bits), in exact rationals; A comes from the
     exact recurrence."""
     us, bits = _normalized_a_summands_mp(d, N)
+    us = list(us)
     assert len(us) == N + 1
     exact = lr.closed_walks_fast(d, N).values
     q = (2 * d) ** 2
@@ -181,12 +182,42 @@ def test_summand_guard_bits():
 
 def test_summands_ignore_ambient_precision():
     # the summands carry the fixed PREC = 136 bits plus guard bits
+    # (the stream is consumed under each precision)
     with mp.workdps(15):
-        low = _normalized_a_summands_mp(5, 400)
+        us, bits = _normalized_a_summands_mp(5, 400)
+        low = list(us), bits
     with mp.workdps(60):
-        high = _normalized_a_summands_mp(5, 400)
+        us, bits = _normalized_a_summands_mp(5, 400)
+        high = list(us), bits
     assert low == high
     assert constants.PREC == 136
+
+
+def test_prec_is_mpmaths_reading_of_dps():
+    # PREC is written out so that the module loads without mpmath
+    from mpmath.libmp import dps_to_prec
+
+    assert constants.PREC == dps_to_prec(constants.DPS)
+
+
+def test_float_route_budget_names_the_last_newton_transform(monkeypatch):
+    # the estimate's transform size is the largest one the inverse makes
+    import numpy as np
+
+    sizes = []
+    rfft = np.fft.rfft
+    monkeypatch.setattr(np.fft, "rfft", lambda x, n: sizes.append(n) or rfft(x, n))
+    for N in (0, 1, 2, 7, 8, 300, 1023, 1024, 5000):
+        sizes.clear()
+        constants._series_inverse_float(np.ones(N + 1))
+        assert constants._float_route_bytes(N) == 8 * (N + 1) + 40 * max(sizes, default=0)
+    budget = constants.FLOAT_ROUTE_BUDGET
+    assert constants._float_route_bytes(10**6) <= budget
+    assert constants._float_route_bytes(2**23) <= budget < constants._float_route_bytes(2**23 + 1)
+    with pytest.raises(CapacityError, match="N = 8388609 .* budget 1.07e"):
+        normalized_b_series(3, 2**23 + 1)
+    with pytest.raises(CapacityError):
+        lr.build_bundle(3, 2**23 + 1)
 
 
 @pytest.mark.parametrize("d", [3, 6, 9])

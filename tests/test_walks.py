@@ -187,7 +187,7 @@ def test_iterate_p_recurrence_rejects_inexact_division():
 def test_decimal_values_reject_a_perturbed_recurrence(kind, name, monkeypatch):
     # The decimal route divides exactly, as the int route does: a
     # coefficient off by one raises instead of rounding.
-    assert list(walks.decimal_values(kind, 5, 60)) == walks.recurrence_values(kind, 5, 60)
+    assert list(walks.decimal_values(kind, 5, 60)) == list(walks.recurrence_values(kind, 5, 60))
     rec = getattr(catalog, name)(5)
     monkeypatch.setattr(catalog, name, lambda d: _perturbed(rec, 1))
     for values in (walks.recurrence_values, walks.decimal_values):
@@ -210,6 +210,8 @@ def test_iterate_p_recurrence_checks_its_arguments_at_the_call():
         iterate_p_recurrence(_perturbed(rec, Fraction(1, 2)), [1, 3], 10)
     with pytest.raises(ValueError, match="dimension"):
         walks.decimal_values("A", 0, 10)
+    with pytest.raises(ValueError, match="dimension"):
+        walks.recurrence_values("A", 0, 5)
     values = iterate_p_recurrence(rec, [1, 3], 10 ** 9)
     assert next(values) == 1 and next(values) == 3 and next(values) == 15
 
