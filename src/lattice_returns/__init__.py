@@ -35,7 +35,7 @@ _EXPORTS = {name: module for module, names in {
 }.items() for name in names.split()}
 
 _SUBMODULES = ("asymptotics", "catalog", "cli", "constants", "errors", "holonomy",
-               "kernel", "modular", "walks")
+               "kernel", "walks")
 
 __all__ = sorted(_EXPORTS)
 

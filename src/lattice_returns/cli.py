@@ -28,6 +28,7 @@ from typing import Iterable
 
 from . import catalog, holonomy, walks
 from .errors import CapacityError, DivergenceError
+from .kernel import unlimited_int_str
 
 
 def _write(out_path: str | None, chunks: Iterable[str]) -> None:
@@ -57,19 +58,6 @@ def _check_out(out_path: str | None) -> None:
     if (os.path.isdir(out_path) or not os.path.isdir(folder)
             or not os.access(target, os.W_OK)):
         raise UsageError("--out %s is not a writable file" % out_path)
-
-
-@contextlib.contextmanager
-def _unlimited_int_str():
-    """Lift the interpreter's limit on int/str conversion (Python 3.11+)
-    for the block: exact tables read and print integers of any length."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    set_limit = getattr(sys, "set_int_max_str_digits", lambda limit: None)
-    set_limit(0)
-    try:
-        yield
-    finally:
-        set_limit(limit)
 
 
 def _config_comment(pairs: list[tuple[str, object]]) -> str:
@@ -112,9 +100,9 @@ def cmd_seq(args) -> int:
     if args.N < (1 if args.kind == "B" else 0):
         raise UsageError("N too small for kind %s" % args.kind)
     # X and A stream from the recurrence as Decimals, which print in linear
-    # time; B needs the whole A-table for its reciprocal first.
+    # time; B needs the whole A-table first, and prints its digit strings.
     if args.kind == "B":
-        offset, values = 1, _build_table("B", args.d, args.N).values
+        offset, values = 1, walks.first_return_digits(args.d, args.N)
     else:
         offset, values = 0, walks.decimal_values(args.kind, args.d, args.N)
     render = _seq_json if args.format == "json" else _seq_csv
@@ -122,7 +110,7 @@ def cmd_seq(args) -> int:
     return 0
 
 
-@_unlimited_int_str()
+@unlimited_int_str()
 def parse_seq_csv(text: str) -> walks.SequenceTable:
     """Round-trip reader for cmd_seq CSV output."""
     meta: dict[str, str] = {}
@@ -139,7 +127,7 @@ def parse_seq_csv(text: str) -> walks.SequenceTable:
     return walks.SequenceTable(int(meta["d"]), meta["kind"], tuple(values))
 
 
-@_unlimited_int_str()
+@unlimited_int_str()
 def parse_seq_json(text: str) -> walks.SequenceTable:
     obj = json.loads(text)
     return walks.SequenceTable(obj["d"], obj["kind"],
@@ -466,7 +454,7 @@ def main(argv=None) -> int:
     # The int/str limit guards parsing, which argparse has finished.
     try:
         _check_out(args.out)
-        with _unlimited_int_str():
+        with unlimited_int_str():
             return args.func(args)
     except BrokenPipeError:
         # The reader closed the pipe (`| head`): end as a complete run

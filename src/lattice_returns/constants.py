@@ -31,7 +31,8 @@ functions that use them, so ``asym --kind A``, which reads the
 summands, never loads numpy, and the bundles and B-tables of the
 recurrent d = 1, 2 never load mpmath.  The float B route is budgeted: a series
 whose copy and last Newton transform are estimated above
-FLOAT_ROUTE_BUDGET bytes raises CapacityError before the pass.
+FLOAT_ROUTE_BUDGET bytes raises CapacityError before the pass, and so
+does a summand stream past SUMMAND_BUDGET terms.
 """
 
 from __future__ import annotations
@@ -65,6 +66,11 @@ PREC = round((DPS + 1) * math.log2(10))
 # Newton transform (_float_route_bytes).  2^30 admits N up to 2^23 =
 # 8,388,608, where the estimate is 738 MB.
 FLOAT_ROUTE_BUDGET = 2**30
+
+# Terms the fixed-point summand stream may run to: at d = 3, 2 * 10^6
+# recurrence steps take 1.4 s in constant memory (cold, 2-vCPU AMD EPYC
+# VM), so 10^7 take about 7 s.
+SUMMAND_BUDGET = 10**7
 
 
 @dataclass(frozen=True)
@@ -135,7 +141,11 @@ def _normalized_a_summands_mp(d: int, N: int) -> tuple[Iterator[int], int]:
     Past PREC, bits holds (d//2 + 2) log2 N bits for the (d/2) log2 N that
     t_N ~ N^{-d/2} loses and the rounding errors the recurrence carries
     (see _estimate), and 32 spare: at d = 5, N = 4000 the worst relative
-    error is 5e-55, with 8 guard bits in their place 6e-33."""
+    error is 5e-55, with 8 guard bits in their place 6e-33.  N past
+    SUMMAND_BUDGET raises CapacityError before the stream starts."""
+    if N > SUMMAND_BUDGET:
+        raise CapacityError("summand stream to N = %d is over the budget of %d terms"
+                            % (N, SUMMAND_BUDGET))
     bits = PREC + (d // 2 + 2) * N.bit_length() + 32
     return walks.recurrence_values("A", d, N, (2 * d) ** 2, bits), bits
 

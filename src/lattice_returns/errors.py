@@ -2,9 +2,10 @@
 
 
 class CapacityError(Exception):
-    """A computation would exceed its budget, checked before it allocates:
-    a dynamic-programming box its cell budget, or an exact series
-    reciprocal (every B-table) its multiply-add budget."""
+    """A computation would exceed its budget, checked before it starts:
+    a dynamic-programming box its cell budget, an exact first-return table
+    its packed-digit budget, the float B route its byte budget, or the
+    fixed-point summand stream its term budget."""
 
 
 class DivergenceError(ArithmeticError):

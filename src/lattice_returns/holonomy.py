@@ -12,19 +12,11 @@ coefficient with ``kernel.poly_divmod`` instead of searching for roots.
 ``theta_to_recurrence`` is the one reading of an operator in
 theta = z d/dz as a recurrence.
 
-``reciprocal_series`` inverts an int series with constant term +-1 (every
-B = 1 - 1/A table) by a multi-modular route: the majorant
-1/(1 - sum_{k>=1} R^k z^k), log2 R = max_k bitlen(f_k)/k, bounds the
-inverse's coefficients; the triangular recurrence runs in numpy modulo
-just enough primes below 2^26 to cover twice that bound, and CRT
-rebuilds each coefficient (``modular``).  ``TruncatedSeries.__mul__``
-stays a schoolbook product of Python ints (``kernel.product``), so the
-Hadamard suite's (1 - B) A = 1 checks the inverse by an independent
-route: a CRT product sharing a too-small bound would agree with a wrong
-B modulo the same M.
-
-This inverse imports numpy and ``modular`` on first use, so the other
-exact paths never load them.
+``reciprocal_series`` runs the triangular recurrence in exact arithmetic.
+Every B = 1 - 1/A table comes from ``walks`` instead, by Newton's
+iteration over packed Decimals; ``TruncatedSeries.__mul__`` stays a
+schoolbook product of Python ints (``kernel.product``), so the Hadamard
+suite's (1 - B) A = 1 checks that route with no arithmetic in common.
 """
 
 from __future__ import annotations
@@ -33,16 +25,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
 
-from .errors import CapacityError, InvertibilityError
+from .errors import InvertibilityError
 from .kernel import (RationalLike, UniPoly, binomial, exact, poly_divmod, primitive,
                      product)
 
 if TYPE_CHECKING:  # pragma: no cover
     from .walks import SequenceTable
-
-# Integral reciprocals whose triangular solve would take more multiply-adds
-# than this are refused (N = 4000 terms of B at d = 3 is 7.6e9, about 20 s).
-RECIPROCAL_BUDGET = 10**10
 
 
 class TruncatedSeries:
@@ -202,25 +190,13 @@ def hadamard(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
 
 
 def reciprocal_series(f: TruncatedSeries) -> TruncatedSeries:
-    """g with f * g = 1 to the full order of f.
-
-    An int series with constant term +-1 has an integral inverse.  It is
-    found modulo the fewest primes below 2^26 whose product exceeds twice
-    a majorant bound on its coefficients, and rebuilt by CRT
-    (``_integral_reciprocal``).  Every other series runs the triangular
-    recurrence g_n = -(1/f_0) sum_{k=1}^n f_k g_{n-k} in exact arithmetic.
-    Products of series stay schoolbook, so ``inverse * f == 1`` is an
-    independent check of this route.
-    """
+    """g with f * g = 1 to the full order of f, by the triangular
+    recurrence g_n = -(1/f_0) sum_{k=1}^n f_k g_{n-k} in exact arithmetic."""
     if f.order == 0:
         raise ValueError("empty series")
     c0 = f.coeffs[0]
     if c0 == 0:
         raise InvertibilityError("series has zero constant term")
-    if c0 in (1, -1) and all(type(c) is int for c in f.coeffs):
-        out = _integral_reciprocal(f.coeffs)
-        if out is not None:
-            return TruncatedSeries(out)
     inv0 = exact(Fraction(1) / c0)
     out = [inv0]
     for n in range(1, f.order):
@@ -231,58 +207,6 @@ def reciprocal_series(f: TruncatedSeries) -> TruncatedSeries:
                 acc += fk * out[n - k]
         out.append(-acc * inv0)
     return TruncatedSeries(out)
-
-
-def _integral_reciprocal(coeffs: Sequence[int]) -> list[int] | None:
-    """1/f for ints f_0 = +-1, f_1, ...: the triangular recurrence run
-    modulo enough primes at once, then CRT to the symmetric range.
-
-    |f_k| < R^k with log2 R = max_k bitlen(f_k)/k, so the majorant
-    1/(1 - sum_{k>=1} R^k z^k) = (1 - Rz)/(1 - 2Rz) bounds |g_n| by
-    2^(n-1) R^n: every g_n has at most bits = N - 1 + ceil((N-1) log2 R)
-    bits, and primes with product M > 2^(bits+1) determine it.  None if
-    ``modular.crt_primes`` has not that many primes.
-
-    The solve makes about N^2 P / 2 multiply-adds over P ~ bits / 26
-    primes; above RECIPROCAL_BUDGET it raises CapacityError before any
-    prime or residue is made, which also bounds the exact loop that
-    ``reciprocal_series`` falls back to.  The residues of f are freed
-    before CRT, so the two N x P int64 matrices of the solve are the
-    largest objects alive.
-    """
-    import numpy as np
-
-    from . import modular
-
-    N = len(coeffs)
-    bits = N - 1 + max((-(-(N - 1) * c.bit_length() // k)
-                        for k, c in enumerate(coeffs[1:], 1)), default=0)
-    P = bits // 26 + 1
-    if N * N * P // 2 > RECIPROCAL_BUDGET:
-        raise CapacityError(
-            "series reciprocal of %d terms: N^2 P/2 = %.1e multiply-adds over "
-            "P = %d primes exceeds the budget %.0e"
-            % (N, N * N * P // 2, P, RECIPROCAL_BUDGET))
-    chosen = modular.crt_primes(bits + 1)
-    if chosen is None:
-        return None
-    primes, M = chosen
-    p = np.array(primes, dtype=np.int64)
-    # f_rev[N-1-k] = f_k mod p, so both operands below run forward.
-    f_rev = modular.residues(coeffs[::-1], p)
-    g = np.empty_like(f_rev)
-    g[0] = coeffs[0] % p
-    for n in range(1, N):
-        acc = np.zeros_like(p)
-        for j in range(0, n, modular.CHUNK):
-            k = min(n, j + modular.CHUNK)
-            # sum_{i=j}^{k-1} f_{n-i} g_i: at most 2^11 products below
-            # 2^52, so the int64 sum stays below 2^63.
-            acc += np.einsum("ip,ip->p", f_rev[N - 1 - n + j:N - 1 - n + k],
-                             g[j:k]) % p
-        g[n] = (-coeffs[0] * acc) % p
-    del f_rev
-    return modular.crt(g, p, M)
 
 
 def check_p_recurrence(rec: PRecurrence, seq: "SequenceTable",

@@ -11,7 +11,9 @@ than machine types.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import sys
 from fractions import Fraction
 from typing import Iterable, Union
 
@@ -27,6 +29,19 @@ def exact(value) -> RationalLike:
         return value
     q = Fraction(value)
     return q.numerator if q.denominator == 1 else q
+
+
+@contextlib.contextmanager
+def unlimited_int_str():
+    """Lift the interpreter's limit on int/str conversion (Python 3.11+)
+    for the block: exact tables read and print integers of any length."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    set_limit = getattr(sys, "set_int_max_str_digits", lambda limit: None)
+    set_limit(0)
+    try:
+        yield
+    finally:
+        set_limit(limit)
 
 
 def binomial_row(n: int) -> tuple[int, ...]:

@@ -16,7 +16,12 @@ The x-ladder generates x for every d; A follows by multiplying central
 binomials, B by the renewal identity B = 1 - 1/A on the generating
 functions, that is
 
-      B_{2n} = A_{2n} - sum_{k=1}^{n-1} B_{2k} A_{2n-2k}.
+      B_{2n} = A_{2n} - sum_{k=1}^{n-1} B_{2k} A_{2n-2k},
+
+solved by Newton's iteration on 1 - B = 1/A, each series product one
+``decimal`` multiplication of Kronecker-packed digit strings
+(``_first_returns_from_a``).  ``decimal`` is the package's one exact
+big-number engine past Python ints: it prints X and A, and it makes B.
 
 The fast paths (``*_fast``) instead iterate the P-recurrences that
 ``catalog`` derives from X_d = I_0(2 sqrt z)^d for every d, seeded from
@@ -35,6 +40,7 @@ cross-checks only.
 from __future__ import annotations
 
 import decimal
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from functools import partial, reduce
@@ -42,9 +48,9 @@ from itertools import accumulate, repeat
 from operator import add, mul
 from typing import TYPE_CHECKING, Iterator
 
-from . import catalog, holonomy
+from . import catalog
 from .errors import CapacityError
-from .kernel import BigCount, binomial, round_div
+from .kernel import BigCount, binomial, round_div, unlimited_int_str
 
 if TYPE_CHECKING:  # pragma: no cover
     import numpy as np
@@ -174,18 +180,11 @@ def closed_walks(d: int, N: int) -> SequenceTable:
     return closed_walks_from_x(x_sequence(d, N))
 
 
-def _first_returns_from_a(a: SequenceTable) -> SequenceTable:
-    """B_2 .. B_{2N} from A_0 .. A_{2N} by B = 1 - 1/A (A_0 = 1, so the
-    reciprocal stays in ints)."""
-    inverse = holonomy.reciprocal_series(holonomy.TruncatedSeries(a.values))
-    return SequenceTable(a.dimension, "B", tuple(-c for c in inverse.coeffs[1:]))
-
-
 def first_returns(d: int, N: int) -> SequenceTable:
-    """B_2 .. B_{2N}: first returns to the origin."""
+    """B_2 .. B_{2N}: first returns to the origin, from the ladder's A-table."""
     if N < 1:
         raise ValueError("N must be >= 1")
-    return _first_returns_from_a(closed_walks(d, N))
+    return _b_table(d, _first_returns_from_a(d, N, closed_walks(d, N).values))
 
 
 def first_return_closed_form_1d(n: int) -> BigCount:
@@ -242,13 +241,15 @@ def _distribution_formula(d: int, n: int, cache: dict) -> dict[tuple[int, ...], 
     return dist
 
 
-def _layer_counts(d_target: int, n: int, h: int,
-                  cache: dict) -> dict[tuple[int, ...], BigCount]:
+def _layer_counts(d_target: int, n: int, h: int, cache: dict,
+                  keep: bool = True) -> dict[tuple[int, ...], BigCount]:
     """Counts of the height-h slice, via
 
         L_{n,h}^{(d+1)} = sum_j C(n, n-h-2j) * C(h+2j, j) * l_{n-h-2j}^{(d)}
 
-    with h replaced by |h| (mirror symmetry).
+    with h replaced by |h| (mirror symmetry).  keep=False drops each
+    l^{(d)} from the cache once it is summed in: one layer reads each of
+    them once, and only the lower dimensions are read again.
     """
     h = abs(h)
     d = d_target - 1
@@ -259,6 +260,8 @@ def _layer_counts(d_target: int, n: int, h: int,
             continue
         for p, c in _distribution_formula(d, n - h - 2 * j, cache).items():
             out[p] = out.get(p, 0) + w * c
+        if not keep:
+            del cache[d, n - h - 2 * j]
     return out
 
 
@@ -270,7 +273,7 @@ def layer(d_target: int, n: int, h: int) -> Layer:
         raise ValueError("n must be >= 0")
     if abs(h) > n:
         raise ValueError("|h| must be <= n")
-    counts = _layer_counts(d_target, n, h, {})
+    counts = _layer_counts(d_target, n, h, {}, keep=False)
     dist = LatticeDistribution(d_target - 1, n, counts)
     return Layer(d_target, n, h, dist)
 
@@ -490,6 +493,13 @@ def recurrence_values(kind: str, d: int, N: int, q=1, bits: int = 0) -> Iterator
     return iterate_p_recurrence(rec, vals, N, q)
 
 
+# Integer Decimal arithmetic of any size that traps every rounding.
+_EXACT = decimal.Context(
+    prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN,
+    traps=[decimal.Inexact, decimal.Rounded, decimal.InvalidOperation,
+           decimal.DivisionByZero])
+
+
 def decimal_values(kind: str, d: int, N: int) -> Iterator[decimal.Decimal]:
     """Yield recurrence_values(kind, d, N) one at a time as
     ``decimal.Decimal`` integers, whose str() is linear in the digits
@@ -501,16 +511,12 @@ def decimal_values(kind: str, d: int, N: int) -> Iterator[decimal.Decimal]:
     rec = catalog.x_recurrence(d) if kind == "X" else catalog.a_recurrence(d)
     seeds = recurrence_values(kind, d, min(N, rec.order - 1))
     values = iterate_p_recurrence(rec, map(decimal.Decimal, seeds), N)
-    exact = decimal.Context(
-        prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN,
-        traps=[decimal.Inexact, decimal.Rounded, decimal.InvalidOperation,
-               decimal.DivisionByZero])
 
     def run():
         while True:
             # The context wraps the step, never the yield, which would
             # leave it active in the caller.
-            with decimal.localcontext(exact):
+            with decimal.localcontext(_EXACT):
                 v = next(values, None)
             if v is None:
                 return
@@ -528,8 +534,90 @@ def closed_walks_fast(d: int, N: int) -> SequenceTable:
     return SequenceTable(d, "A", tuple(recurrence_values("A", d, N)))
 
 
-def first_returns_fast(d: int, N: int) -> SequenceTable:
-    """B-table with the A-values generated by the fast path."""
+def first_return_digits(d: int, N: int) -> list[str]:
+    """B_2 .. B_{2N} as digit strings, from the A-values of the fast path
+    (``decimal_values``); ``seq --kind B`` prints them as they are."""
     if N < 1:
         raise ValueError("N must be >= 1")
-    return _first_returns_from_a(closed_walks_fast(d, N))
+    return _first_returns_from_a(d, N, decimal_values("A", d, N))
+
+
+def first_returns_fast(d: int, N: int) -> SequenceTable:
+    """B-table with the A-values generated by the fast path."""
+    return _b_table(d, first_return_digits(d, N))
+
+
+def _b_table(d: int, digits: list[str]) -> SequenceTable:
+    with unlimited_int_str():
+        return SequenceTable(d, "B", tuple(map(int, digits)))
+
+
+# ---------------------------------------------------------------------------
+# First returns by B = 1 - 1/A: Newton's iteration on g = 1 - B = 1/A
+# (Kung, Numer. Math. 22, 1974), each product one Decimal multiplication
+# of Kronecker-packed vectors (Harvey, J. Symbolic Comput. 44, 2009).
+# ---------------------------------------------------------------------------
+
+# First-return tables whose packed A-operand would hold more digits than
+# this are refused (N = 4000 at d = 8 is 3.9e7 digits: 3.5 s and 207 MB
+# cold on a 2-vCPU AMD EPYC VM).
+B_DIGIT_BUDGET = 5 * 10**7
+
+
+def _pack(digits: list[str], s: int) -> decimal.Decimal:
+    """sum_i v_i 10^(s i) for the digit strings v_i, each below 10^s: the
+    strings zero-padded to s digits and joined, highest index first."""
+    return decimal.Decimal("".join(v.zfill(s) for v in reversed(digits)))
+
+
+def _slots(value: decimal.Decimal, lo: int, hi: int, s: int) -> str:
+    """Slots lo .. hi-1 of a packed value, highest first, as one string of
+    (hi - lo) s digits.  Every coefficient read is below 10^(s-1), so each
+    slot starts with 0; a slot that does not has borrowed from a negative
+    neighbour or overflowed, and raises ArithmeticError."""
+    text = str(value).zfill(hi * s)
+    text = text[len(text) - hi * s:len(text) - lo * s]
+    if value < 0 or text[::s].strip("0"):
+        raise ArithmeticError("a packed first-return coefficient left its slot: "
+                              "the A-series is not a renewal series")
+    return text
+
+
+def _first_returns_from_a(d: int, N: int, a) -> list[str]:
+    """B_2 .. B_{2N} as digit strings from A_0 .. A_{2N} (``a``, ints or
+    Decimals, A_0 = 1), by B = 1 - 1/A.
+
+    Given B_0 .. B_{m-1} (B_0 = 0), one Newton step fills n in [m, top),
+    top <= 2m:  E_n = A_n - (A B)_n, then B_n = E_n - (B E)_n.  These are
+    walk counts, E_n = sum_{k>=m} B_k A_{n-k}, so every E_n, B_n and
+    coefficient read lies in [0, A_n]: packed at s = len(A_{top-1}) + 1
+    digits a slot, the low slots of a product carry nothing and both
+    subtractions run on whole packed numbers without a borrow (``_slots``
+    checks it).  E is packed from slot m down to 0, so the second product
+    is w x w slots, w = top - m.  The tops are ceil((N+1) / 2^k), so the
+    last step is (N+1) x (N+1)/2 slots, not a power of two.
+
+    CapacityError before ``a`` is read if the last A-operand,
+    N (2N log10(2d) + 1) digits, exceeds B_DIGIT_BUDGET."""
+    estimate = N * (2 * N * math.log10(2 * d) + 1)
+    if estimate > B_DIGIT_BUDGET:
+        raise CapacityError(
+            "first returns to N = %d need about %.3g packed digits, over the "
+            "budget %.3g" % (N, estimate, B_DIGIT_BUDGET))
+    with unlimited_int_str():
+        a = [str(v) for v in a]
+    tops = [len(a)]
+    while tops[-1] > 2:
+        tops.append((tops[-1] + 1) // 2)
+    b = ["0"]
+    with decimal.localcontext(_EXACT):
+        for top in reversed(tops):
+            m, s = len(b), len(a[top - 1]) + 1
+            w = top - m
+            ab = _slots(_pack(a[:top], s) * _pack(b, s), m, top, s)
+            e = _pack(a[m:top], s) - decimal.Decimal(ab)
+            _slots(e, 0, w, s)
+            be = _slots(_pack(b[:w], s) * e, 0, w, s)
+            new = _slots(e - decimal.Decimal(be), 0, w, s)
+            b += [new[i - s:i].lstrip("0") or "0" for i in range(w * s, 0, -s)]
+    return b[1:]

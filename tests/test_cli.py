@@ -110,6 +110,12 @@ def test_seq_decimal_tables_print_the_int_tables(capsys, d):
             _assert_seq_renders(capsys, walks.SequenceTable(d, kind, full[:N + 1]), N)
 
 
+def test_seq_b_csv_reads_back_to_the_ladder_table(capsys):
+    code, out, _ = run_cli(capsys, "seq", "--kind", "B", "--d", "3", "--N", "300")
+    assert code == 0
+    assert parse_seq_csv(out) == lr.first_returns(3, 300)
+
+
 @pytest.mark.parametrize("d", range(1, 10))
 def test_seq_b_tables_stream_the_whole_table_rendering(capsys, d):
     order = catalog.a_recurrence(d).order
@@ -454,18 +460,30 @@ def test_verify_refuses_a_non_prime_p_before_any_table(capsys, monkeypatch):
 
 
 def test_verify_lucas_refuses_a_b_table_past_the_budget(capsys, monkeypatch):
-    # p = 101 needs 10,302 exact B terms: the reciprocal's estimate is
-    # refused before any prime or residue is made.
-    def no_primes(bits):
-        raise AssertionError("chose primes for %d bits" % bits)
+    # p = 101 needs 10,302 exact B terms, at d = 1 (the suite's first) about
+    # 6.4e7 packed digits: the estimate is refused before any A-value is
+    # packed.
+    def no_pack(digits, s):
+        raise AssertionError("packed %d values" % len(digits))
 
-    monkeypatch.setattr(lr.modular, "crt_primes", no_primes)
+    monkeypatch.setattr(lr.walks, "_pack", no_pack)
     start = time.perf_counter()
     code, out, err = run_cli(capsys, "verify", "lucas", "--kind", "B", "--p", "101")
     assert time.perf_counter() - start < 2
     assert code == 2 and out == "" and err.count("\n") == 1
-    assert err.startswith("error: series reciprocal of 10303 terms: N^2 P/2 = ")
-    assert err.endswith(" exceeds the budget 1e+10\n")
+    assert err == ("error: first returns to N = 10302 need about 6.39e+07 packed "
+                   "digits, over the budget 5e+07\n")
+
+
+def test_asym_refuses_a_summand_stream_past_the_budget(capsys):
+    # 10^9 recurrence steps would run for about 12 minutes before printing.
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "asym", "--kind", "A", "--d", "3",
+                             "--n", "100", "1000000000")
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert err == ("error: summand stream to N = 1000000000 is over the budget "
+                   "of 10000000 terms\n")
 
 
 def test_verify_all_builds_one_ladder_per_dimension(capsys, monkeypatch):
@@ -737,11 +755,17 @@ print(code, *sorted({"numpy", "mpmath"} & set(sys.modules)))
     (["asym", "--kind", "B", "--d", "3", "--n", "64"], " mpmath numpy"),
     (["asym", "--kind", "B", "--d", "2", "--n", "500", "1000"], " numpy"),
     (["constants", "--d", "2", "--N", "100"], " numpy"),
+    (["seq", "--kind", "B", "--d", "3", "--N", "50"], ""),
+    (["verify", "all"], ""),
+    (["verify", "hadamard", "--order", "20"], ""),
+    (["verify", "lucas", "--kind", "B", "--d", "3", "--p", "5", "--expect-fail"], ""),
 ], ids=["seq-A", "seq-X", "layers", "help", "constants-control", "asym-A", "asym-B",
-        "asym-B-d2", "constants-d2"])
+        "asym-B-d2", "constants-d2", "seq-B", "verify-all", "verify-hadamard",
+        "verify-lucas-B"])
 def test_import_floor_exact_commands_load_neither_numpy_nor_mpmath(argv, loaded):
-    # A fresh interpreter: the pure-integer commands must not pay for the
-    # numerics at start-up, nor asym --kind A for numpy, nor the recurrent
+    # A fresh interpreter: the exact commands, first returns and every
+    # verify suite included, must not pay for the numerics at start-up,
+    # nor asym --kind A for numpy, nor the recurrent
     # d = 2 bundle and B-table, which call no mpmath function, for mpmath;
     # the constants control shows the probe can fail.
     out = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, *argv],
@@ -753,7 +777,7 @@ _THREADS_PROBE = """
 import contextlib, io, os, sys
 from lattice_returns.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
-    code = main(["seq", "--kind", "B", "--d", "3", "--N", "50"])
+    code = main(["asym", "--kind", "B", "--d", "3", "--n", "64"])
 print(code, "numpy" in sys.modules, len(os.listdir("/proc/self/task")),
       os.environ.get("OPENBLAS_NUM_THREADS"))
 """
@@ -762,7 +786,7 @@ print(code, "numpy" in sys.modules, len(os.listdir("/proc/self/task")),
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs Linux /proc")
 @pytest.mark.parametrize("preset", [None, "2"])
 def test_numpy_starts_no_blas_threads_unless_asked(preset):
-    # seq --kind B loads numpy; OpenBLAS stays single-threaded unless the
+    # asym --kind B loads numpy; OpenBLAS stays single-threaded unless the
     # environment asks for more.
     env = _src_env()
     env.pop("OPENBLAS_NUM_THREADS", None)

@@ -11,8 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lattice_returns as lr
-from lattice_returns import catalog, modular
-from lattice_returns.errors import CapacityError, InvertibilityError
+from lattice_returns import catalog, walks
+from lattice_returns.errors import InvertibilityError
 from lattice_returns.holonomy import TruncatedSeries, is_prime, theta_to_recurrence
 from lattice_returns.kernel import UniPoly, primitive
 
@@ -106,17 +106,6 @@ def test_integral_reciprocal_matches_schoolbook(c0, tail):
     assert inv.coeffs == _schoolbook_reciprocal(coeffs)
 
 
-def test_integral_reciprocal_past_the_accumulation_chunk():
-    # 1/(1 - z - z^2) = sum F_{n+1} z^n; N = 2500 sums more than 2^11
-    # products of residues per coefficient.
-    N = 2500
-    inv = lr.reciprocal_series(TruncatedSeries([1, -1, -1] + [0] * (N - 3)))
-    fib = [1, 1]
-    while len(fib) < N:
-        fib.append(fib[-1] + fib[-2])
-    assert inv.coeffs == fib
-
-
 @pytest.mark.parametrize("N", range(1, 41))
 def test_integral_reciprocal_near_the_majorant(N):
     # f_k = -(2^(30k) - 1) puts the inverse within a factor 2 of the
@@ -127,24 +116,22 @@ def test_integral_reciprocal_near_the_majorant(N):
     assert inv.coeffs == _schoolbook_reciprocal(coeffs)
 
 
-def test_integral_reciprocal_leaves_huge_bounds_to_the_exact_loop():
-    from lattice_returns import holonomy
+@pytest.mark.parametrize("d", range(1, 9))
+def test_packed_first_returns_are_the_schoolbook_reciprocal(d):
+    # The sizes cross the Newton steps' splits (63 | 64 | 65, 399 = 400 - 1)
+    # and the changes of slot width between them.
+    a = list(lr.closed_walks(d, 399).values)
+    b = [str(-c) for c in _schoolbook_reciprocal(a)[1:]]
+    for N in (1, 2, 3, 63, 64, 65, 300, 399):
+        assert walks.first_return_digits(d, N) == b[:N]
+        assert walks._first_returns_from_a(d, N, a[:N + 1]) == b[:N]
 
-    # Primes in (2^25, 2^26) cover 25 * 2^20 bits only with up to 2^20 of them.
-    assert modular.crt_primes(25 << 20) is None
-    f1 = 1 << (25 << 20)
-    assert holonomy._integral_reciprocal([1, f1]) is None
-    assert lr.reciprocal_series(TruncatedSeries([1, f1])).coeffs == [1, -f1]
 
-
-def test_integral_reciprocal_refuses_work_past_the_budget():
-    from lattice_returns import holonomy
-
-    # 10^4 unit coefficients: about 2 * 10^4 bits, 770 primes and 3.8e10
-    # multiply-adds, refused before any residue.
-    with pytest.raises(CapacityError, match=r"N\^2 P/2 = 3\.8e\+10 .* budget 1e\+10$"):
-        holonomy._integral_reciprocal([1] * 10**4)
-    assert holonomy._integral_reciprocal([1] * 2000) == [1, -1] + [0] * 1998
+def test_packed_route_refuses_a_series_that_is_not_renewal():
+    # 1/(1 + z^2) = 1 - z^2 + z^4 - ..., so B = 1 - 1/A has negative
+    # coefficients: a slot borrows, and the guard must see it.
+    with pytest.raises(ArithmeticError, match="left its slot"):
+        walks._first_returns_from_a(1, 12, [1, 0, 1] + [0] * 10)
 
 
 def test_series_from_sequence_offsets():
