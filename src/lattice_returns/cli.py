@@ -96,6 +96,13 @@ def _seq_json(args, offset: int, values) -> Iterable[str]:
     yield '\n  ],\n  "N": %d\n}\n' % args.N
 
 
+# seq refuses an X- or A-table whose rows would print more characters
+# than this: the values take about N^2 log10(2d) digits for A and
+# N^2 log10(d) for X (--kind A --d 5 --N 16000 prints 2.6e8 characters in
+# about 1.2 s).  Kind B is held by the stricter walks.B_DIGIT_BUDGET.
+SEQ_OUTPUT_BUDGET = 10**9
+
+
 def cmd_seq(args) -> int:
     if args.N < (1 if args.kind == "B" else 0):
         raise UsageError("N too small for kind %s" % args.kind)
@@ -104,6 +111,12 @@ def cmd_seq(args) -> int:
     if args.kind == "B":
         offset, values = 1, walks.first_return_digits(args.d, args.N)
     else:
+        base = 2 * args.d if args.kind == "A" else args.d
+        size = (args.N + 1) * (args.N * math.log10(max(base, 1)) + len(str(args.N)) + 3)
+        if size > SEQ_OUTPUT_BUDGET:
+            raise CapacityError("the %s-table to N = %d prints about %.3g characters, "
+                                "over the budget %.3g" % (args.kind, args.N, size,
+                                                          SEQ_OUTPUT_BUDGET))
         offset, values = 0, walks.decimal_values(args.kind, args.d, args.N)
     render = _seq_json if args.format == "json" else _seq_csv
     _write(args.out, render(args, offset, values))
@@ -143,10 +156,11 @@ def cmd_layers(args) -> int:
         raise UsageError("layers need a target dimension d >= 3")
     lay = walks.layer(args.d, args.n, args.h)
     config = [("d", args.d), ("n", args.n), ("h", args.h), ("format", "csv")]
-    cols = ",".join("x%d" % (i + 1) for i in range(lay.counts.dimension))
-    lines = [_config_comment(config), cols + ",count\n"]
-    for point, count in lay.counts.sorted_items():
-        lines.append(",".join(str(c) for c in point) + ",%d\n" % count)
+    dim = lay.counts.dimension
+    row = "%d," * dim + "%d\n"
+    lines = [_config_comment(config),
+             ",".join("x%d" % (i + 1) for i in range(dim)) + ",count\n"]
+    lines += [row % (*point, count) for point, count in lay.counts.sorted_items()]
     _write(args.out, ["".join(lines)])
     return 0
 
@@ -160,18 +174,21 @@ def _scoped(value, default) -> list:
     return list(default) if value is None else [value]
 
 
-def _ladder(run, d: int, N: int, kind: str) -> walks.SequenceTable:
-    """The kind ("X", "A") table of d through at least index N, from the
-    run's one binomial ladder for d, rebuilt only when it is too short.
+def _ladder(run, d: int, kind: str) -> walks.SequenceTable:
+    """The kind ("X", "A") table of d from the run's one binomial ladder.
 
+    The ladder is built at the first call, for the largest dimension and
+    horizon that the run's suites read (``run.ladder_size``, worked out
+    before any suite runs), and each dimension's A view is made once.
     The fast paths iterate the catalog's recurrences, so the recurrence
     and ODE suites read the ladder, never the objects under test.  Both
     read prefixes only, so a longer ladder serves.
     """
-    x = run.ladders.get(d)
-    if x is None or x.n_max < N:
-        x = run.ladders[d] = walks.x_sequence(d, N)
-    return x if kind == "X" else walks.closed_walks_from_x(x)
+    if not run.tables:
+        run.tables.update(((x.dimension, "X"), x) for x in walks.x_ladder(*run.ladder_size))
+    if (d, kind) not in run.tables:
+        run.tables[d, kind] = walks.closed_walks_from_x(run.tables[d, "X"])
+    return run.tables[d, kind]
 
 
 def _table_fixtures(d: int, run) -> list[holonomy.VerificationReport]:
@@ -186,26 +203,39 @@ def _table_fixtures(d: int, run) -> list[holonomy.VerificationReport]:
     )]
 
 
-def _precurrence(d: int, run) -> list[holonomy.VerificationReport]:
-    recs = {k: catalog.x_recurrence(d) if k == "X" else catalog.a_recurrence(d)
+def _recurrences(d: int, run) -> dict:
+    return {k: catalog.x_recurrence(d) if k == "X" else catalog.a_recurrence(d)
             for k in run.kinds}
-    N = run.n_max + max(r.order for r in recs.values())
-    return [holonomy.check_p_recurrence(recs[k], _ladder(run, d, N, k), run.n_max)
+
+
+def _precurrence(d: int, run) -> list[holonomy.VerificationReport]:
+    recs = _recurrences(d, run)
+    return [holonomy.check_p_recurrence(recs[k], _ladder(run, d, k), run.n_max)
             for k in run.kinds]
+
+
+def _precurrence_horizon(d: int, run) -> int:
+    return run.n_max + max(r.order for r in _recurrences(d, run).values())
 
 
 def _ode(d: int, run) -> list[holonomy.VerificationReport]:
     reports = []
     for k in run.kinds:
         ode = catalog.f_ode(d) if k == "X" else catalog.a_ode(d)
-        series = holonomy.series_from_sequence(_ladder(run, d, run.order, k), run.order)
+        series = holonomy.series_from_sequence(_ladder(run, d, k), run.order)
         reports.append(holonomy.check_ode(ode, series, {"kind": k, "d": d}))
     return reports
 
 
 def _lucas(d: int, run) -> list[holonomy.VerificationReport]:
-    return [holonomy.lucas_check(_build_table(k, d, p * p + p), p, p * p + p)
-            for k in run.kinds for p in run.primes]
+    """One table per kind, to the largest prime's p^2 + p; each prime is
+    checked on its prefix."""
+    top = max(run.primes) ** 2 + max(run.primes)
+    reports = []
+    for k in run.kinds:
+        table = _build_table(k, d, top)
+        reports += [holonomy.lucas_check(table, p, p * p + p) for p in run.primes]
+    return reports
 
 
 def _hadamard(d: int, run) -> list[holonomy.VerificationReport]:
@@ -236,22 +266,24 @@ def _singularities(d: int, run) -> list[holonomy.VerificationReport]:
 
 # Each suite: the flags it honours, the dimensions --d may name (None: any
 # d >= 1, as the catalog derives every dimension's recurrences and ODEs),
-# and its reports for one d.  Without --d a suite covers the printed
-# dimensions, d <= 5, that it has data for; --d reaches any other.  "all"
-# runs every suite in this order at its defaults: --order 300 and
-# --n-max 300, with hadamard at order 200.
+# its reports for one d, and the ladder horizon it reads at d (None: it
+# reads no ladder).  Without --d a suite covers the printed dimensions,
+# d <= 5, that it has data for; --d reaches any other.  "all" runs every
+# suite in this order at its defaults: --order 300 and --n-max 300, with
+# hadamard at order 200.
 _SUITES = {
-    "table-fixtures": (("--d",), catalog.TABLE_A, _table_fixtures),
-    "precurrence": (("--d", "--kind", "--n-max"), None, _precurrence),
-    "ode": (("--d", "--kind", "--order"), None, _ode),
-    "lucas": (("--d", "--kind", "--p"), None, _lucas),
-    "hadamard": (("--d", "--order"), None, _hadamard),
-    "singularities": (("--d", "--kind"), None, _singularities),
+    "table-fixtures": (("--d",), catalog.TABLE_A, _table_fixtures, None),
+    "precurrence": (("--d", "--kind", "--n-max"), None, _precurrence,
+                    _precurrence_horizon),
+    "ode": (("--d", "--kind", "--order"), None, _ode, lambda d, run: run.order),
+    "lucas": (("--d", "--kind", "--p"), None, _lucas, None),
+    "hadamard": (("--d", "--order"), None, _hadamard, None),
+    "singularities": (("--d", "--kind"), None, _singularities, None),
 }
 
 
 def cmd_verify(args) -> int:
-    flags, dims, _ = _SUITES.get(args.suite, ((), None, None))
+    flags, dims, _, _ = _SUITES.get(args.suite, ((), None, None, None))
     for flag in ("--d", "--kind", "--p", "--order", "--n-max"):
         if getattr(args, flag[2:].replace("-", "_")) is not None and flag not in flags:
             raise UsageError("verify %s does not take %s" % (args.suite, flag))
@@ -264,7 +296,7 @@ def cmd_verify(args) -> int:
     run = argparse.Namespace(
         kinds=_scoped(args.kind, ("X", "A")), primes=_scoped(args.p, (3, 5, 7, 11, 13)),
         n_max=300 if args.n_max is None else args.n_max, order=order,
-        hadamard_order=200 if args.suite == "all" else order, ladders={}, a1=None)
+        hadamard_order=200 if args.suite == "all" else order, tables={}, a1=None)
     if run.n_max < 0:
         raise UsageError("--n-max must be >= 0")
     if run.order < 1:
@@ -272,12 +304,20 @@ def cmd_verify(args) -> int:
     # Before any table: lucas at p would build p^2 + p exact terms.
     if args.p is not None and not holonomy.is_prime(args.p):
         raise UsageError("%d is not prime" % args.p)
-    reports = []
+    plan = []
     for name in (_SUITES if args.suite == "all" else (args.suite,)):
-        _, dims, reports_for = _SUITES[name]
-        for d in _scoped(args.d, [dd for dd in catalog.PRINTED_DIMENSIONS
-                                  if dims is None or dd in dims]):
-            reports += reports_for(d, run)
+        _, dims, reports_for, horizon = _SUITES[name]
+        plan += [(reports_for, horizon, d)
+                 for d in _scoped(args.d, [dd for dd in catalog.PRINTED_DIMENSIONS
+                                           if dims is None or dd in dims])]
+    # One ladder serves the run: its dimension and horizon are the largest
+    # that any suite reads.
+    sizes = [(d, horizon(d, run)) for _, horizon, d in plan if horizon]
+    if sizes:
+        run.ladder_size = (max(d for d, _ in sizes), max(N for _, N in sizes))
+    reports = []
+    for reports_for, _, d in plan:
+        reports += reports_for(d, run)
     failed = [r for r in reports if not r.passed]
     status = "fail" if failed else "pass"
     if args.expect_fail:

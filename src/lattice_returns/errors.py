@@ -4,8 +4,9 @@
 class CapacityError(Exception):
     """A computation would exceed its budget, checked before it starts:
     a dynamic-programming box its cell budget, an exact first-return table
-    its packed-digit budget, the float B route its byte budget, or the
-    fixed-point summand stream its term budget."""
+    its packed-digit budget, the float B route its byte budget, the
+    fixed-point summand stream its term budget, a layer its lattice-point
+    budget, or a printed X- or A-table its output budget."""
 
 
 class DivergenceError(ArithmeticError):

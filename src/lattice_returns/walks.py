@@ -32,6 +32,17 @@ it yields the terms one at a time and holds only the last r, so a
 consumer that prints each term as it comes (``decimal_values`` under
 ``seq``) never holds the table, whose digits grow like N^2.
 
+Endpoint distributions l_n^{(d)} come from the layer formula (``layer``,
+``distribution_formula``), the paper's multiplication principle: a slice
+at height h of dimension d + 1 is a binomial-weighted sum of
+d-dimensional distributions.  Every l_n^{(d)} is invariant under the
+2^d d! signed permutations of the coordinates, so it is summed only on
+its orbit representatives, the tuples of |coordinates| in non-decreasing
+order (546 of them for the 19,871 points of ``layers --d 4 --n 30``), and
+expanded to every point once, at the end.  ``x_ladder`` makes the
+x-tables of every dimension 1 .. d in one pass, so a verify run builds
+one ladder.
+
 An independent dynamic-programming oracle (full_distribution_dp,
 first_returns_dp) convolves unit steps directly and is used for
 cross-checks only.
@@ -44,7 +55,7 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 from functools import partial, reduce
-from itertools import accumulate, repeat
+from itertools import accumulate, product, repeat
 from operator import add, mul
 from typing import TYPE_CHECKING, Iterator
 
@@ -60,6 +71,13 @@ KINDS = ("X", "A", "B")
 # DP boxes larger than this many cells are refused (fail loudly, stay
 # desk-scale).
 DP_CELL_BUDGET = 10**8
+
+# Layers are refused when the d-dimensional cross-polytope |x|_1 <= n - |h|
+# holds more lattice points than this: the (d-1)-dimensional distributions
+# that the layer formula sums, of m = 0 .. n - |h| steps, fill it, and the
+# layer is its slice x_d = h.  It admits d = 4 at n = 61 and d = 3 at
+# n = 195.
+LAYER_POINT_BUDGET = 10**7
 
 
 @dataclass(frozen=True)
@@ -125,7 +143,7 @@ class LatticeDistribution:
 
     def sorted_items(self) -> list[tuple[tuple[int, ...], BigCount]]:
         """Items in lexicographic point order (canonical serialization)."""
-        return sorted(self.counts.items())
+        return [(p, self.counts[p]) for p in sorted(self.counts)]
 
 
 @dataclass(frozen=True)
@@ -142,8 +160,9 @@ class Layer:
     counts: LatticeDistribution
 
 
-def x_sequence(d: int, N: int) -> SequenceTable:
-    """x_0 .. x_N in dimension d via the fundamental recurrence ladder.
+def x_ladder(d: int, N: int) -> list[SequenceTable]:
+    """x_0 .. x_N in each dimension 1 .. d via the fundamental recurrence
+    ladder.
 
     The outer loop runs over n and the inner one over the dimension
     levels, so each Pascal row is built once, from the previous one, and
@@ -153,19 +172,21 @@ def x_sequence(d: int, N: int) -> SequenceTable:
         raise ValueError("dimension must be >= 1")
     if N < 0:
         raise ValueError("N must be >= 0")
-    if d == 1:
-        return SequenceTable(1, "X", (1,) * (N + 1))
     # levels[j] holds x_0 .. x_n in dimension j + 1.
-    levels: list[list[BigCount]] = [[] for _ in range(d)]
+    levels: list[list[BigCount]] = [[1] * (N + 1)] + [[] for _ in range(d - 1)]
     row = [1]
-    for n in range(N + 1):
+    for n in range(N + 1 if d > 1 else 0):  # dimension 1 needs no row
         if n:
             row = [1, *map(add, row, row[1:]), 1]
         squares = [c * c for c in row]
-        levels[0].append(1)
         for lower, upper in zip(levels, levels[1:]):
             upper.append(sum(map(mul, squares, lower)))
-    return SequenceTable(d, "X", tuple(levels[-1]))
+    return [SequenceTable(j + 1, "X", level) for j, level in enumerate(levels)]
+
+
+def x_sequence(d: int, N: int) -> SequenceTable:
+    """x_0 .. x_N in dimension d, the last level of ``x_ladder``."""
+    return x_ladder(d, N)[-1]
 
 
 def closed_walks_from_x(xs: SequenceTable) -> SequenceTable:
@@ -220,62 +241,98 @@ def tau_entry(n: int, i: int, j: int) -> BigCount:
 
 
 def _distribution_formula(d: int, n: int, cache: dict) -> dict[tuple[int, ...], BigCount]:
-    """Endpoint distribution l_n^{(d)} built from the layer formula only.
+    """Endpoint distribution l_n^{(d)} on its orbit representatives,
+    built from the layer formula only.
 
-    Dimension 1 is the Pascal row; dimension d+1 is assembled from the
-    heights h = -n..n, each height being a layer over the d-dimensional
-    distributions, built once for +-h.  Independent of the step DP.
+    l_n^{(d)} is invariant under the 2^d d! signed permutations of the
+    coordinates, so it is held on the representatives q_1 <= .. <= q_d
+    of |coordinates| (``_orbit`` expands one).  Dimension 1 is the Pascal
+    row; in dimension d+1 a representative is q + (h,) with its largest
+    coordinate h as the height, so it is the height-h layer over the
+    d-dimensional representatives q with max(q) <= h, and already sorted.
+    Independent of the step DP.
     """
     key = (d, n)
     if key in cache:
         return cache[key]
     if d == 1:
-        dist = {(k,): binomial(n, (n + k) // 2)
-                for k in range(-n, n + 1, 2)}
+        dist = {(k,): binomial(n, (n + k) // 2) for k in range(n % 2, n + 1, 2)}
     else:
         dist = {}
         for h in range(n + 1):
-            for p, c in _layer_counts(d, n, h, cache).items():
-                dist[p + (h,)] = dist[p + (-h,)] = c
+            for q, c in _layer_counts(d, n, h, cache, h).items():
+                dist[q + (h,)] = c
     cache[key] = dist
     return dist
 
 
 def _layer_counts(d_target: int, n: int, h: int, cache: dict,
-                  keep: bool = True) -> dict[tuple[int, ...], BigCount]:
-    """Counts of the height-h slice, via
+                  top: int) -> dict[tuple[int, ...], BigCount]:
+    """Counts of the height-h slice on the representatives q with
+    max(q) <= top, via
 
         L_{n,h}^{(d+1)} = sum_j C(n, n-h-2j) * C(h+2j, j) * l_{n-h-2j}^{(d)}
 
-    with h replaced by |h| (mirror symmetry).  keep=False drops each
-    l^{(d)} from the cache once it is summed in: one layer reads each of
-    them once, and only the lower dimensions are read again.
+    with h replaced by |h| (mirror symmetry).
     """
     h = abs(h)
-    d = d_target - 1
     out: dict[tuple[int, ...], BigCount] = {}
+    get = out.get
     for j in range((n - h) // 2 + 1):
         w = binomial(n, n - h - 2 * j) * binomial(h + 2 * j, j)
-        if w == 0:
-            continue
-        for p, c in _distribution_formula(d, n - h - 2 * j, cache).items():
-            out[p] = out.get(p, 0) + w * c
-        if not keep:
-            del cache[d, n - h - 2 * j]
+        # The representatives are stored in order of their largest
+        # coordinate.
+        for q, c in _distribution_formula(d_target - 1, n - h - 2 * j, cache).items():
+            if q[-1] > top:
+                break
+            out[q] = get(q, 0) + w * c
     return out
 
 
+def _arrangements(q: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    """The distinct permutations of the sorted tuple q."""
+    if len(q) <= 1:
+        yield q
+        return
+    for i, v in enumerate(q):
+        if i == 0 or q[i - 1] != v:
+            for rest in _arrangements(q[:i] + q[i + 1:]):
+                yield (v, *rest)
+
+
+def _orbit(q: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    """The distinct signed permutations of the representative q."""
+    for p in _arrangements(q):
+        yield from product(*[(-c, c) if c else (0,) for c in p])
+
+
+def _expand(reps: dict[tuple[int, ...], BigCount]) -> dict[tuple[int, ...], BigCount]:
+    """A distribution on representatives, on every lattice point."""
+    return {p: c for q, c in reps.items() for p in _orbit(q)}
+
+
 def layer(d_target: int, n: int, h: int) -> Layer:
-    """The layer L_{n,h} of the d_target-dimensional n-step distribution."""
+    """The layer L_{n,h} of the d_target-dimensional n-step distribution.
+
+    The slice is invariant under the signed permutations of its d_target
+    - 1 coordinates, so it is summed on their representatives and
+    expanded once."""
     if d_target < 2:
         raise ValueError("layer needs target dimension >= 2")
     if n < 0:
         raise ValueError("n must be >= 0")
     if abs(h) > n:
         raise ValueError("|h| must be <= n")
-    counts = _layer_counts(d_target, n, h, {}, keep=False)
-    dist = LatticeDistribution(d_target - 1, n, counts)
-    return Layer(d_target, n, h, dist)
+    r = n - abs(h)
+    points = sum(2**i * math.comb(d_target, i) * math.comb(r, i)
+                 for i in range(d_target + 1))
+    if points > LAYER_POINT_BUDGET:
+        raise CapacityError(
+            "layer d=%d, n=%d, h=%d reaches %d lattice points of the "
+            "cross-polytope |x|_1 <= %d, over the budget %d"
+            % (d_target, n, h, points, r, LAYER_POINT_BUDGET))
+    counts = _expand(_layer_counts(d_target, n, h, {}, n))
+    return Layer(d_target, n, h, LatticeDistribution(d_target - 1, n, counts))
 
 
 def distribution_formula(d: int, n: int) -> LatticeDistribution:
@@ -284,7 +341,7 @@ def distribution_formula(d: int, n: int) -> LatticeDistribution:
         raise ValueError("dimension must be >= 1")
     if n < 0:
         raise ValueError("n must be >= 0")
-    return LatticeDistribution(d, n, _distribution_formula(d, n, {}))
+    return LatticeDistribution(d, n, _expand(_distribution_formula(d, n, {})))
 
 
 def _check_box(d: int, steps_box: int):
@@ -564,20 +621,44 @@ def _b_table(d: int, digits: list[str]) -> SequenceTable:
 B_DIGIT_BUDGET = 5 * 10**7
 
 
+# _pack joins this many padded strings at a time.
+_PACK_RUN = 64
+
+
 def _pack(digits: list[str], s: int) -> decimal.Decimal:
-    """sum_i v_i 10^(s i) for the digit strings v_i, each below 10^s: the
-    strings zero-padded to s digits and joined, highest index first."""
-    return decimal.Decimal("".join(v.zfill(s) for v in reversed(digits)))
+    """sum_i v_i 10^(s i) for the digit strings v_i, each below 10^s.
+
+    Each run of _PACK_RUN strings is zero-padded to s digits a string and
+    joined, highest index first, into one Decimal; the runs are then
+    added pairwise, level by level.  So no padded copy of the whole
+    vector is held, and the largest transient is about twice the packed
+    value's own size."""
+    parts = [decimal.Decimal("".join(v.zfill(s) for v in reversed(digits[i:i + _PACK_RUN])))
+             for i in range(0, len(digits), _PACK_RUN)]
+    width = _PACK_RUN * s
+    while len(parts) > 1:
+        pairs = [parts[i] + parts[i + 1].scaleb(width) for i in range(0, len(parts) - 1, 2)]
+        parts = pairs + parts[len(pairs) * 2:]
+        width *= 2
+    return parts[0]
 
 
-def _slots(value: decimal.Decimal, lo: int, hi: int, s: int) -> str:
-    """Slots lo .. hi-1 of a packed value, highest first, as one string of
-    (hi - lo) s digits.  Every coefficient read is below 10^(s-1), so each
-    slot starts with 0; a slot that does not has borrowed from a negative
-    neighbour or overflowed, and raises ArithmeticError."""
-    text = str(value).zfill(hi * s)
-    text = text[len(text) - hi * s:len(text) - lo * s]
-    if value < 0 or text[::s].strip("0"):
+def _cut(value: decimal.Decimal, lo: int, hi: int, s: int) -> decimal.Decimal:
+    """Slots lo .. hi-1 of a non-negative packed value, as a packed value,
+    by exact shifts of the decimal exponent: no digit string is made."""
+    if lo:
+        value = value.scaleb(-lo * s).to_integral_value(decimal.ROUND_DOWN)
+    above = value.scaleb(-(hi - lo) * s).to_integral_value(decimal.ROUND_DOWN)
+    return value - above.scaleb((hi - lo) * s) if above else value
+
+
+def _slots(value: decimal.Decimal, w: int, s: int) -> str:
+    """The w slots of a packed value, highest first, as one string of w s
+    digits.  Every coefficient read is below 10^(s-1), so each slot starts
+    with 0; a slot that does not has borrowed from a negative neighbour or
+    overflowed, and raises ArithmeticError."""
+    text = str(value).zfill(w * s)
+    if value < 0 or len(text) > w * s or text[::s].strip("0"):
         raise ArithmeticError("a packed first-return coefficient left its slot: "
                               "the A-series is not a renewal series")
     return text
@@ -614,10 +695,13 @@ def _first_returns_from_a(d: int, N: int, a) -> list[str]:
         for top in reversed(tops):
             m, s = len(b), len(a[top - 1]) + 1
             w = top - m
-            ab = _slots(_pack(a[:top], s) * _pack(b, s), m, top, s)
-            e = _pack(a[m:top], s) - decimal.Decimal(ab)
-            _slots(e, 0, w, s)
-            be = _slots(_pack(b[:w], s) * e, 0, w, s)
-            new = _slots(e - decimal.Decimal(be), 0, w, s)
+            ab = _cut(_pack(a[:top], s) * _pack(b, s), m, top, s)
+            _slots(ab, w, s)
+            e = _pack(a[m:top], s) - ab
+            _slots(e, w, s)
+            be = _cut(_pack(b[:w], s) * e, 0, w, s)
+            _slots(be, w, s)
+            new = _slots(e - be, w, s)
+            del ab, e, be  # before the next step's operands are packed
             b += [new[i - s:i].lstrip("0") or "0" for i in range(w * s, 0, -s)]
     return b[1:]

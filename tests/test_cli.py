@@ -3,6 +3,7 @@ round-trips.  Most tests drive main() in-process; one subprocess test
 covers the installed console script.
 """
 
+import hashlib
 import json
 import math
 import os
@@ -134,7 +135,9 @@ def test_seq_usage_error(capsys):
     ["seq", "--kind", "A", "--d", "0", "--N", "5"],
     ["seq", "--kind", "X", "--d", "0", "--N", "5", "--format", "json"],
     ["verify", "lucas", "--kind", "B", "--d", "3", "--p", "101"],
-], ids=["usage", "bad-d-csv", "bad-d-json", "capacity"])
+    ["seq", "--kind", "A", "--d", "5", "--N", "1000000"],
+    ["layers", "--d", "4", "--n", "100", "--h", "0"],
+], ids=["usage", "bad-d-csv", "bad-d-json", "capacity", "seq-output", "layer-points"])
 def test_refusals_create_no_out_file(capsys, tmp_path, argv):
     # The writer opens --out at its first chunk, which comes after every
     # usage and capacity check.
@@ -475,6 +478,41 @@ def test_verify_lucas_refuses_a_b_table_past_the_budget(capsys, monkeypatch):
                    "digits, over the budget 5e+07\n")
 
 
+@pytest.mark.parametrize("kind, size", [("A", "1e+12"), ("X", "6.99e+11")])
+def test_seq_refuses_a_table_past_the_output_budget(capsys, kind, size):
+    # --kind A --d 5 --N 10^6 would print about a terabyte for hours.
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "seq", "--kind", kind, "--d", "5", "--N", "1000000")
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert err == ("error: the %s-table to N = 1000000 prints about %s characters, "
+                   "over the budget 1e+09\n" % (kind, size))
+
+
+def test_benchmark_layers_match_their_references(capsys):
+    refs = json.loads((ROOT / "perfbench" / "refs.json").read_text())["commands"]
+    for h in ("0", "1", "-1"):
+        argv = ["layers", "--d", "4", "--n", "30", "--h", h]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == refs[" ".join(argv)]["sha256"]
+
+
+def test_verify_lucas_builds_one_table_per_kind(capsys, monkeypatch):
+    from lattice_returns import cli
+
+    calls = []
+    build = cli._build_table
+    monkeypatch.setattr(cli, "_build_table",
+                        lambda k, d, N: calls.append((k, d, N)) or build(k, d, N))
+    code, out, _ = run_cli(capsys, "verify", "lucas", "--d", "3")
+    assert code == 0
+    assert calls == [("X", 3, 182), ("A", 3, 182)]
+    assert [(r["parameters"]["kind"], r["parameters"]["p"], r["parameters"]["n_max"])
+            for r in json.loads(out)["reports"]] == [
+        (k, p, p * p + p) for k in "XA" for p in (3, 5, 7, 11, 13)]
+
+
 def test_asym_refuses_a_summand_stream_past_the_budget(capsys):
     # 10^9 recurrence steps would run for about 12 minutes before printing.
     start = time.perf_counter()
@@ -486,20 +524,30 @@ def test_asym_refuses_a_summand_stream_past_the_budget(capsys):
                    "of 10000000 terms\n")
 
 
-def test_verify_all_builds_one_ladder_per_dimension(capsys, monkeypatch):
-    # The precurrence and ODE suites share each dimension's binomial ladder;
-    # the runner must read walks.x_sequence through the module, too.
-    calls = []
-    x_sequence = walks.x_sequence
+def test_verify_all_builds_one_ladder_per_run(capsys, monkeypatch):
+    # The precurrence and ODE suites of every dimension read one binomial
+    # ladder, sized before the first build to the largest d and horizon
+    # (n_max 300 plus the d = 5 order 3), and one A view per dimension;
+    # the runner must read walks.x_ladder through the module.  The table
+    # fixtures' 9-term tables and hadamard's d = 1 series stay below that
+    # horizon.
+    calls, views = [], []
+    x_ladder, closed_walks_from_x = walks.x_ladder, walks.closed_walks_from_x
 
     def recording(d, N):
         calls.append((d, N))
-        return x_sequence(d, N)
+        return x_ladder(d, N)
 
-    monkeypatch.setattr(lr.walks, "x_sequence", recording)
+    def view(x):
+        views.append((x.dimension, x.n_max))
+        return closed_walks_from_x(x)
+
+    monkeypatch.setattr(lr.walks, "x_ladder", recording)
+    monkeypatch.setattr(lr.walks, "closed_walks_from_x", view)
     code, _, _ = run_cli(capsys, "verify", "all")
     assert code == 0
-    assert sorted(d for d, N in calls if N >= 300) == [1, 2, 3, 4, 5]
+    assert [(d, N) for d, N in calls if d > 1 and N > 8] == [(5, 303)]
+    assert [v for v in views if v[1] == 303] == [(d, 303) for d in range(1, 6)]
 
 
 def test_verify_hadamard(capsys):

@@ -4,6 +4,7 @@ Sensitivity tests perturb one value/coefficient and require the checker
 to fail at the right place, so a silently-vacuous verifier cannot pass.
 """
 
+import decimal
 from fractions import Fraction
 
 import pytest
@@ -125,6 +126,18 @@ def test_packed_first_returns_are_the_schoolbook_reciprocal(d):
     for N in (1, 2, 3, 63, 64, 65, 300, 399):
         assert walks.first_return_digits(d, N) == b[:N]
         assert walks._first_returns_from_a(d, N, a[:N + 1]) == b[:N]
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 128, 129, 200])
+def test_pack_adds_runs_of_strings_pairwise(n):
+    # Runs of 64 strings, added pairwise level by level: the lengths cross
+    # one, two and an odd number of runs.
+    digits = [str(7 ** i % 10**5) for i in range(n)]
+    with decimal.localcontext(walks._EXACT):
+        packed = walks._pack(digits, 6)
+        assert walks._cut(packed, 1, n, 6) == sum(
+            int(v) * 10 ** (6 * (i - 1)) for i, v in enumerate(digits) if i)
+    assert int(packed) == sum(int(v) * 10 ** (6 * i) for i, v in enumerate(digits))
 
 
 def test_packed_route_refuses_a_series_that_is_not_renewal():

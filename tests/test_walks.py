@@ -351,7 +351,13 @@ def test_dp_distribution_matches_brute_force(d, length):
     assert dp.total() == (2 * d) ** length
 
 
-@pytest.mark.parametrize("d,length", [(2, 6), (3, 5), (4, 4)])
+# Every n up to a small DP box in each dimension 2..5: the orbit
+# representatives, their expansion and the break on the largest coordinate
+# all meet the step DP.
+_DP_SIZES = [(d, n) for d, top in ((2, 8), (3, 6), (4, 5), (5, 4)) for n in range(top + 1)]
+
+
+@pytest.mark.parametrize("d,length", _DP_SIZES)
 def test_formula_distribution_matches_dp(d, length):
     dp = lr.full_distribution_dp(d, length)
     f = lr.distribution_formula(d, length)
@@ -396,7 +402,7 @@ def test_tau_entry():
         lr.tau_entry(3, 2, 3)
 
 
-@pytest.mark.parametrize("d,n", [(2, 5), (3, 4), (4, 3)])
+@pytest.mark.parametrize("d,n", _DP_SIZES)
 def test_layers_tile_the_dp_distribution(d, n):
     dp = lr.full_distribution_dp(d, n)
     seen = 0
@@ -407,6 +413,25 @@ def test_layers_tile_the_dp_distribution(d, n):
             assert dp.at(point + (h,)) == count
             seen += count
     assert seen == dp.total()
+
+
+def test_layer_refuses_a_cross_polytope_past_the_budget():
+    # The largest admitted at h = 0 are d = 4, n = 61 (9,545,769 points)
+    # and d = 3, n = 195; only n - |h| counts.
+    with pytest.raises(CapacityError, match=r"d=4, n=62, h=0 reaches 10181641 lattice "
+                                            r"points .* <= 62, over the budget 10000000"):
+        lr.layer(4, 62, 0)
+    with pytest.raises(CapacityError, match=r"d=3, n=200, h=-4 .* \|x\|_1 <= 196"):
+        lr.layer(3, 200, -4)
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_x_ladder_levels_are_the_x_sequences(d):
+    ladder = lr.walks.x_ladder(d, 40)
+    assert [t.dimension for t in ladder] == list(range(1, d + 1))
+    assert ladder[-1] == lr.x_sequence(d, 40)
+    for t in ladder:
+        assert t.values == lr.x_sequence_fast(t.dimension, 40).values
 
 
 def test_layer_range_errors():
