@@ -4,7 +4,8 @@ constants bundles, and asymptotic comparison tables.
 Output contract: CSV files start with one `#`-prefixed header comment
 echoing the resolved configuration, then a column-name row, then data;
 JSON carries big integers as decimal strings.  Identical configuration
-produces byte-identical output.  Exit codes: 0 success, 1 verification
+produces byte-identical output, on any number of CPUs (``verify`` shares
+its items out to forked workers, ``_run_plan``).  Exit codes: 0 success, 1 verification
 failure, 2 usage or capacity error (one ``error:`` line on stderr), 3
 internal error (the traceback, then one ``internal error:`` line).
 
@@ -240,8 +241,6 @@ def _lucas(d: int, run) -> list[holonomy.VerificationReport]:
 
 def _hadamard(d: int, run) -> list[holonomy.VerificationReport]:
     order = run.hadamard_order
-    if run.a1 is None:  # one A_1 series per run
-        run.a1 = holonomy.series_from_sequence(walks.closed_walks(1, order), order)
     f_d, a_d, b_d = (holonomy.series_from_sequence(_build_table(k, d, order), order)
                      for k in "XAB")
     one = holonomy.TruncatedSeries([1] + [0] * (order - 1))
@@ -251,6 +250,21 @@ def _hadamard(d: int, run) -> list[holonomy.VerificationReport]:
         check=name, parameters={"d": d, "order": order},
         horizon=order, first_failure=None if ok else {"d": d},
     ) for name, ok in checks]
+
+
+# verify hadamard refuses a (1 - B) A check whose product would take more
+# bit operations than this.  The operands hold about 2 order^2 log2(2d)
+# bits each, and Karatsuba's rule, in ``kernel.product`` and in CPython's
+# big ints, multiplies s bits in about s^log2(3) operations.  --d 1
+# --order 2200 is 1.2e11 (its product takes 0.8 s on a 2-vCPU AMD EPYC VM);
+# the budget admits order 4315 at d = 1 and 2367 at d = 5, where one d
+# takes about 10 s.
+PRODUCT_WORK_BUDGET = 10**12
+
+
+def _product_work(d: int, order: int) -> float:
+    """Bit operations of hadamard's (1 - B) A product at (d, order)."""
+    return (2 * order * order * math.log2(2 * d)) ** math.log2(3)
 
 
 def _singularities(d: int, run) -> list[holonomy.VerificationReport]:
@@ -282,6 +296,134 @@ _SUITES = {
 }
 
 
+def _cpu_count() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _run_items(plan, run, indices: Iterable[int]) -> dict:
+    """{i: (reports, exception or None)} for each plan item i in indices:
+    an item that raises is recorded, and the next one runs."""
+    outcomes = {}
+    for i in indices:
+        reports_for, _, d = plan[i]
+        try:
+            outcomes[i] = (reports_for(d, run), None)
+        except Exception as exc:
+            outcomes[i] = (None, exc)
+    return outcomes
+
+
+def _queue_indices(fd: int) -> Iterable[int]:
+    """The item indices read from the queue pipe, one byte each, until it
+    is empty; a one-byte read takes a whole index, whoever else reads."""
+    return (byte[0] for byte in iter(lambda: os.read(fd, 1), b""))
+
+
+class _WorkerTraceback(Exception):
+    """The traceback of an exception raised in a verify worker, printed as
+    the cause of the copy that the parent raises."""
+
+
+def _worker(plan, run, queue: int, out: int) -> None:
+    """A forked worker: run items from the queue, send their outcomes
+    pickled to out, an exception with its traceback as text, and leave by
+    os._exit, never returning into the caller's frames."""
+    code = 1
+    try:
+        import pickle
+        import traceback
+
+        outcomes = _run_items(plan, run, _queue_indices(queue))
+        for i, (reports, exc) in outcomes.items():
+            if exc is not None:
+                text = "".join(traceback.format_exception(type(exc), exc,
+                                                          exc.__traceback__)).rstrip()
+                outcomes[i] = (reports, (exc, text))
+        with open(out, "wb") as fh:
+            fh.write(pickle.dumps(outcomes))
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _run_forked(plan, run, order: list[int], workers: int) -> dict:
+    """``_run_items`` over the plan, shared out to this process and
+    workers - 1 forked children through a pipe of item indices."""
+    import pickle
+    import signal
+
+    queue, fill = os.pipe()
+    os.write(fill, bytes(order))  # a plan has at most 6 suites x 5 dimensions
+    os.close(fill)
+    children = []  # (pid, read end of its outcome pipe), not yet reaped
+    try:
+        for _ in range(workers - 1):
+            out_r, out_w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # fewer workers: the queue still hands out every item
+                os.close(out_r)
+                os.close(out_w)
+                break
+            if pid == 0:
+                os.close(out_r)
+                _worker(plan, run, queue, out_w)
+            os.close(out_w)
+            children.append((pid, out_r))
+        outcomes = _run_items(plan, run, _queue_indices(queue))
+        while children:
+            pid, fd = children[0]
+            data = b"".join(iter(lambda: os.read(fd, 1 << 16), b""))
+            status = os.waitpid(pid, 0)[1]
+            os.close(fd)
+            children.pop(0)
+            if status or not data:
+                raise RuntimeError("verify worker %d ended without its reports "
+                                   "(wait status %d)" % (pid, status))
+            for i, (reports, failure) in pickle.loads(data).items():
+                exc = None
+                if failure is not None:
+                    exc, text = failure
+                    exc.__cause__ = _WorkerTraceback(text)
+                outcomes[i] = (reports, exc)
+    finally:
+        os.close(queue)
+        for pid, fd in children:  # after an error: stop and reap the rest
+            os.close(fd)
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    return outcomes
+
+
+def _run_plan(plan, run) -> list[list[holonomy.VerificationReport]]:
+    """Each item's reports, in plan order.  The items run on up to one
+    worker per available CPU, the largest d first: this process and
+    children made by os.fork, which inherit what the parent built (the
+    ladder) without copying it, and which a process running other threads
+    must not make.  The exception of the first item in plan order that
+    raised is raised again here, so the exit code and the last stderr line
+    do not depend on the CPUs."""
+    import threading
+
+    order = sorted(range(len(plan)), key=lambda i: -plan[i][2])
+    workers = min(_cpu_count(), len(plan))
+    if workers < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+        outcomes = _run_items(plan, run, order)
+    else:
+        outcomes = _run_forked(plan, run, order, workers)
+    reports = []
+    for i in range(len(plan)):
+        item, exc = outcomes[i]
+        if exc is not None:
+            raise exc
+        reports.append(item)
+    return reports
+
+
 def cmd_verify(args) -> int:
     flags, dims, _, _ = _SUITES.get(args.suite, ((), None, None, None))
     for flag in ("--d", "--kind", "--p", "--order", "--n-max"):
@@ -296,7 +438,7 @@ def cmd_verify(args) -> int:
     run = argparse.Namespace(
         kinds=_scoped(args.kind, ("X", "A")), primes=_scoped(args.p, (3, 5, 7, 11, 13)),
         n_max=300 if args.n_max is None else args.n_max, order=order,
-        hadamard_order=200 if args.suite == "all" else order, tables={}, a1=None)
+        hadamard_order=200 if args.suite == "all" else order, tables={})
     if run.n_max < 0:
         raise UsageError("--n-max must be >= 0")
     if run.order < 1:
@@ -310,14 +452,29 @@ def cmd_verify(args) -> int:
         plan += [(reports_for, horizon, d)
                  for d in _scoped(args.d, [dd for dd in catalog.PRINTED_DIMENSIONS
                                            if dims is None or dd in dims])]
+    hadamard_dims = [d for reports_for, _, d in plan if reports_for is _hadamard]
+    if hadamard_dims:
+        d = max(hadamard_dims)
+        work = _product_work(d, run.hadamard_order)
+        if work > PRODUCT_WORK_BUDGET:
+            raise CapacityError("the (1 - B) A check at d = %d, order %d needs about "
+                                "%.3g bit operations, over the budget %.3g"
+                                % (d, run.hadamard_order, work, PRODUCT_WORK_BUDGET))
     # One ladder serves the run: its dimension and horizon are the largest
     # that any suite reads.
     sizes = [(d, horizon(d, run)) for _, horizon, d in plan if horizon]
     if sizes:
         run.ladder_size = (max(d for d, _ in sizes), max(N for _, N in sizes))
-    reports = []
-    for reports_for, _, d in plan:
-        reports += reports_for(d, run)
+    # What the items share is made here, before they are shared out: the
+    # ladder's tables that they read, and hadamard's A_1 series.
+    for _, horizon, d in plan:
+        if horizon:
+            for k in run.kinds:
+                _ladder(run, d, k)
+    if hadamard_dims:
+        run.a1 = holonomy.series_from_sequence(
+            walks.closed_walks(1, run.hadamard_order), run.hadamard_order)
+    reports = [r for item in _run_plan(plan, run) for r in item]
     failed = [r for r in reports if not r.passed]
     status = "fail" if failed else "pass"
     if args.expect_fail:

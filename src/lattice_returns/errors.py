@@ -6,7 +6,8 @@ class CapacityError(Exception):
     a dynamic-programming box its cell budget, an exact first-return table
     its packed-digit budget, the float B route its byte budget, the
     fixed-point summand stream its term budget, a layer its lattice-point
-    budget, or a printed X- or A-table its output budget."""
+    budget, a printed X- or A-table its output budget, or the Hadamard
+    suite's check product its bit-operation budget."""
 
 
 class DivergenceError(ArithmeticError):

@@ -15,8 +15,9 @@ theta = z d/dz as a recurrence.
 ``reciprocal_series`` runs the triangular recurrence in exact arithmetic.
 Every B = 1 - 1/A table comes from ``walks`` instead, by Newton's
 iteration over packed Decimals; ``TruncatedSeries.__mul__`` stays a
-schoolbook product of Python ints (``kernel.product``), so the Hadamard
-suite's (1 - B) A = 1 checks that route with no arithmetic in common.
+product of Python ints (``kernel.product``, by Karatsuba's rule past its
+cutoff), so the Hadamard suite's (1 - B) A = 1 checks that route with no
+arithmetic in common.
 """
 
 from __future__ import annotations

@@ -1,5 +1,6 @@
 """Exact arithmetic kernel: big integers, rationals, univariate polynomials
-(the one schoolbook ``product`` and Taylor ``shift``), and binomials.
+(the one ``product``, schoolbook below a cutoff and Karatsuba above
+it, and the one Taylor ``shift``), and binomials.
 
 Walk counts are plain Python ints (arbitrary precision, never rounded).
 Every exact value goes through ``exact``: an int when it is integral, a
@@ -169,16 +170,82 @@ def _coerce(value) -> UniPoly | None:
     return None
 
 
+# ``product`` multiplies by Karatsuba's rule once both operands and the
+# truncation n hold more than this many coefficients, and by the schoolbook
+# rule at and below it.  UniPoly and the catalog's derivations stay at or
+# below it, and so does ``apply_ode`` up to d = 10, where the ODEs'
+# polynomials have at most 16 coefficients; the Hadamard suite's series
+# products are above it.
+KARATSUBA_CUTOFF = 16
+
+
 def product(a, b, n: int) -> list:
-    """The first n coefficients of a b, for coefficient lists a and b, by
-    the schoolbook rule, skipping the zero terms of both.  ``UniPoly`` and
-    ``holonomy``'s series multiply through it."""
+    """The first n coefficients of a b, for coefficient lists a and b.
+
+    Above ``KARATSUBA_CUTOFF`` it is a short product (Karatsuba & Ofman,
+    1962): with h = ceil(n/2) and the operands split at x^h, the full
+    product of the low halves (``_karatsuba``) plus the two cross terms,
+    each a short product to n - h.  At and below the cutoff it is the
+    schoolbook rule, skipping the zero terms of both.  ``UniPoly`` and
+    ``holonomy``'s series multiply through it.
+    """
+    a, b = a[:n], b[:n]
+    if min(len(a), len(b), n) <= KARATSUBA_CUTOFF:
+        return _schoolbook(a, b, n)
+    h = (n + 1) // 2
+    out = _karatsuba(a[:h], b[:h])[:n]
+    out += [0] * (n - len(out))
+    for cross in (product(a[:h], b[h:], n - h), product(a[h:], b[:h], n - h)):
+        for i, c in enumerate(cross, h):
+            out[i] += c
+    return out
+
+
+def _schoolbook(a, b, n: int) -> list:
+    """The first n coefficients of a b by the schoolbook rule."""
     out = [0] * n
     for i, ai in enumerate(a[:n]):
         if ai:
             for j, bj in enumerate(b[:n - i], i):
                 if bj:
                     out[j] += ai * bj
+    return out
+
+
+def _karatsuba(a, b) -> list:
+    """The full product of the non-empty coefficient lists a and b: with
+    a = a0 + x^m a1 and b = b0 + x^m b1, from a0 b0, a1 b1 and
+    (a0 + a1)(b0 + b1).  A b that fits below x^m multiplies each half of
+    a instead."""
+    if len(a) < len(b):
+        a, b = b, a
+    size = len(a) + len(b) - 1
+    if len(b) <= KARATSUBA_CUTOFF:
+        return _schoolbook(a, b, size)
+    m = (len(a) + 1) // 2
+    if len(b) <= m:
+        parts = ((0, _karatsuba(a[:m], b)), (m, _karatsuba(a[m:], b)))
+    else:
+        a0, a1, b0, b1 = a[:m], a[m:], b[:m], b[m:]
+        low, high = _karatsuba(a0, b0), _karatsuba(a1, b1)
+        mid = _karatsuba(_sum(a0, a1), _sum(b0, b1))
+        for i, c in enumerate(low):
+            mid[i] -= c
+        for i, c in enumerate(high):
+            mid[i] -= c
+        parts = ((0, low), (m, mid), (2 * m, high))
+    out = [0] * size
+    for shift, part in parts:
+        for i, c in enumerate(part, shift):
+            out[i] += c
+    return out
+
+
+def _sum(a, b) -> list:
+    """a + b for coefficient lists, len(a) >= len(b)."""
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] += c
     return out
 
 

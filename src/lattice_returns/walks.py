@@ -35,7 +35,8 @@ consumer that prints each term as it comes (``decimal_values`` under
 Endpoint distributions l_n^{(d)} come from the layer formula (``layer``,
 ``distribution_formula``), the paper's multiplication principle: a slice
 at height h of dimension d + 1 is a binomial-weighted sum of
-d-dimensional distributions.  Every l_n^{(d)} is invariant under the
+d-dimensional distributions, down to l^(2) in closed form
+(``endpoint_count_2d``).  Every l_n^{(d)} is invariant under the
 2^d d! signed permutations of the coordinates, so it is summed only on
 its orbit representatives, the tuples of |coordinates| in non-decreasing
 order (546 of them for the 19,871 points of ``layers --d 4 --n 30``), and
@@ -242,21 +243,25 @@ def tau_entry(n: int, i: int, j: int) -> BigCount:
 
 def _distribution_formula(d: int, n: int, cache: dict) -> dict[tuple[int, ...], BigCount]:
     """Endpoint distribution l_n^{(d)} on its orbit representatives,
-    built from the layer formula only.
+    built from closed forms and the layer formula only.
 
     l_n^{(d)} is invariant under the 2^d d! signed permutations of the
     coordinates, so it is held on the representatives q_1 <= .. <= q_d
-    of |coordinates| (``_orbit`` expands one).  Dimension 1 is the Pascal
-    row; in dimension d+1 a representative is q + (h,) with its largest
-    coordinate h as the height, so it is the height-h layer over the
-    d-dimensional representatives q with max(q) <= h, and already sorted.
-    Independent of the step DP.
+    of |coordinates| (``_orbit`` expands one), in order of their largest
+    coordinate.  Dimension 1 is the Pascal row, and dimension 2 the closed
+    form ``endpoint_count_2d``; in dimension d+1 > 2 a representative is
+    q + (h,) with its largest coordinate h as the height, so it is the
+    height-h layer over the d-dimensional representatives q with
+    max(q) <= h, and already sorted.  Independent of the step DP.
     """
     key = (d, n)
     if key in cache:
         return cache[key]
     if d == 1:
         dist = {(k,): binomial(n, (n + k) // 2) for k in range(n % 2, n + 1, 2)}
+    elif d == 2:
+        dist = {(k, h): endpoint_count_2d(n, k, h) for h in range(n + 1)
+                for k in range((n - h) % 2, min(h, n - h) + 1, 2)}
     else:
         dist = {}
         for h in range(n + 1):

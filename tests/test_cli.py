@@ -557,6 +557,138 @@ def test_verify_hadamard(capsys):
     assert len(obj["reports"]) == 10  # 5 dims x 2 identities
 
 
+def _cpus(monkeypatch, n):
+    """Let the verify runner see n CPUs, and record the workers it forks."""
+    forks = []
+    fork = os.fork
+
+    def recording():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+    monkeypatch.setattr(os, "fork", recording)
+    return forks
+
+
+def _no_worker_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("argv", [["verify", "all"],
+                                  ["verify", "hadamard", "--order", "60"]])
+def test_verify_output_does_not_depend_on_the_cpus(capsys, monkeypatch, argv):
+    # More workers than the host has CPUs, then one CPU, inline.
+    forks = _cpus(monkeypatch, 4)
+    shared = run_cli(capsys, *argv)
+    assert len(forks) == 3
+    _no_worker_left()
+    forks = _cpus(monkeypatch, 1)
+    assert run_cli(capsys, *argv) == shared and forks == []
+    assert shared[0] == 0 and shared[2] == ""
+
+
+def test_verify_forks_no_worker_beside_another_thread(capsys, monkeypatch):
+    import threading
+
+    forks = _cpus(monkeypatch, 4)
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        code, _, _ = run_cli(capsys, "verify", "hadamard", "--order", "20")
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+    assert code == 0 and forks == [] and not thread.is_alive()
+
+
+def _failing_in_workers(monkeypatch, fail):
+    """Make every hadamard table that a worker builds call fail(d), while
+    this process sleeps before its first one, so that the workers take the
+    rest of the queue."""
+    from lattice_returns import cli
+
+    parent, build, first = os.getpid(), cli._build_table, [True]
+
+    def failing_build(kind, d, N):
+        if os.getpid() != parent:
+            fail(d)
+        if first:
+            first.pop()
+            time.sleep(0.5)
+        return build(kind, d, N)
+
+    monkeypatch.setattr(cli, "_build_table", failing_build)
+
+
+def test_verify_worker_exception_exits_3_from_the_first_item(capsys, monkeypatch):
+    def boom(d):
+        raise RuntimeError("boom at d=%d" % d)
+
+    _cpus(monkeypatch, 2)
+    _failing_in_workers(monkeypatch, boom)
+    code, out, err = run_cli(capsys, "verify", "hadamard", "--order", "20")
+    assert code == 3 and out == ""
+    # The worker's traceback is printed as the cause, then one closing line
+    # for d = 1, the first item in plan order that raised.
+    assert "in failing_build" in err and err.count("internal error:") == 1
+    assert err.endswith("\ninternal error: RuntimeError: boom at d=1\n")
+    _no_worker_left()
+
+
+def test_verify_worker_capacity_error_exits_2(capsys, monkeypatch):
+    from lattice_returns.errors import CapacityError
+
+    def refuse(d):
+        raise CapacityError("table at d=%d over budget" % d)
+
+    _cpus(monkeypatch, 2)
+    _failing_in_workers(monkeypatch, refuse)
+    code, out, err = run_cli(capsys, "verify", "hadamard", "--order", "20")
+    assert code == 2 and out == ""
+    assert err == "error: table at d=1 over budget\n"
+    _no_worker_left()
+
+
+def test_verify_stops_the_workers_when_one_dies(capsys, monkeypatch):
+    # The first worker exits without its reports while the second hangs:
+    # the run ends with exit 3 at once, and kills and reaps the second.
+    def die_or_hang(d):
+        if not forks:  # the first worker forked
+            os._exit(7)
+        time.sleep(20)
+
+    forks = _cpus(monkeypatch, 3)
+    _failing_in_workers(monkeypatch, die_or_hang)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "verify", "hadamard", "--order", "20")
+    assert time.perf_counter() - start < 10
+    assert code == 3 and out == ""
+    assert err.endswith("\ninternal error: RuntimeError: verify worker %d ended "
+                        "without its reports (wait status 1792)\n" % forks[0])
+    _no_worker_left()
+
+
+def test_verify_hadamard_refuses_a_product_past_the_budget(capsys, monkeypatch):
+    from lattice_returns import cli
+
+    # The CI sizes stay inside the budget.
+    for d, order in ((1, 2200), (8, 1000), (5, 1200)):
+        assert cli._product_work(d, order) < cli.PRODUCT_WORK_BUDGET
+    monkeypatch.setattr(cli, "_build_table", lambda *a: pytest.fail("built a table"))
+    monkeypatch.setattr(walks, "x_ladder", lambda *a: pytest.fail("built a ladder"))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "verify", "hadamard", "--order", "5000")
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert err == ("error: the (1 - B) A check at d = 5, order 5000 needs about "
+                   "1.07e+13 bit operations, over the budget 1e+12\n")
+
+
 # ---------------------------------------------------------------------------
 # constants
 # ---------------------------------------------------------------------------

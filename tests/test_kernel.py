@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lattice_returns import kernel
 from lattice_returns.kernel import (
     UniPoly,
     binomial,
@@ -176,6 +177,32 @@ def test_product_is_a_prefix_of_the_full_product(a, b):
     # n runs below, at and above len(a) + len(b) - 1.
     for n in range(len(a) + len(b) + 2):
         assert product(a, b, n) == (full + [0] * n)[:n]
+
+
+def _runs(elements):
+    """Coefficient lists made of runs of equal values: zero runs, and
+    lengths up to 144, on both sides of kernel.KARATSUBA_CUTOFF."""
+    return st.lists(st.tuples(elements, st.integers(1, 12)), max_size=12).map(
+        lambda runs: [c for c, length in runs for _ in range(length)])
+
+
+_ints = st.one_of(st.just(0), st.integers(-2**70, 2**70))
+_rationals = st.one_of(st.just(0), st.integers(-9, 9),
+                       st.fractions(-9, 9, max_denominator=12))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(st.tuples(_runs(_ints), _runs(_ints)),
+                 st.tuples(_runs(_rationals), _runs(_rationals))),
+       st.integers(0, 160), st.sampled_from([1, 2, kernel.KARATSUBA_CUTOFF]))
+def test_product_equals_the_schoolbook_rule(ab, n, cutoff):
+    # A cutoff of 1 or 2 sends small operands down the Karatsuba recursion.
+    a, b = ab
+    saved, kernel.KARATSUBA_CUTOFF = kernel.KARATSUBA_CUTOFF, cutoff
+    try:
+        assert product(a, b, n) == kernel._schoolbook(a, b, n)
+    finally:
+        kernel.KARATSUBA_CUTOFF = saved
 
 
 def test_pow():

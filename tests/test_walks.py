@@ -383,6 +383,19 @@ def test_endpoint_count_2d_against_brute_force():
             assert lr.endpoint_count_2d(6, k, l) == brute.get((k, l), 0)
 
 
+def test_plane_distribution_reads_the_closed_form(monkeypatch):
+    # l^(2) is endpoint_count_2d on the representatives (k, h), 0 <= k <= h,
+    # in order of the largest coordinate h, which the layer sums rely on.
+    calls = []
+    closed_form = walks.endpoint_count_2d
+    monkeypatch.setattr(walks, "endpoint_count_2d",
+                        lambda n, k, h: calls.append((k, h)) or closed_form(n, k, h))
+    reps = walks._distribution_formula(2, 9, {})
+    assert list(reps) == calls == sorted(calls, key=lambda q: (q[1], q[0]))
+    assert all(0 <= k <= h for k, h in reps)
+    assert walks._expand(reps) == lr.full_distribution_dp(2, 9).counts
+
+
 def test_endpoint_count_2d_parity_and_range():
     assert lr.endpoint_count_2d(4, 1, 0) == 0  # parity mismatch
     assert lr.endpoint_count_2d(4, 5, 0) == 0  # out of reach
