@@ -35,6 +35,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache, reduce
 
+from .errors import check_budget
 from .holonomy import LinearODE, PRecurrence, recurrence_to_ode, theta_to_recurrence
 from .kernel import UniPoly, poly_divmod, poly_gcd, primitive
 
@@ -43,6 +44,12 @@ _z = UniPoly([0, 1])
 # The dimensions whose ODEs the paper prints: the default scope of every
 # verify suite.
 PRINTED_DIMENSIONS = (1, 2, 3, 4, 5)
+
+# x_recurrence refuses a dimension whose derivation would take more work
+# units than this, with d^7 units at d: its time grows as about d^6.5 to
+# d^7 (0.67 s at d = 64, 9.2 s at d = 96 on a 2-vCPU AMD EPYC VM).  The
+# budget admits d <= 100 and refuses d = 128 (5.6e14), which took 63 s.
+DERIVATION_BUDGET = 10**14
 
 
 def _theta_kernel(d: int) -> list[UniPoly]:
@@ -89,6 +96,8 @@ def x_recurrence(d: int) -> PRecurrence:
     """
     if d < 1:
         raise ValueError("dimension must be >= 1, got %d" % d)
+    check_budget("the recurrence derivation at d = %d" % d, d**7, "work units (d^7)",
+                 DERIVATION_BUDGET)
     q = _theta_kernel(d)
     order = max(p.degree for p in q)
     polys = theta_to_recurrence(

@@ -28,7 +28,7 @@ import sys
 from typing import Iterable
 
 from . import catalog, holonomy, walks
-from .errors import CapacityError, DivergenceError
+from .errors import CapacityError, DivergenceError, check_budget
 from .kernel import unlimited_int_str
 
 
@@ -114,10 +114,8 @@ def cmd_seq(args) -> int:
     else:
         base = 2 * args.d if args.kind == "A" else args.d
         size = (args.N + 1) * (args.N * math.log10(max(base, 1)) + len(str(args.N)) + 3)
-        if size > SEQ_OUTPUT_BUDGET:
-            raise CapacityError("the %s-table to N = %d prints about %.3g characters, "
-                                "over the budget %.3g" % (args.kind, args.N, size,
-                                                          SEQ_OUTPUT_BUDGET))
+        check_budget("the %s-table to N = %d" % (args.kind, args.N), size,
+                     "characters", SEQ_OUTPUT_BUDGET)
         offset, values = 0, walks.decimal_values(args.kind, args.d, args.N)
     render = _seq_json if args.format == "json" else _seq_csv
     _write(args.out, render(args, offset, values))
@@ -175,23 +173,6 @@ def _scoped(value, default) -> list:
     return list(default) if value is None else [value]
 
 
-def _ladder(run, d: int, kind: str) -> walks.SequenceTable:
-    """The kind ("X", "A") table of d from the run's one binomial ladder.
-
-    The ladder is built at the first call, for the largest dimension and
-    horizon that the run's suites read (``run.ladder_size``, worked out
-    before any suite runs), and each dimension's A view is made once.
-    The fast paths iterate the catalog's recurrences, so the recurrence
-    and ODE suites read the ladder, never the objects under test.  Both
-    read prefixes only, so a longer ladder serves.
-    """
-    if not run.tables:
-        run.tables.update(((x.dimension, "X"), x) for x in walks.x_ladder(*run.ladder_size))
-    if (d, kind) not in run.tables:
-        run.tables[d, kind] = walks.closed_walks_from_x(run.tables[d, "X"])
-    return run.tables[d, kind]
-
-
 def _table_fixtures(d: int, run) -> list[holonomy.VerificationReport]:
     a, b = walks.closed_walks(d, 8), walks.first_returns(d, 8)
     ok = (tuple(a.value(n) for n in range(1, 9)) == catalog.TABLE_A[d]
@@ -211,7 +192,7 @@ def _recurrences(d: int, run) -> dict:
 
 def _precurrence(d: int, run) -> list[holonomy.VerificationReport]:
     recs = _recurrences(d, run)
-    return [holonomy.check_p_recurrence(recs[k], _ladder(run, d, k), run.n_max)
+    return [holonomy.check_p_recurrence(recs[k], run.tables[d, k], run.n_max)
             for k in run.kinds]
 
 
@@ -223,7 +204,7 @@ def _ode(d: int, run) -> list[holonomy.VerificationReport]:
     reports = []
     for k in run.kinds:
         ode = catalog.f_ode(d) if k == "X" else catalog.a_ode(d)
-        series = holonomy.series_from_sequence(_ladder(run, d, k), run.order)
+        series = holonomy.series_from_sequence(run.tables[d, k], run.order)
         reports.append(holonomy.check_ode(ode, series, {"kind": k, "d": d}))
     return reports
 
@@ -231,10 +212,9 @@ def _ode(d: int, run) -> list[holonomy.VerificationReport]:
 def _lucas(d: int, run) -> list[holonomy.VerificationReport]:
     """One table per kind, to the largest prime's p^2 + p; each prime is
     checked on its prefix."""
-    top = max(run.primes) ** 2 + max(run.primes)
     reports = []
     for k in run.kinds:
-        table = _build_table(k, d, top)
+        table = _build_table(k, d, run.lucas_top)
         reports += [holonomy.lucas_check(table, p, p * p + p) for p in run.primes]
     return reports
 
@@ -265,6 +245,14 @@ PRODUCT_WORK_BUDGET = 10**12
 def _product_work(d: int, order: int) -> float:
     """Bit operations of hadamard's (1 - B) A product at (d, order)."""
     return (2 * order * order * math.log2(2 * d)) ** math.log2(3)
+
+
+# verify lucas refuses a run whose largest table, N = p^2 + p terms for
+# the largest prime p, would take more bytes than this: about
+# N^2 log2(2d) / 8 for the digits of its ints, plus 32 a term.  --kind A
+# --d 5 --p 151 is 2.2e8 (1.6 s and 240 MB); the budget admits p = 181 at
+# d = 5 and 241 at d = 1, where p = 251 would take about 1.8 GB.
+LUCAS_TABLE_BUDGET = 5 * 10**8
 
 
 def _singularities(d: int, run) -> list[holonomy.VerificationReport]:
@@ -439,13 +427,11 @@ def cmd_verify(args) -> int:
         kinds=_scoped(args.kind, ("X", "A")), primes=_scoped(args.p, (3, 5, 7, 11, 13)),
         n_max=300 if args.n_max is None else args.n_max, order=order,
         hadamard_order=200 if args.suite == "all" else order, tables={})
+    run.lucas_top = max(run.primes) ** 2 + max(run.primes)
     if run.n_max < 0:
         raise UsageError("--n-max must be >= 0")
     if run.order < 1:
         raise UsageError("--order must be >= 1")
-    # Before any table: lucas at p would build p^2 + p exact terms.
-    if args.p is not None and not holonomy.is_prime(args.p):
-        raise UsageError("%d is not prime" % args.p)
     plan = []
     for name in (_SUITES if args.suite == "all" else (args.suite,)):
         _, dims, reports_for, horizon = _SUITES[name]
@@ -455,22 +441,33 @@ def cmd_verify(args) -> int:
     hadamard_dims = [d for reports_for, _, d in plan if reports_for is _hadamard]
     if hadamard_dims:
         d = max(hadamard_dims)
-        work = _product_work(d, run.hadamard_order)
-        if work > PRODUCT_WORK_BUDGET:
-            raise CapacityError("the (1 - B) A check at d = %d, order %d needs about "
-                                "%.3g bit operations, over the budget %.3g"
-                                % (d, run.hadamard_order, work, PRODUCT_WORK_BUDGET))
-    # One ladder serves the run: its dimension and horizon are the largest
-    # that any suite reads.
+        check_budget("the (1 - B) A check at d = %d, order %d" % (d, run.hadamard_order),
+                     _product_work(d, run.hadamard_order), "bit operations",
+                     PRODUCT_WORK_BUDGET)
+    lucas_dims = [d for reports_for, _, d in plan if reports_for is _lucas]
+    if lucas_dims:
+        # N^2 log2(2d) / 8 + 32 N in ints, so that a --p of any size is refused
+        d, N = max(lucas_dims), run.lucas_top
+        bits = N * N * round(math.log2(2 * d) * 2**20) >> 20
+        check_budget("the lucas table at d = %d to N = %d" % (d, N), bits // 8 + 32 * N,
+                     "bytes", LUCAS_TABLE_BUDGET)
+    # Before any table, which at p holds p^2 + p exact terms, and after the
+    # budget, which keeps the trial division short.
+    if args.p is not None and not holonomy.is_prime(args.p):
+        raise UsageError("%d is not prime" % args.p)
+    # What the items share is made here, before they are shared out: one
+    # binomial ladder at the largest dimension and horizon that any suite
+    # reads, one A view of each dimension read, and hadamard's A_1 series.
+    # The fast paths iterate the catalog's recurrences, so the recurrence
+    # and ODE suites read the ladder, never the objects under test; both
+    # read prefixes only, so a longer ladder serves.
     sizes = [(d, horizon(d, run)) for _, horizon, d in plan if horizon]
     if sizes:
-        run.ladder_size = (max(d for d, _ in sizes), max(N for _, N in sizes))
-    # What the items share is made here, before they are shared out: the
-    # ladder's tables that they read, and hadamard's A_1 series.
-    for _, horizon, d in plan:
-        if horizon:
-            for k in run.kinds:
-                _ladder(run, d, k)
+        ladder = walks.x_ladder(max(d for d, _ in sizes), max(N for _, N in sizes))
+        run.tables.update(((x.dimension, "X"), x) for x in ladder)
+        if "A" in run.kinds:
+            run.tables.update(((d, "A"), walks.closed_walks_from_x(run.tables[d, "X"]))
+                              for d in sorted({d for d, _ in sizes}))
     if hadamard_dims:
         run.a1 = holonomy.series_from_sequence(
             walks.closed_walks(1, run.hadamard_order), run.hadamard_order)

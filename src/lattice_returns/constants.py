@@ -45,7 +45,7 @@ from typing import TYPE_CHECKING, Iterator
 
 from . import walks
 from .asymptotics import a_coeffs, leading_constant_a
-from .errors import CapacityError, DependencyError, DivergenceError
+from .errors import DependencyError, DivergenceError, check_budget
 
 if TYPE_CHECKING:  # pragma: no cover
     import numpy as np
@@ -143,9 +143,7 @@ def _normalized_a_summands_mp(d: int, N: int) -> tuple[Iterator[int], int]:
     (see _estimate), and 32 spare: at d = 5, N = 4000 the worst relative
     error is 5e-55, with 8 guard bits in their place 6e-33.  N past
     SUMMAND_BUDGET raises CapacityError before the stream starts."""
-    if N > SUMMAND_BUDGET:
-        raise CapacityError("summand stream to N = %d is over the budget of %d terms"
-                            % (N, SUMMAND_BUDGET))
+    check_budget("the summand stream to N = %d" % N, N, "terms", SUMMAND_BUDGET)
     bits = PREC + (d // 2 + 2) * N.bit_length() + 32
     return walks.recurrence_values("A", d, N, (2 * d) ** 2, bits), bits
 
@@ -309,14 +307,6 @@ def _float_route_bytes(N: int) -> int:
     return 8 * n + 40 * (1 << (n + previous - 2).bit_length())
 
 
-def _check_float_route(N: int) -> None:
-    estimate = _float_route_bytes(N)
-    if estimate > FLOAT_ROUTE_BUDGET:
-        raise CapacityError(
-            "float B series to N = %d needs about %.3g bytes, over the budget %.3g"
-            % (N, estimate, FLOAT_ROUTE_BUDGET))
-
-
 def _b_series(a: np.ndarray) -> np.ndarray:
     """[0, b_1, ..., b_N] from a normalized A-series by B = 1 - 1/A."""
     b = -_series_inverse_float(a)
@@ -328,7 +318,8 @@ def normalized_b_series(d: int, N: int) -> np.ndarray:
     """float64 array [0, B_2/(2d)^2, ..., B_{2N}/(2d)^{2N}] via the series
     identity B = 1 - 1/A applied to the normalized A-series; CapacityError
     above FLOAT_ROUTE_BUDGET, before the series is made."""
-    _check_float_route(N)
+    check_budget("the float B series to N = %d" % N, _float_route_bytes(N), "bytes",
+                 FLOAT_ROUTE_BUDGET)
     return _b_series(normalized_a_series(d, N))
 
 
@@ -410,7 +401,7 @@ def build_bundle(d: int, N: int) -> ConstantsBundle:
     float64 A-series, which is inverted into the B-series of p_d's direct
     route and freed before mpmath loads for the tails.  d = 1, 2: the
     recurrent bundle, p = 1 beside the partial sum of the float B-series.
-    Both raise CapacityError past FLOAT_ROUTE_BUDGET before the pass."""
+    Both refuse N past FLOAT_ROUTE_BUDGET with CapacityError before the pass."""
     if d < 1:
         raise ValueError("d must be >= 1")
     if N < 0:
@@ -420,7 +411,8 @@ def build_bundle(d: int, N: int) -> ConstantsBundle:
     if d <= 2:
         return ConstantsBundle(dimension=d, m=None, p=1.0, terms_used=N,
                                partial_sum_raw=float(np.sum(normalized_b_series(d, N))))
-    _check_float_route(N)
+    check_budget("the float B series to N = %d" % N, _float_route_bytes(N), "bytes",
+                 FLOAT_ROUTE_BUDGET)
     a = np.empty(N + 1)
     sums, last, bits = _summand_pass(d, N, a)
     b_series = _b_series(a)

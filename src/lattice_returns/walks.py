@@ -61,7 +61,7 @@ from operator import add, mul
 from typing import TYPE_CHECKING, Iterator
 
 from . import catalog
-from .errors import CapacityError
+from .errors import check_budget
 from .kernel import BigCount, binomial, round_div, unlimited_int_str
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -331,11 +331,8 @@ def layer(d_target: int, n: int, h: int) -> Layer:
     r = n - abs(h)
     points = sum(2**i * math.comb(d_target, i) * math.comb(r, i)
                  for i in range(d_target + 1))
-    if points > LAYER_POINT_BUDGET:
-        raise CapacityError(
-            "layer d=%d, n=%d, h=%d reaches %d lattice points of the "
-            "cross-polytope |x|_1 <= %d, over the budget %d"
-            % (d_target, n, h, points, r, LAYER_POINT_BUDGET))
+    check_budget("the layer d=%d, n=%d, h=%d" % (d_target, n, h), points,
+                 "lattice points in |x|_1 <= %d" % r, LAYER_POINT_BUDGET)
     counts = _expand(_layer_counts(d_target, n, h, {}, n))
     return Layer(d_target, n, h, LatticeDistribution(d_target - 1, n, counts))
 
@@ -347,15 +344,6 @@ def distribution_formula(d: int, n: int) -> LatticeDistribution:
     if n < 0:
         raise ValueError("n must be >= 0")
     return LatticeDistribution(d, n, _expand(_distribution_formula(d, n, {})))
-
-
-def _check_box(d: int, steps_box: int):
-    cells = (2 * steps_box + 1) ** d
-    if cells > DP_CELL_BUDGET:
-        raise CapacityError(
-            "DP box (2*%d+1)^%d = %d cells exceeds budget %d"
-            % (steps_box, d, cells, DP_CELL_BUDGET)
-        )
 
 
 def _dp_shift_sum(arr: np.ndarray) -> np.ndarray:
@@ -387,7 +375,8 @@ def full_distribution_dp(d: int, n: int) -> LatticeDistribution:
 
     if d < 1 or n < 0:
         raise ValueError("need d >= 1 and n >= 0")
-    _check_box(d, n)
+    check_budget("the DP box (2*%d+1)^%d" % (n, d), (2 * n + 1) ** d, "cells",
+                 DP_CELL_BUDGET)
     shape = (2 * n + 1,) * d if n > 0 else (1,) * d
     arr = np.zeros(shape, dtype=object)
     origin = tuple(s // 2 for s in shape)
@@ -413,7 +402,8 @@ def first_returns_dp(d: int, n: int) -> BigCount:
 
     if d < 1 or n < 1:
         raise ValueError("need d >= 1 and n >= 1")
-    _check_box(d, n)
+    check_budget("the DP box (2*%d+1)^%d" % (n, d), (2 * n + 1) ** d, "cells",
+                 DP_CELL_BUDGET)
     shape = (2 * n + 1,) * d
     arr = np.zeros(shape, dtype=object)
     origin = (n,) * d
@@ -685,11 +675,8 @@ def _first_returns_from_a(d: int, N: int, a) -> list[str]:
 
     CapacityError before ``a`` is read if the last A-operand,
     N (2N log10(2d) + 1) digits, exceeds B_DIGIT_BUDGET."""
-    estimate = N * (2 * N * math.log10(2 * d) + 1)
-    if estimate > B_DIGIT_BUDGET:
-        raise CapacityError(
-            "first returns to N = %d need about %.3g packed digits, over the "
-            "budget %.3g" % (N, estimate, B_DIGIT_BUDGET))
+    check_budget("the first-return table to N = %d" % N,
+                 N * (2 * N * math.log10(2 * d) + 1), "packed digits", B_DIGIT_BUDGET)
     with unlimited_int_str():
         a = [str(v) for v in a]
     tops = [len(a)]

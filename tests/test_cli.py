@@ -13,9 +13,11 @@ import sys
 import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import lattice_returns as lr
-from lattice_returns import catalog, walks
+from lattice_returns import catalog, cli, walks
 from lattice_returns.cli import main, parse_seq_csv, parse_seq_json
 
 
@@ -451,7 +453,8 @@ def test_verify_rejects_empty_horizon(capsys, suite, flag, value):
 
 def test_verify_refuses_a_non_prime_p_before_any_table(capsys, monkeypatch):
     # lucas at p would build p^2 + p exact terms (over a million for
-    # p = 1000) before noticing that p is not prime.
+    # p = 1000) before noticing that p is not prime: the table's budget
+    # refuses p = 1000 first, and a small non-prime is named.
     def no_table(d, N):
         raise AssertionError("built a table for d=%d, N=%d" % (d, N))
 
@@ -459,7 +462,46 @@ def test_verify_refuses_a_non_prime_p_before_any_table(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "verify", "lucas", "--p", "1000", "--d", "3",
                              "--kind", "A")
     assert code == 2
-    assert out == "" and err == "error: 1000 is not prime\n"
+    assert out == "" and err == ("error: the lucas table at d = 3 to N = 1001000 needs "
+                                 "about 3.24e+11 bytes, over the budget 5e+08\n")
+    code, out, err = run_cli(capsys, "verify", "lucas", "--p", "91", "--d", "3",
+                             "--kind", "A")
+    assert code == 2
+    assert out == "" and err == "error: 91 is not prime\n"
+
+
+@pytest.mark.parametrize("d, p, admitted", [(5, 181, True), (5, 191, False),
+                                            (1, 241, True), (1, 251, False)])
+def test_verify_lucas_budgets_the_largest_table(capsys, monkeypatch, d, p, admitted):
+    # --kind A --d 5 --p 151 takes 1.6 s and 240 MB, and --p 251 would take
+    # about 1.8 GB: the largest table's bytes are estimated before it, and
+    # before the trial division of --p.
+    def no_table(k, d, N):
+        raise ValueError("built the table to N = %d" % N)
+
+    monkeypatch.setattr(cli, "_build_table", no_table)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "verify", "lucas", "--kind", "A", "--d", str(d),
+                             "--p", str(p))
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    if admitted:
+        assert err == "error: built the table to N = %d\n" % (p * p + p)
+    else:
+        assert err.startswith("error: the lucas table at d = %d to N = %d needs about "
+                              % (d, p * p + p))
+
+
+@pytest.mark.parametrize("p", ["1000000000000000003", str(10**200)])
+def test_verify_lucas_refuses_a_large_p_at_once(capsys, p):
+    # The trial division of the prime 10^18 + 3 still ran after 20 s, and
+    # 10^200 is past the float range.
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "verify", "lucas", "--p", p)
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == "" and err.count("\n") == 1
+    assert err.startswith("error: the lucas table at d = 5 to N = ")
+    assert err.endswith(" bytes, over the budget 5e+08\n")
 
 
 def test_verify_lucas_refuses_a_b_table_past_the_budget(capsys, monkeypatch):
@@ -474,8 +516,8 @@ def test_verify_lucas_refuses_a_b_table_past_the_budget(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "verify", "lucas", "--kind", "B", "--p", "101")
     assert time.perf_counter() - start < 2
     assert code == 2 and out == "" and err.count("\n") == 1
-    assert err == ("error: first returns to N = 10302 need about 6.39e+07 packed "
-                   "digits, over the budget 5e+07\n")
+    assert err == ("error: the first-return table to N = 10302 needs about 6.39e+07 "
+                   "packed digits, over the budget 5e+07\n")
 
 
 @pytest.mark.parametrize("kind, size", [("A", "1e+12"), ("X", "6.99e+11")])
@@ -485,8 +527,19 @@ def test_seq_refuses_a_table_past_the_output_budget(capsys, kind, size):
     code, out, err = run_cli(capsys, "seq", "--kind", kind, "--d", "5", "--N", "1000000")
     assert time.perf_counter() - start < 1
     assert code == 2 and out == ""
-    assert err == ("error: the %s-table to N = 1000000 prints about %s characters, "
+    assert err == ("error: the %s-table to N = 1000000 needs about %s characters, "
                    "over the budget 1e+09\n" % (kind, size))
+
+
+def test_seq_refuses_a_derivation_past_the_budget(capsys):
+    # A two-term table at d = 160 still ran after 20 s: the derivation is
+    # refused before it starts.
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "seq", "--kind", "X", "--d", "128", "--N", "1")
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert err == ("error: the recurrence derivation at d = 128 needs about 5.63e+14 "
+                   "work units (d^7), over the budget 1e+14\n")
 
 
 def test_benchmark_layers_match_their_references(capsys):
@@ -520,8 +573,8 @@ def test_asym_refuses_a_summand_stream_past_the_budget(capsys):
                              "--n", "100", "1000000000")
     assert time.perf_counter() - start < 1
     assert code == 2 and out == ""
-    assert err == ("error: summand stream to N = 1000000000 is over the budget "
-                   "of 10000000 terms\n")
+    assert err == ("error: the summand stream to N = 1000000000 needs about 1e+09 "
+                   "terms, over the budget 1e+07\n")
 
 
 def test_verify_all_builds_one_ladder_per_run(capsys, monkeypatch):
@@ -724,7 +777,7 @@ def test_constants_refuse_a_float_b_route_past_the_budget(capsys):
     code, out, err = run_cli(capsys, "constants", "--d", "3", "--N", str(10**9))
     assert time.perf_counter() - start < 2
     assert code == 2 and out == ""
-    assert err == ("error: float B series to N = 1000000000 needs about 9.39e+10 "
+    assert err == ("error: the float B series to N = 1000000000 needs about 9.39e+10 "
                    "bytes, over the budget 1.07e+09\n")
 
 
@@ -1000,3 +1053,63 @@ def test_traced_launcher_matches_untraced_run(argv, tmp_path):
     assert plain.returncode == traced.returncode == 0, traced.stderr
     assert traced.stdout == plain.stdout
     assert json.loads((tmp_path / "spans.json").read_text())["spans"]
+
+
+# ---------------------------------------------------------------------------
+# the argument space
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def _small_argv(draw) -> list[str]:
+    """Small d, N, n, h, order, n-max and p for one of the five commands."""
+    command = draw(st.sampled_from(["seq", "layers", "verify", "constants", "asym"]))
+    argv = [command]
+    if command == "verify":
+        suite = draw(st.sampled_from([*cli._SUITES, "all"]))
+        argv.append(suite)
+        # mostly the suite's own flags, now and then one it refuses
+        flags = cli._SUITES.get(suite, ((),))[0]
+        for flag, values in (("--d", st.integers(-1, 8)), ("--kind", st.sampled_from("XAB")),
+                             ("--p", st.integers(-3, 40)), ("--order", st.integers(-1, 40)),
+                             ("--n-max", st.integers(-2, 40))):
+            if draw(st.integers(0, 9)) < (5 if flag in flags else 1):
+                argv += [flag, str(draw(values))]
+        return argv
+    argv += ["--d", str(draw(st.integers(-1, 8)))]
+    if command == "seq":
+        argv += ["--kind", draw(st.sampled_from("XAB")), "--N", str(draw(st.integers(-1, 80)))]
+    elif command == "layers":
+        argv += ["--n", str(draw(st.integers(-1, 40))), "--h", str(draw(st.integers(-10, 10)))]
+    elif command == "constants":
+        argv += ["--N", str(draw(st.integers(-1, 400)))]
+    else:
+        argv += ["--kind", draw(st.sampled_from("AB")), "--n"]
+        argv += [str(n) for n in draw(st.lists(st.integers(-1, 400), min_size=1, max_size=3))]
+        if draw(st.booleans()):
+            argv += ["--m", str(draw(st.integers(-1, 13)))]
+    return argv
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(argv=_small_argv())
+def test_small_arguments_exit_0_1_or_2_with_one_error_line(capsys, monkeypatch, argv):
+    # Every budget is lowered so that some draws cross it: a refusal, like
+    # a usage error, writes nothing to stdout and one error line.
+    from lattice_returns import constants
+
+    for module, name, budget in ((cli, "SEQ_OUTPUT_BUDGET", 2000),
+                                 (cli, "PRODUCT_WORK_BUDGET", 10**6),
+                                 (cli, "LUCAS_TABLE_BUDGET", 10**4),
+                                 (constants, "SUMMAND_BUDGET", 200),
+                                 (constants, "FLOAT_ROUTE_BUDGET", 30000),
+                                 (walks, "LAYER_POINT_BUDGET", 2000),
+                                 (walks, "B_DIGIT_BUDGET", 3000),
+                                 (catalog, "DERIVATION_BUDGET", 6**7)):
+        monkeypatch.setattr(module, name, budget)
+    code, out, err = run_cli(capsys, *argv)
+    assert code in (0, 1, 2), err
+    assert "internal error:" not in err
+    if code == 2:
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err

@@ -173,6 +173,14 @@ def test_mp_summands_against_exact(d):
     assert _worst_summand_error(d, N, ns) < Fraction(1, 10**35)
 
 
+def test_summand_stream_budget():
+    # the stream is lazy: 10^7 terms are admitted without a step run
+    assert constants.SUMMAND_BUDGET == 10**7
+    _normalized_a_summands_mp(3, 10**7)
+    with pytest.raises(CapacityError, match="^the summand stream to N = 10000001 needs"):
+        _normalized_a_summands_mp(3, 10**7 + 1)
+
+
 def test_summand_guard_bits():
     # every summand keeps the 136-bit precision; with 8 guard bits in
     # place of the N- and d-dependent ones the worst error is 6e-33 (5e-55

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import lattice_returns as lr
 from lattice_returns import catalog, walks
-from lattice_returns.errors import InvertibilityError
+from lattice_returns.errors import CapacityError, InvertibilityError
 from lattice_returns.holonomy import TruncatedSeries, is_prime, theta_to_recurrence
 from lattice_returns.kernel import UniPoly, primitive
 
@@ -211,6 +211,21 @@ def test_footnote_recurrences():
     assert lr.check_p_recurrence(catalog.a_recurrence(1), a1, 30).passed
     a2 = lr.closed_walks(2, 33)
     assert lr.check_p_recurrence(catalog.a_recurrence(2), a2, 30).passed
+
+
+def test_derivation_budget_admits_d_100_and_refuses_d_128(monkeypatch):
+    # d = 96 derives in about 9 s, d = 128 in about 63 s: the budget is
+    # checked before anything is derived.
+    def no_kernel(d):
+        raise LookupError("derived d = %d" % d)
+
+    monkeypatch.setattr(catalog, "_theta_kernel", no_kernel)
+    for d in (96, 100):
+        with pytest.raises(LookupError):
+            catalog.x_recurrence(d)
+    for d in (101, 128):
+        with pytest.raises(CapacityError, match="^the recurrence derivation at d = %d " % d):
+            catalog.x_recurrence(d)
 
 
 @pytest.mark.parametrize("d", range(1, 17))

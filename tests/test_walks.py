@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 import lattice_returns as lr
 from lattice_returns import catalog, walks
 from lattice_returns.constants import PREC
-from lattice_returns.errors import CapacityError
+from lattice_returns.errors import CapacityError, check_budget
 from lattice_returns.kernel import round_div
 from lattice_returns.walks import iterate_p_recurrence
 
@@ -431,8 +431,10 @@ def test_layers_tile_the_dp_distribution(d, n):
 def test_layer_refuses_a_cross_polytope_past_the_budget():
     # The largest admitted at h = 0 are d = 4, n = 61 (9,545,769 points)
     # and d = 3, n = 195; only n - |h| counts.
-    with pytest.raises(CapacityError, match=r"d=4, n=62, h=0 reaches 10181641 lattice "
-                                            r"points .* <= 62, over the budget 10000000"):
+    assert lr.layer(4, 61, 0).counts.total() > 0
+    with pytest.raises(CapacityError, match=r"^the layer d=4, n=62, h=0 needs about "
+                                            r"1\.02e\+07 lattice points in \|x\|_1 <= 62, "
+                                            r"over the budget 1e\+07$"):
         lr.layer(4, 62, 0)
     with pytest.raises(CapacityError, match=r"d=3, n=200, h=-4 .* \|x\|_1 <= 196"):
         lr.layer(3, 200, -4)
@@ -464,10 +466,34 @@ def test_first_returns_dp_matches_convolution():
 
 
 def test_capacity_guards():
-    with pytest.raises(CapacityError):
+    with pytest.raises(CapacityError, match=r"^the DP box \(2\*30\+1\)\^5 needs about "
+                                            r"8\.45e\+08 cells, over the budget 1e\+08$"):
         lr.full_distribution_dp(5, 30)  # 61^5 > 10^8 cells
     with pytest.raises(CapacityError):
         lr.first_returns_dp(4, 60)
+
+
+def test_check_budget_admits_the_budget_and_names_what_is_over_it():
+    check_budget("the thing", 10**7, "units", 10**7)
+    with pytest.raises(CapacityError) as err:
+        check_budget("the thing at n = 3", 10**7 + 1, "units", 10**7)
+    assert str(err.value) == "the thing at n = 3 needs about 1e+07 units, over the budget 1e+07"
+    # an int past the float range is shown through a Decimal
+    with pytest.raises(CapacityError, match=r"needs about 2\.50e\+400 cells, over"):
+        check_budget("the box", 25 * 10**399, "cells", 10**8)
+
+
+def test_b_digit_budget_is_checked_before_any_a_value():
+    # seq --kind B --d 8 --N 4000 (3.9e7 digits) is admitted, --d 3
+    # --N 6000 (5.6e7) refused, both before the first A-value is read.
+    def unread():
+        raise LookupError("read an A-value")
+        yield
+
+    with pytest.raises(LookupError):
+        lr.walks._first_returns_from_a(8, 4000, unread())
+    with pytest.raises(CapacityError, match="^the first-return table to N = 6000 needs"):
+        lr.walks._first_returns_from_a(3, 6000, unread())
 
 
 # ---------------------------------------------------------------------------
