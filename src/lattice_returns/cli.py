@@ -97,11 +97,18 @@ def _seq_json(args, offset: int, values) -> Iterable[str]:
     yield '\n  ],\n  "N": %d\n}\n' % args.N
 
 
-# seq refuses an X- or A-table whose rows would print more characters
-# than this: the values take about N^2 log10(2d) digits for A and
-# N^2 log10(d) for X (--kind A --d 5 --N 16000 prints 2.6e8 characters in
+# An X- or A-table to N, which seq prints and verify lucas streams, is
+# refused if its rows "n,value" would print more characters than this:
+# about N^2 log10(2d) digits for A and N^2 log10(d) for X, from
+# walks.term_digits (--kind A --d 5 --N 16000 prints 2.6e8 characters in
 # about 1.2 s).  Kind B is held by the stricter walks.B_DIGIT_BUDGET.
-SEQ_OUTPUT_BUDGET = 10**9
+TABLE_CHARACTER_BUDGET = 10**9
+
+
+def _check_table(kind: str, d: int, N: int) -> None:
+    check_budget("the %s-table to N = %d" % (kind, N),
+                 walks.term_digits(kind, d, N, N + 1) // 2 + (N + 1) * (len(str(N)) + 3),
+                 "characters", TABLE_CHARACTER_BUDGET)
 
 
 def cmd_seq(args) -> int:
@@ -112,10 +119,7 @@ def cmd_seq(args) -> int:
     if args.kind == "B":
         offset, values = 1, walks.first_return_digits(args.d, args.N)
     else:
-        base = 2 * args.d if args.kind == "A" else args.d
-        size = (args.N + 1) * (args.N * math.log10(max(base, 1)) + len(str(args.N)) + 3)
-        check_budget("the %s-table to N = %d" % (args.kind, args.N), size,
-                     "characters", SEQ_OUTPUT_BUDGET)
+        _check_table(args.kind, args.d, args.N)
         offset, values = 0, walks.decimal_values(args.kind, args.d, args.N)
     render = _seq_json if args.format == "json" else _seq_csv
     _write(args.out, render(args, offset, values))
@@ -210,12 +214,15 @@ def _ode(d: int, run) -> list[holonomy.VerificationReport]:
 
 
 def _lucas(d: int, run) -> list[holonomy.VerificationReport]:
-    """One table per kind, to the largest prime's p^2 + p; each prime is
-    checked on its prefix."""
+    """Each prime p checks u_0 .. u_{p^2+p}: X and A on a recurrence stream
+    each, B on the prefix of one table to the largest prime's."""
     reports = []
     for k in run.kinds:
-        table = _build_table(k, d, run.lucas_top)
-        reports += [holonomy.lucas_check(table, p, p * p + p) for p in run.primes]
+        if k == "B":
+            table = _build_table(k, d, max(run.primes) ** 2 + max(run.primes)).values
+        for p in run.primes:
+            terms = table if k == "B" else walks.recurrence_values(k, d, p * p + p)
+            reports.append(holonomy.lucas_check(terms, k, d, p, p * p + p))
     return reports
 
 
@@ -234,25 +241,21 @@ def _hadamard(d: int, run) -> list[holonomy.VerificationReport]:
 
 # verify hadamard refuses a (1 - B) A check whose product would take more
 # bit operations than this.  The operands hold about 2 order^2 log2(2d)
-# bits each, and Karatsuba's rule, in ``kernel.product`` and in CPython's
-# big ints, multiplies s bits in about s^log2(3) operations.  --d 1
+# bits each (walks.term_digits), and Karatsuba's rule, in kernel.product
+# and CPython's ints, multiplies s bits in about s^log2(3) operations.  --d 1
 # --order 2200 is 1.2e11 (its product takes 0.8 s on a 2-vCPU AMD EPYC VM);
 # the budget admits order 4315 at d = 1 and 2367 at d = 5, where one d
 # takes about 10 s.
 PRODUCT_WORK_BUDGET = 10**12
 
 
-def _product_work(d: int, order: int) -> float:
-    """Bit operations of hadamard's (1 - B) A product at (d, order)."""
-    return (2 * order * order * math.log2(2 * d)) ** math.log2(3)
-
-
-# verify lucas refuses a run whose largest table, N = p^2 + p terms for
-# the largest prime p, would take more bytes than this: about
-# N^2 log2(2d) / 8 for the digits of its ints, plus 32 a term.  --kind A
-# --d 5 --p 151 is 2.2e8 (1.6 s and 240 MB); the budget admits p = 181 at
-# d = 5 and 241 at d = 1, where p = 251 would take about 1.8 GB.
-LUCAS_TABLE_BUDGET = 5 * 10**8
+def _product_work(d: int, order: int) -> int:
+    """Bit operations of hadamard's (1 - B) A product at (d, order), in
+    ints: s^log2(3) = 3^k (s / 2^k)^log2(3) for s bits, 2^k <= s."""
+    num, den = math.log2(10).as_integer_ratio()
+    bits = walks.term_digits("A", d, order, order) * num // den
+    k = max(bits.bit_length() - 1, 0)
+    return 3**k * round((bits / (1 << k)) ** math.log2(3) * 2**52) >> 52
 
 
 def _singularities(d: int, run) -> list[holonomy.VerificationReport]:
@@ -427,7 +430,6 @@ def cmd_verify(args) -> int:
         kinds=_scoped(args.kind, ("X", "A")), primes=_scoped(args.p, (3, 5, 7, 11, 13)),
         n_max=300 if args.n_max is None else args.n_max, order=order,
         hadamard_order=200 if args.suite == "all" else order, tables={})
-    run.lucas_top = max(run.primes) ** 2 + max(run.primes)
     if run.n_max < 0:
         raise UsageError("--n-max must be >= 0")
     if run.order < 1:
@@ -445,14 +447,11 @@ def cmd_verify(args) -> int:
                      _product_work(d, run.hadamard_order), "bit operations",
                      PRODUCT_WORK_BUDGET)
     lucas_dims = [d for reports_for, _, d in plan if reports_for is _lucas]
-    if lucas_dims:
-        # N^2 log2(2d) / 8 + 32 N in ints, so that a --p of any size is refused
-        d, N = max(lucas_dims), run.lucas_top
-        bits = N * N * round(math.log2(2 * d) * 2**20) >> 20
-        check_budget("the lucas table at d = %d to N = %d" % (d, N), bits // 8 + 32 * N,
-                     "bytes", LUCAS_TABLE_BUDGET)
-    # Before any table, which at p holds p^2 + p exact terms, and after the
-    # budget, which keeps the trial division short.
+    if lucas_dims:  # the stream to p^2 + p does seq's work, whatever the kind
+        p = max(run.primes)
+        _check_table("A", max(lucas_dims), p * p + p)
+    # Before any stream, and after the budget, which keeps the trial
+    # division short.
     if args.p is not None and not holonomy.is_prime(args.p):
         raise UsageError("%d is not prime" % args.p)
     # What the items share is made here, before they are shared out: one

@@ -24,7 +24,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import TYPE_CHECKING, Sequence
+from itertools import chain
+from math import isqrt
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import InvertibilityError
 from .kernel import (RationalLike, UniPoly, binomial, exact, poly_divmod, primitive,
@@ -373,56 +375,46 @@ def check_singularities(ode: LinearODE, expected: set[RationalLike],
 
 
 def is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    i = 2
-    while i * i <= p:
-        if p % i == 0:
-            return False
-        i += 1
-    return True
+    return p >= 2 and all(p % i for i in range(2, isqrt(p) + 1))
 
 
-def lucas_check(seq: "SequenceTable", p: int, n_max: int) -> VerificationReport:
-    """Check u_{np+q} == u_n * u_q (mod p) for all np+q <= n_max.
-
-    For kind A additionally checks the vanishing clause
-    A_{2n} == 0 (mod p) for (p-1)/2 < n <= p-1.  Kind B has no value at
-    index 0; pairs needing u_0 treat it as the (absent) convention u_0=1,
-    which is exactly why B-tables are expected to fail here.
-    """
+def lucas_check(terms: Iterable[int], kind: str, d: int, p: int,
+                n_max: int) -> VerificationReport:
+    """Check u_{np+q} == u_n * u_q (mod p) for all np+q <= n_max, reading
+    the terms of the kind's sequence at d once, up to index n_max: u_0,
+    u_1, ... for X and A, u_1, u_2, ... for B, which takes the convention
+    u_0 = 1 (exactly why first returns fail here).  Only the residues of
+    u_0 .. u_{max(p - 1, n_max // p)} are held.  Kind A then checks the
+    vanishing clause A_{2n} == 0 (mod p) for (p-1)/2 < n <= p-1.
+    ValueError if p is not prime or the terms run out."""
     if not is_prime(p):
         raise ValueError("%d is not prime" % p)
-    if seq.n_max < n_max:
-        raise ValueError("table too short for n_max=%d" % n_max)
-
-    def u(i: int) -> int:
-        return 1 if i < seq.offset else seq.value(i)
-
+    stream = chain([1] if kind == "B" else [], terms)
+    keep = max(p - 1, n_max // p) + 1
+    residues = []
     first_failure = None
     for idx in range(n_max + 1):
+        lhs = next(stream, None)
+        if lhs is None:
+            raise ValueError("terms end before n_max=%d" % n_max)
+        lhs %= p
+        if idx < keep:
+            residues.append(lhs)
         n, q = divmod(idx, p)
-        lhs, un, uq = u(idx), u(n), u(q)
-        if (lhs - un * uq) % p != 0:
-            first_failure = {
-                "n": n, "q": q, "index": idx,
-                "lhs_mod_p": lhs % p, "rhs_mod_p": (un * uq) % p,
-            }
+        if lhs != residues[n] * residues[q] % p:
+            first_failure = {"n": n, "q": q, "index": idx, "lhs_mod_p": lhs,
+                             "rhs_mod_p": residues[n] * residues[q] % p}
             break
-    vanishing_checked = False
-    if seq.kind == "A" and first_failure is None:
-        vanishing_checked = True
+    vanishing_checked = kind == "A" and first_failure is None
+    if vanishing_checked:
         for n in range((p - 1) // 2 + 1, min(p, n_max + 1)):
-            if seq.value(n) % p != 0:
-                first_failure = {"vanishing_at": n, "value_mod_p": seq.value(n) % p}
+            if residues[n]:
+                first_failure = {"vanishing_at": n, "value_mod_p": residues[n]}
                 break
     return VerificationReport(
-        check="lucas",
-        parameters={"kind": seq.kind, "d": seq.dimension, "p": p,
-                    "n_max": n_max, "vanishing_clause": vanishing_checked},
-        horizon=n_max,
-        first_failure=first_failure,
-    )
+        check="lucas", parameters={"kind": kind, "d": d, "p": p, "n_max": n_max,
+                                   "vanishing_clause": vanishing_checked},
+        horizon=n_max, first_failure=first_failure)
 
 
 def legendre_series_identity(n: int, N: int) -> bool:

@@ -81,6 +81,14 @@ DP_CELL_BUDGET = 10**8
 LAYER_POINT_BUDGET = 10**7
 
 
+def term_digits(kind: str, d: int, n: int, count: int = 1) -> int:
+    """About 2n log10(base) decimal digits for each of count walk counts
+    at index n, base 2d for A_{2n} and B_{2n} and d for x_n: the one size
+    model of every exact-table estimate, in ints for an n of any size."""
+    num, den = math.log10(max(d if kind == "X" else 2 * d, 1)).as_integer_ratio()
+    return 2 * n * count * num // den
+
+
 @dataclass(frozen=True)
 class SequenceTable:
     """A prefix of one of the walk-count sequences.
@@ -610,9 +618,9 @@ def _b_table(d: int, digits: list[str]) -> SequenceTable:
 # of Kronecker-packed vectors (Harvey, J. Symbolic Comput. 44, 2009).
 # ---------------------------------------------------------------------------
 
-# First-return tables whose packed A-operand would hold more digits than
-# this are refused (N = 4000 at d = 8 is 3.9e7 digits: 3.5 s and 207 MB
-# cold on a 2-vCPU AMD EPYC VM).
+# First-return tables whose packed A-operand, N slots of term_digits at N
+# plus one, would hold more digits than this are refused (N = 4000 at
+# d = 8 is 3.9e7 digits: 3.5 s and 207 MB cold on a 2-vCPU AMD EPYC VM).
 B_DIGIT_BUDGET = 5 * 10**7
 
 
@@ -673,10 +681,10 @@ def _first_returns_from_a(d: int, N: int, a) -> list[str]:
     is w x w slots, w = top - m.  The tops are ceil((N+1) / 2^k), so the
     last step is (N+1) x (N+1)/2 slots, not a power of two.
 
-    CapacityError before ``a`` is read if the last A-operand,
-    N (2N log10(2d) + 1) digits, exceeds B_DIGIT_BUDGET."""
+    CapacityError before ``a`` is read if the last A-operand, N slots of
+    ``term_digits`` at N plus one digits, exceeds B_DIGIT_BUDGET."""
     check_budget("the first-return table to N = %d" % N,
-                 N * (2 * N * math.log10(2 * d) + 1), "packed digits", B_DIGIT_BUDGET)
+                 term_digits("A", d, N, N) + N, "packed digits", B_DIGIT_BUDGET)
     with unlimited_int_str():
         a = [str(v) for v in a]
     tops = [len(a)]

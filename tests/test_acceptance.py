@@ -147,9 +147,9 @@ def test_criterion_07_lucas_congruences(capsys):
     for d in (1, 2, 3, 4, 5):
         for p in (3, 5, 7, 11, 13):
             n_max = p * p + p
-            assert lr.lucas_check(lr.x_sequence_fast(d, n_max), p, n_max).passed
+            assert lr.lucas_check(lr.x_sequence_fast(d, n_max).values, "X", d, p, n_max).passed
             a = lr.closed_walks_fast(d, n_max)
-            assert lr.lucas_check(a, p, n_max).passed
+            assert lr.lucas_check(a.values, "A", d, p, n_max).passed
             # explicit vanishing window: A_{2n} = 0 mod p, (p-1)/2 < n <= p-1
             for n in range((p - 1) // 2 + 1, p):
                 assert a.value(n) % p == 0

@@ -8,6 +8,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import time
@@ -437,6 +438,8 @@ def test_verify_lucas_expected_failure_inverts_exit(capsys):
     obj = json.loads(out)
     assert obj["status"] == "pass"
     assert obj["reports"][0]["status"] == "fail"  # raw reports stay honest
+    # u_5 = B_10 is not u_1 u_0 mod 5, with the convention u_0 = 1
+    assert obj["reports"][0]["first_failure"]["index"] == 5
 
 
 @pytest.mark.parametrize("suite, flag, value", [
@@ -452,44 +455,46 @@ def test_verify_rejects_empty_horizon(capsys, suite, flag, value):
 
 
 def test_verify_refuses_a_non_prime_p_before_any_table(capsys, monkeypatch):
-    # lucas at p would build p^2 + p exact terms (over a million for
-    # p = 1000) before noticing that p is not prime: the table's budget
-    # refuses p = 1000 first, and a small non-prime is named.
-    def no_table(d, N):
-        raise AssertionError("built a table for d=%d, N=%d" % (d, N))
+    # lucas at p would stream p^2 + p exact terms (over a million for
+    # p = 1000) before noticing that p is not prime: seq's budget on the
+    # A-table to p^2 + p refuses p = 1000 first, and a small non-prime is
+    # named.
+    def no_stream(kind, d, N):
+        raise AssertionError("started a stream for d=%d, N=%d" % (d, N))
 
-    monkeypatch.setattr(lr.walks, "closed_walks_fast", no_table)
+    monkeypatch.setattr(walks, "recurrence_values", no_stream)
     code, out, err = run_cli(capsys, "verify", "lucas", "--p", "1000", "--d", "3",
                              "--kind", "A")
     assert code == 2
-    assert out == "" and err == ("error: the lucas table at d = 3 to N = 1001000 needs "
-                                 "about 3.24e+11 bytes, over the budget 5e+08\n")
+    assert out == "" and err == ("error: the A-table to N = 1001000 needs about "
+                                 "7.8e+11 characters, over the budget 1e+09\n")
     code, out, err = run_cli(capsys, "verify", "lucas", "--p", "91", "--d", "3",
                              "--kind", "A")
     assert code == 2
     assert out == "" and err == "error: 91 is not prime\n"
 
 
-@pytest.mark.parametrize("d, p, admitted", [(5, 181, True), (5, 191, False),
-                                            (1, 241, True), (1, 251, False)])
+@pytest.mark.parametrize("d, p, admitted", [(5, 173, True), (5, 179, False),
+                                            (5, 191, False), (1, 239, True),
+                                            (1, 241, False), (1, 251, False)])
 def test_verify_lucas_budgets_the_largest_table(capsys, monkeypatch, d, p, admitted):
-    # --kind A --d 5 --p 151 takes 1.6 s and 240 MB, and --p 251 would take
-    # about 1.8 GB: the largest table's bytes are estimated before it, and
-    # before the trial division of --p.
-    def no_table(k, d, N):
-        raise ValueError("built the table to N = %d" % N)
+    # The stream to p^2 + p does the work of seq's A-table to it (--kind A
+    # --d 5 --p 173 takes 3.7 s): seq's estimate and budget refuse it
+    # before the stream starts, and before the trial division of --p.
+    def no_stream(kind, d, N):
+        raise ValueError("started the stream to N = %d" % N)
 
-    monkeypatch.setattr(cli, "_build_table", no_table)
+    monkeypatch.setattr(walks, "recurrence_values", no_stream)
     start = time.perf_counter()
     code, out, err = run_cli(capsys, "verify", "lucas", "--kind", "A", "--d", str(d),
                              "--p", str(p))
     assert time.perf_counter() - start < 1
     assert code == 2 and out == ""
     if admitted:
-        assert err == "error: built the table to N = %d\n" % (p * p + p)
+        assert err == "error: started the stream to N = %d\n" % (p * p + p)
     else:
-        assert err.startswith("error: the lucas table at d = %d to N = %d needs about "
-                              % (d, p * p + p))
+        assert err.startswith("error: the A-table to N = %d needs about " % (p * p + p))
+        assert err.endswith(" characters, over the budget 1e+09\n")
 
 
 @pytest.mark.parametrize("p", ["1000000000000000003", str(10**200)])
@@ -500,8 +505,8 @@ def test_verify_lucas_refuses_a_large_p_at_once(capsys, p):
     code, out, err = run_cli(capsys, "verify", "lucas", "--p", p)
     assert time.perf_counter() - start < 1
     assert code == 2 and out == "" and err.count("\n") == 1
-    assert err.startswith("error: the lucas table at d = 5 to N = ")
-    assert err.endswith(" bytes, over the budget 5e+08\n")
+    assert err.startswith("error: the A-table to N = %d needs about " % (int(p) ** 2 + int(p)))
+    assert err.endswith(" characters, over the budget 1e+09\n")
 
 
 def test_verify_lucas_refuses_a_b_table_past_the_budget(capsys, monkeypatch):
@@ -551,19 +556,57 @@ def test_benchmark_layers_match_their_references(capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == refs[" ".join(argv)]["sha256"]
 
 
-def test_verify_lucas_builds_one_table_per_kind(capsys, monkeypatch):
-    from lattice_returns import cli
-
-    calls = []
-    build = cli._build_table
+def test_verify_lucas_streams_x_and_a_without_a_table(capsys, monkeypatch):
+    # X and A read one recurrence stream per prime and build no table; B,
+    # which has no recurrence, builds one table to the largest p^2 + p.
+    calls, streams = [], []
+    build, stream = cli._build_table, walks.recurrence_values
     monkeypatch.setattr(cli, "_build_table",
                         lambda k, d, N: calls.append((k, d, N)) or build(k, d, N))
+    monkeypatch.setattr(walks, "recurrence_values",
+                        lambda k, d, N: streams.append((k, d, N)) or stream(k, d, N))
     code, out, _ = run_cli(capsys, "verify", "lucas", "--d", "3")
     assert code == 0
-    assert calls == [("X", 3, 182), ("A", 3, 182)]
+    assert calls == []
+    assert streams == [(k, 3, p * p + p) for k in "XA" for p in (3, 5, 7, 11, 13)]
     assert [(r["parameters"]["kind"], r["parameters"]["p"], r["parameters"]["n_max"])
             for r in json.loads(out)["reports"]] == [
         (k, p, p * p + p) for k in "XA" for p in (3, 5, 7, 11, 13)]
+    code, out, _ = run_cli(capsys, "verify", "lucas", "--d", "3", "--kind", "B",
+                           "--expect-fail")
+    assert code == 0
+    assert calls == [("B", 3, 182)]
+    # each prime reads the table's prefix: p = 3 passes, the rest fail at p
+    assert [r.get("first_failure", {}).get("index")
+            for r in json.loads(out)["reports"]] == [None, 5, 7, 11, 13]
+
+
+@pytest.mark.parametrize("argv", [
+    ["seq", "--kind", "X", "--d", "3", "--N", "1" + "0" * 400],
+    ["seq", "--kind", "A", "--d", "3", "--N", "1" + "0" * 400],
+    ["seq", "--kind", "B", "--d", "3", "--N", "1" + "0" * 400],
+    ["verify", "hadamard", "--order", "1" + "0" * 200],
+], ids=["seq-X", "seq-A", "seq-B", "hadamard"])
+def test_inputs_past_the_float_range_are_refused(capsys, argv):
+    # Every estimate is an int, so a size past 1.8e308 is refused like
+    # any other, never overflowing a float (verify lucas --p 10^200 is
+    # test_verify_lucas_refuses_a_large_p_at_once).
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == "" and err.count("\n") == 1
+    assert re.fullmatch(r"error: .* needs about \S+ \S+( \S+)?, over the budget \S+\n", err)
+
+
+def test_verify_lucas_streams_in_bounded_memory():
+    # The table to 151^2 + 151 = 22,952 terms at d = 5 took 240 MB; the
+    # stream holds p + 2 residues and the recurrence's last terms.
+    out = subprocess.run([sys.executable, "-c", _RSS_PROBE, "verify", "lucas", "--kind",
+                          "A", "--d", "5", "--p", "151"],
+                         capture_output=True, text=True, env=_src_env(), check=True)
+    code, peak_mb = out.stdout.split()
+    assert code == "0" and out.stderr == ""
+    assert float(peak_mb) < 30, "peak RSS %s MB" % peak_mb
 
 
 def test_asym_refuses_a_summand_stream_past_the_budget(capsys):
@@ -1099,9 +1142,8 @@ def test_small_arguments_exit_0_1_or_2_with_one_error_line(capsys, monkeypatch, 
     # a usage error, writes nothing to stdout and one error line.
     from lattice_returns import constants
 
-    for module, name, budget in ((cli, "SEQ_OUTPUT_BUDGET", 2000),
+    for module, name, budget in ((cli, "TABLE_CHARACTER_BUDGET", 2000),
                                  (cli, "PRODUCT_WORK_BUDGET", 10**6),
-                                 (cli, "LUCAS_TABLE_BUDGET", 10**4),
                                  (constants, "SUMMAND_BUDGET", 200),
                                  (constants, "FLOAT_ROUTE_BUDGET", 30000),
                                  (walks, "LAYER_POINT_BUDGET", 2000),

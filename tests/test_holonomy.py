@@ -509,25 +509,26 @@ def test_is_prime():
 def test_lucas_check_requires_prime():
     t = lr.x_sequence(3, 20)
     with pytest.raises(ValueError):
-        lr.lucas_check(t, 4, 20)
+        lr.lucas_check(t.values, "X", 3, 4, 20)
 
 
 def test_lucas_check_requires_enough_terms():
-    t = lr.x_sequence(3, 10)
-    with pytest.raises(ValueError):
-        lr.lucas_check(t, 5, 30)
+    # A table or a stream that ends before n_max: the check cannot finish.
+    for terms in (lr.x_sequence(3, 10).values, walks.recurrence_values("A", 3, 29)):
+        with pytest.raises(ValueError, match="terms end before n_max=30"):
+            lr.lucas_check(terms, "A", 3, 5, 30)
 
 
 @pytest.mark.parametrize("d,p", [(1, 3), (2, 5), (3, 7), (4, 5), (5, 3)])
 def test_lucas_passes_for_x_and_a(d, p):
     n_max = p * p + p
-    assert lr.lucas_check(lr.x_sequence_fast(d, n_max), p, n_max).passed
-    assert lr.lucas_check(lr.closed_walks_fast(d, n_max), p, n_max).passed
+    assert lr.lucas_check(lr.x_sequence_fast(d, n_max).values, "X", d, p, n_max).passed
+    assert lr.lucas_check(lr.closed_walks_fast(d, n_max).values, "A", d, p, n_max).passed
 
 
 def test_lucas_fails_for_first_returns():
     n_max = 30
-    rep = lr.lucas_check(lr.first_returns_fast(3, n_max), 5, n_max)
+    rep = lr.lucas_check(lr.first_returns_fast(3, n_max).values, "B", 3, 5, n_max)
     assert not rep.passed
     assert rep.first_failure["index"] == 5
 
@@ -535,12 +536,65 @@ def test_lucas_fails_for_first_returns():
 def test_lucas_vanishing_clause_catches_a_perturbed_value():
     table = lr.closed_walks_fast(3, 4)
     assert table.values == (1, 6, 90, 1860, 44730)
-    assert lr.lucas_check(table, 5, 4).passed
+    assert lr.lucas_check(table.values, "A", 3, 5, 4).passed
     values = list(table.values)
     values[3] += 1  # A_6: 1860 -> 1861, no longer 0 mod 5
-    rep = lr.lucas_check(lr.SequenceTable(3, "A", tuple(values)), 5, 4)
+    rep = lr.lucas_check(values, "A", 3, 5, 4)
     assert not rep.passed
     assert rep.first_failure == {"vanishing_at": 3, "value_mod_p": 1}
+
+
+def _lucas_on_the_table(table, p, n_max):
+    """The report of the check indexed into a whole table, term by term,
+    as the suite ran it before it read streams."""
+    def u(i):
+        return 1 if i < table.offset else table.value(i)
+
+    failure = None
+    for idx in range(n_max + 1):
+        n, q = divmod(idx, p)
+        if (u(idx) - u(n) * u(q)) % p:
+            failure = {"n": n, "q": q, "index": idx,
+                       "lhs_mod_p": u(idx) % p, "rhs_mod_p": u(n) * u(q) % p}
+            break
+    vanishing = table.kind == "A" and failure is None
+    if vanishing:
+        for n in range((p - 1) // 2 + 1, min(p, n_max + 1)):
+            if table.value(n) % p:
+                failure = {"vanishing_at": n, "value_mod_p": table.value(n) % p}
+                break
+    return lr.VerificationReport(
+        check="lucas", parameters={"kind": table.kind, "d": table.dimension, "p": p,
+                                   "n_max": n_max, "vanishing_clause": vanishing},
+        horizon=n_max, first_failure=failure).to_json_obj()
+
+
+@pytest.mark.parametrize("kind", ["X", "A"])
+@pytest.mark.parametrize("d", range(1, 6))
+def test_lucas_stream_reports_equal_the_table_route(kind, d):
+    # Each prime p <= 53 reads its own stream of p^2 + p terms from the
+    # recurrence, which is never held; the table is built once, to 53's.
+    primes = [p for p in range(2, 54) if is_prime(p)]
+    table = (lr.x_sequence_fast if kind == "X" else lr.closed_walks_fast)(d, 53 * 53 + 53)
+    for p in primes:
+        n_max = p * p + p
+        stream = walks.recurrence_values(kind, d, n_max)
+        assert (lr.lucas_check(stream, kind, d, p, n_max).to_json_obj()
+                == _lucas_on_the_table(table, p, n_max))
+    # A perturbed table, read as a stream, fails where the table route does.
+    values = list(table.values)
+    values[40] += 1
+    broken = walks.SequenceTable(d, kind, values)
+    assert (lr.lucas_check(iter(values), kind, d, 7, 56).to_json_obj()
+            == _lucas_on_the_table(broken, 7, 56))
+
+
+@pytest.mark.parametrize("d", range(1, 6))
+def test_lucas_b_prefix_reports_equal_the_table_route(d):
+    table = lr.first_returns_fast(d, 13 * 13 + 13)
+    for p in (2, 3, 5, 7, 11, 13):
+        rep = lr.lucas_check(table.values, "B", d, p, p * p + p).to_json_obj()
+        assert rep == _lucas_on_the_table(table, p, p * p + p)
 
 
 def test_a_vanishing_window_mod_p():
