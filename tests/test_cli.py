@@ -814,21 +814,20 @@ def test_constants_refuse_an_N_too_small_for_the_tail(capsys):
 
 
 def test_constants_refuse_a_float_b_route_past_the_budget(capsys):
-    # 10^9 terms: 10^9 recurrence steps and an 8 GB float series, refused
-    # before the first step.
+    # 10^9 terms: 10^9 recurrence steps, refused before the first step by
+    # the summand budget.
     start = time.perf_counter()
     code, out, err = run_cli(capsys, "constants", "--d", "3", "--N", str(10**9))
     assert time.perf_counter() - start < 2
     assert code == 2 and out == ""
-    assert err == ("error: the float B series to N = 1000000000 needs about 9.39e+10 "
-                   "bytes, over the budget 1.07e+09\n")
+    assert err == ("error: the summand stream to N = 1000000000 needs about 1e+09 "
+                   "terms, over the budget 1e+07\n")
 
 
 def test_constants_bundle_memory_does_not_hold_the_summands():
     # One streaming pass: the 100,001 summands (about 6 MB as a list of
-    # ints, plus a float list) are never held, and mpmath loads after the
-    # FFT's transient.  Relative to a small N, so that the numpy and
-    # mpmath versions cancel.
+    # ints) are never held, only the first 2,001.  Relative to a small N,
+    # so that the mpmath version cancels.
     peaks = []
     for N in ("2000", "100000"):
         out = subprocess.run([sys.executable, "-c", _RSS_PROBE, "constants", "--d", "5",
@@ -850,10 +849,10 @@ def test_constants_d3_bundle(capsys):
     assert obj["m_tilde_d"] is None
 
 
-@pytest.mark.parametrize("d, kept", [(6, True), (8, False)])
+@pytest.mark.parametrize("d, kept", [(6, True), (8, True)])
 def test_constants_empirical_b1_fit_only_up_to_d7(capsys, d, kept):
-    # At d = 8 the float B-series error times n sets the fit (-2.26 against
-    # b_1 = -1.78), so the field is left out there.
+    # The fit reads the fixed-point B-series, so d = 8 keeps it too (-1.7802
+    # against b_1 = -1.7801; the FFT series read -2.26 and was left out).
     code, out, _ = run_cli(capsys, "constants", "--d", str(d), "--N", "2000")
     assert code == 0
     obj = json.loads(out)
@@ -1026,11 +1025,11 @@ print(code, *sorted({"numpy", "mpmath"} & set(sys.modules)))
     (["seq", "--kind", "X", "--d", "8", "--N", "10"], ""),
     (["layers", "--d", "4", "--n", "3", "--h", "0"], ""),
     (["--help"], ""),
-    (["constants", "--d", "3", "--N", "100"], " mpmath numpy"),
+    (["constants", "--d", "3", "--N", "100"], " mpmath"),
     (["asym", "--kind", "A", "--d", "4", "--n", "64"], " mpmath"),
     (["asym", "--kind", "B", "--d", "3", "--n", "64"], " mpmath numpy"),
-    (["asym", "--kind", "B", "--d", "2", "--n", "500", "1000"], " numpy"),
-    (["constants", "--d", "2", "--N", "100"], " numpy"),
+    (["asym", "--kind", "B", "--d", "2", "--n", "500", "1000"], ""),
+    (["constants", "--d", "2", "--N", "100"], ""),
     (["seq", "--kind", "B", "--d", "3", "--N", "50"], ""),
     (["verify", "all"], ""),
     (["verify", "hadamard", "--order", "20"], ""),
@@ -1041,12 +1040,47 @@ print(code, *sorted({"numpy", "mpmath"} & set(sys.modules)))
 def test_import_floor_exact_commands_load_neither_numpy_nor_mpmath(argv, loaded):
     # A fresh interpreter: the exact commands, first returns and every
     # verify suite included, must not pay for the numerics at start-up,
-    # nor asym --kind A for numpy, nor the recurrent
-    # d = 2 bundle and B-table, which call no mpmath function, for mpmath;
-    # the constants control shows the probe can fail.
+    # nor constants and asym --kind A for numpy, nor the recurrent d = 2
+    # bundle and B-table, which call no mpmath function, for either; the
+    # asym --kind B control at d = 3 shows the probe can fail.
     out = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, *argv],
                          capture_output=True, text=True, env=_src_env(), check=True)
     assert out.stdout == "0" + loaded + "\n"
+
+
+_NO_NUMPY_PROBE = """
+import contextlib, io, sys
+sys.modules["numpy"] = None  # any import of numpy now raises ImportError
+from lattice_returns.cli import main
+codes = []
+for argv in [["constants", "--d", str(d)] for d in range(1, 13)] + [
+        ["asym", "--kind", "B", "--d", str(d), "--n", "10", "100", "1000"] for d in (1, 2)]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(main(argv))
+print(*codes)
+"""
+
+
+def test_constants_and_the_recurrent_b_tables_run_without_numpy():
+    out = subprocess.run([sys.executable, "-c", _NO_NUMPY_PROBE], capture_output=True,
+                         text=True, env=_src_env(), check=True)
+    assert out.stdout == " ".join(["0"] * 14) + "\n" and out.stderr == ""
+
+
+def test_the_direct_route_is_made_only_when_read(capsys, monkeypatch):
+    # asym --kind B reads b_d and b_1 of its bundle, never its B-series;
+    # constants makes the series once, for p_d_direct and the b_1 fit.
+    from lattice_returns import constants
+
+    calls = []
+    made = constants._fixed_first_returns
+    monkeypatch.setattr(constants, "_fixed_first_returns",
+                        lambda *args: calls.append(args[:2]) or made(*args))
+    assert run_cli(capsys, "asym", "--kind", "B", "--d", "3", "--n", "64")[0] == 0
+    assert calls == []
+    code, out, _ = run_cli(capsys, "constants", "--d", "3", "--N", "4000")
+    assert code == 0 and calls == [(3, 2000)]
+    assert set(json.loads(out)) >= {"p_d_direct", "b_1_empirical_fit"}
 
 
 _THREADS_PROBE = """

@@ -466,11 +466,13 @@ def test_first_returns_dp_matches_convolution():
 
 
 def test_capacity_guards():
-    with pytest.raises(CapacityError, match=r"^the DP box \(2\*30\+1\)\^5 needs about "
-                                            r"8\.45e\+08 cells, over the budget 1e\+08$"):
-        lr.full_distribution_dp(5, 30)  # 61^5 > 10^8 cells
-    with pytest.raises(CapacityError):
-        lr.first_returns_dp(4, 60)
+    # the DPs hold the points of |x|_1 <= n: 9.7e6 at d = 5, n = 32
+    with pytest.raises(CapacityError, match=r"^the DP d=5, n=33 needs about 1\.13e\+07 "
+                                            r"lattice points in \|x\|_1 <= 33, over the "
+                                            r"budget 1e\+07$"):
+        lr.full_distribution_dp(5, 33)
+    with pytest.raises(CapacityError, match=r"^the DP d=4, n=62 needs about 1\.02e\+07 "):
+        lr.first_returns_dp(4, 62)
 
 
 def test_check_budget_admits_the_budget_and_names_what_is_over_it():
@@ -494,6 +496,14 @@ def test_b_digit_budget_is_checked_before_any_a_value():
         lr.walks._first_returns_from_a(8, 4000, unread())
     with pytest.raises(CapacityError, match="^the first-return table to N = 6000 needs"):
         lr.walks._first_returns_from_a(3, 6000, unread())
+    # In fixed point the estimate is N (2D + floor(log10 N)) digits: at d = 2,
+    # N = 724637 (D = 32) is the last admitted.
+    assert walks.fixed_point_decimals(2, 724637) == 32
+    with pytest.raises(LookupError):
+        lr.walks._first_returns_from_a(2, 724637, unread(), 32)
+    with pytest.raises(CapacityError, match=r"^the fixed-point first returns to N = 724638 "
+                                            r"needs about 5e\+07 packed digits, over"):
+        lr.walks._first_returns_from_a(2, 724638, unread(), 32)
 
 
 # ---------------------------------------------------------------------------
