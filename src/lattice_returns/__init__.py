@@ -5,8 +5,8 @@ return-probability constants.
 
 The public names below, and the submodules themselves (``lr.walks``),
 are imported on first access (PEP 562), so importing one submodule
-loads only what it needs: the exact integer paths never load numpy or
-mpmath.
+loads only what it needs: the exact integer paths never load numpy, and
+no path loads mpmath.
 """
 
 from importlib import import_module

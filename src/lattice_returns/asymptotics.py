@@ -68,6 +68,19 @@ def leading_constant_a(d: int) -> LeadingConstant:
 
 
 @lru_cache(maxsize=None)
+def bernoulli(m: int) -> Fraction:
+    """The Bernoulli number B_m, B_1 = -1/2, made on first request and
+    kept: B_m = -sum_{i < m} C(m + 1, i) B_i / (m + 1), whose odd i >= 3
+    add nothing."""
+    if m == 0:
+        return Fraction(1)
+    if m > 1 and m % 2:
+        return Fraction(0)
+    return -sum(math.comb(m + 1, i) * bernoulli(i) for i in (0, 1, *range(2, m, 2))
+                if i < m) / (m + 1)
+
+
+@lru_cache(maxsize=None)
 def _a_series(d: int, M: int) -> tuple[Fraction, ...]:
     """1 + a_1(d)/n + ... + a_M(d)/n^M as a series in 1/n.
 
@@ -82,9 +95,6 @@ def _a_series(d: int, M: int) -> tuple[Fraction, ...]:
     so the series is sum_k D_k d^k n^{-k} exp(sum_j e_j(s_k) (2n)^{-j}).
     """
     order = M + 1
-    bs = [Fraction(1)]  # Bernoulli numbers, B_1 = -1/2
-    for m in range(1, order):
-        bs.append(-sum(math.comb(m + 1, i) * bs[i] for i in range(m)) / (m + 1))
     c = [Fraction(math.prod(range(1, 2 * k, 2)) ** 2,
                   math.factorial(k) * 8**k * 2**k) for k in range(order)]
     power = TruncatedSeries([1] + [0] * M)
@@ -94,7 +104,7 @@ def _a_series(d: int, M: int) -> tuple[Fraction, ...]:
     for k in range(order):
         s = Fraction(d, 2) + k
         e = [0] + [Fraction((-1) ** j, j * (j + 1) * 2**j)
-                   * sum(math.comb(j + 1, i) * bs[i] * ((1 + s) ** (j + 1 - i) - 1)
+                   * sum(math.comb(j + 1, i) * bernoulli(i) * ((1 + s) ** (j + 1 - i) - 1)
                          for i in range(j + 1))
                    for j in range(1, order - k)]
         # exp of the series e, coefficient by coefficient from E' = e' E

@@ -507,15 +507,17 @@ def cmd_constants(args) -> int:
 
 def _exact_normalized_a(d: int, ns: list[int]) -> dict[int, float]:
     """A_{2n} (pi n)^(d/2) / (2d)^(2n) from the constants' summand stream,
-    of which only the terms at ns are kept."""
-    from mpmath import mp
+    of which only the terms at ns are kept, in the constants' decimal
+    context."""
+    import decimal
 
     from . import constants
 
     us, bits = constants._normalized_a_summands_mp(d, max(ns))
     wanted = set(ns)
-    with mp.workdps(constants.DPS):
-        return {n: float(mp.ldexp(u, -bits) * (mp.pi * n) ** (mp.mpf(d) / 2))
+    with decimal.localcontext(constants.TAIL_CONTEXT):
+        half = decimal.Decimal(d) / 2
+        return {n: float(u / decimal.Decimal(1 << bits) * (constants.PI * n) ** half)
                 for n, u in enumerate(us) if n in wanted}
 
 

@@ -11,48 +11,46 @@ B-asymptotic constants b_d, b_1(d), as one ConstantsBundle for every d >= 1.
 
 The summands t_n = A_{2n}/(2d)^{2n} of m_d, m_tilde_d and p_d (d >= 3)
 are one stream of fixed-point ints U_n = round(t_n 2^bits), bits being
-PREC (136, whatever the ambient mpmath precision) plus guard bits, from
-walks.recurrence_values: the A-recurrence run forward in ints with
-q = (2d)^2.  One pass (_summand_pass) reads the stream in chunks and
+PREC (136) plus guard bits, from walks.recurrence_values: the
+A-recurrence run forward in ints with q = (2d)^2.  One pass (_summand_pass) reads the stream in chunks and
 keeps only the exact int sums of U_n and n U_n, which are divided once
 by 2^bits, U_N, and the first N_B + 1 summands, N_B = min(N, B_TERMS).
 Tails beyond N sum the asymptotic expansion of the summand, through
 TAIL_TERMS derived orders (asymptotics.a_coeffs), exactly over the
-integers with the Hurwitz zeta function.  Error bounds are heuristic --
+integers with the Hurwitz zeta function (zeta: Euler-Maclaurin in
+``decimal``, in TAIL_CONTEXT).  Error bounds are heuristic --
 twice the estimated first omitted contribution -- and are labeled as
 such; the underlying series admit no desk-scale rigorous bounds.
 
 A bundle runs in phases: the summand pass, then the fixed-point B-series
 b_n = B_{2n}/(2d)^{2n} to N_B (_fixed_first_returns: the exact route's
 Newton iteration in walks, on the kept summands at D decimals), then the
-mpmath tails, of m_d and m_tilde_d and the one fitted to the B-series.
+decimal tails, of m_d and m_tilde_d and the one fitted to the B-series.
 The B-series and the direct route to p_d that sums it are made when
 first read, after the tails of m_d and m_tilde_d, so ``asym --kind B``,
 which reads only b_d and b_1, makes neither.  No phase uses an FFT or
-numpy.  mpmath loads inside the functions that use it, and the bundles
-and B-series of the recurrent d = 1, 2 never load it.  numpy loads only
-for the float B-series of ``asym --kind B`` at d >= 3
-(normalized_b_series, an FFT Newton inverse), whose noise the
-benchmark's references pin; FLOAT_ROUTE_BUDGET bounds it, and
-SUMMAND_BUDGET every summand stream.
+numpy, and none loads mpmath.  numpy loads only for the float B-series
+of ``asym --kind B`` at d >= 3 (normalized_b_series, an FFT Newton
+inverse), whose noise the benchmark's references pin;
+FLOAT_ROUTE_BUDGET bounds it, and SUMMAND_BUDGET every summand stream.
 """
 
 from __future__ import annotations
 
+import decimal
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import islice
+from itertools import count, islice
 from operator import mul
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 from . import walks
-from .asymptotics import a_coeffs, leading_constant_a
+from .asymptotics import a_coeffs, bernoulli, leading_constant_a
 from .errors import DependencyError, DivergenceError, check_budget
 
 if TYPE_CHECKING:  # pragma: no cover
     import numpy as np
-    from mpmath import mpf
 
 # Orders of the asymptotic summand that the tails sum.  With four, m~_6 at
 # N = 600 came out one ulp off; with eight, every m_d and m~_d the
@@ -61,9 +59,19 @@ TAIL_TERMS = 8
 
 # The one working precision: tails and sums at DPS digits, summands at
 # PREC = 136 bits plus guard bits.  PREC is mpmath.libmp.dps_to_prec(DPS),
-# written out so that the module loads without mpmath.
+# written out so that no command loads mpmath.
 DPS = 40
 PREC = round((DPS + 1) * math.log2(10))
+
+# The decimal context of the tails and of every division by 2^bits: DPS
+# digits and ten guard digits, all of which PI's literal fills.
+TAIL_CONTEXT = decimal.Context(prec=DPS + 10)
+PI = decimal.Decimal("3.141592653589793238462643383279502884197169399375105820974944592")
+
+# Hurwitz zeta(s, a) sums n^-s directly for a <= n < ZETA_DIRECT and by
+# Euler-Maclaurin from M = max(a, ZETA_DIRECT) on, where its k-th Bernoulli
+# term is about (s + 2k)^2 / (2 pi M)^2 times the one before.
+ZETA_DIRECT = 100
 
 # Bytes the float B-series of ``asym --kind B`` at d >= 3 may take: the
 # float64 A-series plus its last Newton transform (_float_route_bytes).
@@ -145,11 +153,9 @@ class ConstantsBundle:
     def p_direct(self) -> float | None:
         if self.recurrent:
             return None
-        from mpmath import mp, mpf
-
         b, D = self.first_returns
-        with mp.workdps(DPS):
-            return float(mpf(sum(b)) / mpf(10) ** D + _fit_b_tail(self.dimension, b, D))
+        with decimal.localcontext(TAIL_CONTEXT):
+            return float(decimal.Decimal(sum(b)).scaleb(-D) + _fit_b_tail(self.dimension, b, D))
 
     def to_json_obj(self) -> dict:
         if self.recurrent:
@@ -206,13 +212,65 @@ def _summand_pass(d: int, N: int, keep: int = 0
     return (total, weighted), chunk[-1], bits, head
 
 
-def _asym_tail_coeffs(d: int, weight: int) -> list[tuple[mpf, mpf]]:
-    """(exponent s_k, coefficient c_k) with the tail summand approximated
-    by sum_k c_k n^{-s_k}; weight 0 for m_d, 1 for m_tilde_d."""
-    from mpmath import mp, mpf
+def _power_log(n: int, s: decimal.Decimal, j: int) -> decimal.Decimal:
+    """n^-s log^j n in the active decimal context, for s a multiple of 1/2,
+    as every exponent of the constants is: an int power and a square root,
+    at a fortieth of the cost of a general power (log 1 = 0 and j = 0
+    give 1)."""
+    if 2 * s % 1:
+        raise ValueError("s = %s is not a multiple of 1/2" % s)
+    whole, half = divmod(int(2 * s), 2)
+    value = decimal.Decimal(n) ** -whole
+    if half:
+        value /= decimal.Decimal(n).sqrt()
+    if j:
+        value *= decimal.Decimal(n).ln() ** j
+    return value
 
-    scale = mp.sqrt(mpf(d) ** d) / 2 ** (d - 1) / mp.pi ** (mpf(d) / 2)
-    return [(mpf(d) / 2 + k - weight, scale * c.numerator / c.denominator)
+
+def zeta(s: decimal.Decimal, a: int, j: int = 0) -> decimal.Decimal:
+    """sum_{n >= a} n^-s log^j n = (-1)^j zeta^(j)(s, a), the Hurwitz zeta
+    function and its j-th s-derivative at an int a >= 1, in the active
+    decimal context; at s < 1 the analytic continuation, as the integral
+    term continues.  s = 1, the pole, raises ValueError.
+
+    Terms n < M = max(a, ZETA_DIRECT) are summed directly; from M on,
+    Euler-Maclaurin: int_M^oo f + f(M)/2 - sum_k B_2k/(2k)! f^(2k-1)(M),
+    f(x) = x^-s log^j x, whose m-th derivative is x^(-s-m) P_m(log x) with
+    P_0 = L^j and P_(m+1) = -(s + m) P_m + P_m' (Johansson, Numer.
+    Algorithms 69, 2015).  The Bernoulli terms run until one falls below
+    the context's last digit of the sum."""
+    if s == 1:
+        raise ValueError("zeta(s, a) has its pole at s = 1")
+    M = max(a, ZETA_DIRECT)
+    L = decimal.Decimal(M).ln()
+    power = _power_log(M, s, 0)  # M^(-s-m) at the m-th derivative
+    # int_M^oo x^-s log^j x dx = M^(1-s) sum_i j!/(j-i)! L^(j-i) / (s-1)^(i+1)
+    total = sum(_power_log(n, s, j) for n in range(a, M)) + M * power * sum(
+        math.perm(j, i) * L ** (j - i) / (s - 1) ** (i + 1) for i in range(j + 1))
+    total += power * L**j / 2
+    poly = [0] * j + [1]  # P_m's coefficients of L^0 .. L^j
+    for m in count():
+        poly = [-(s + m) * c + i * nxt for i, (c, nxt) in
+                enumerate(zip(poly, poly[1:] + [0]), 1)]
+        power /= M
+        if m % 2:
+            continue
+        B = bernoulli(m + 2)
+        term = power * sum(c * L ** i for i, c in enumerate(poly) if c) \
+            * B.numerator / (B.denominator * math.factorial(m + 2))
+        total -= term
+        if abs(term) <= abs(total).scaleb(-decimal.getcontext().prec):
+            return total
+
+
+def _asym_tail_coeffs(d: int, weight: int) -> list[tuple[decimal.Decimal, decimal.Decimal]]:
+    """(exponent s_k, coefficient c_k) with the tail summand approximated
+    by sum_k c_k n^{-s_k}; weight 0 for m_d, 1 for m_tilde_d.  In the
+    active decimal context."""
+    half = decimal.Decimal(d) / 2
+    scale = decimal.Decimal(d**d).sqrt() / 2 ** (d - 1) / PI ** half
+    return [(half + k - weight, scale * c.numerator / c.denominator)
             for k, c in enumerate(a_coeffs(d, TAIL_TERMS))]
 
 
@@ -220,13 +278,12 @@ def _estimate(d: int, total: int, last: int, N: int, bits: int,
               weight: int) -> Estimate:
     """sum_n n^weight t_n, from total = sum_{n <= N} n^weight U_n and
     last = U_N of the fixed-point summands, plus the tail beyond N, the
-    asymptotic integrand summed over n > N, at DPS digits."""
+    asymptotic integrand summed over n > N, in TAIL_CONTEXT."""
     if N < 8:
         raise ValueError("N too small to anchor the tail estimate")
-    from mpmath import mp, mpf, zeta
-
-    with mp.workdps(DPS):
-        partial = mp.ldexp(total, -bits)
+    with decimal.localcontext(TAIL_CONTEXT):
+        unit = decimal.Decimal(1 << bits)
+        partial = total / unit
         terms = _asym_tail_coeffs(d, weight)
         tail = sum(c * zeta(s, N + 1) for s, c in terms)
         # Heuristic error bound: the first omitted contribution is the gap
@@ -239,16 +296,16 @@ def _estimate(d: int, total: int, last: int, N: int, bits: int,
         # remainder, and the slower decay covers them (against the Bessel
         # integrals, the worst error over bound is 0.52 at d = 5, N = 8;
         # with the faster decay it is 0.90).
-        edge = sum(c * mpf(N) ** (-s) for s, c in terms)
-        delta = abs(mp.ldexp(last * N**weight, -bits) - edge)
-        omitted = delta * mpf(N) / (mpf(d) / 2 + 4 - weight)
+        edge = sum(c * _power_log(N, s, 0) for s, c in terms)
+        delta = abs(last * N**weight / unit - edge)
+        omitted = delta * N / (decimal.Decimal(d) / 2 + 4 - weight)
         # Noise: the int sum is exact.  Each recurrence step rounds by half a
         # unit of 2^-bits, carried on without growth as the recurrence is
         # stable: |U_n - t_n 2^bits| <= n units (measured <= 71 at N = 1e4,
         # d = 3..8), (N+1)^(2+w) units in the sum, plus 10^-DPS from rounding.
         value = partial + tail
-        noise = mp.ldexp(mpf(N + 1) ** (2 + weight), -bits) + abs(value) * mpf(10) ** -DPS
-        bound = 2 * omitted + noise + abs(value) * mpf(2) ** -50
+        noise = (N + 1) ** (2 + weight) / unit + abs(value).scaleb(-DPS)
+        bound = 2 * omitted + noise + abs(value) / 2**50
         return Estimate(float(value), float(bound))
 
 
@@ -292,24 +349,40 @@ def _fixed_first_returns(d: int, N: int, us: Iterable[int], bits: int
     return [0, *map(int, digits)], D
 
 
-def _fit_b_tail(d: int, b: list[int], D: int) -> mpf:
+def _solve(rows: list[list[decimal.Decimal]], rhs: list[decimal.Decimal]
+           ) -> list[decimal.Decimal]:
+    """x with rows x = rhs, by Gaussian elimination with partial pivoting,
+    in the active decimal context."""
+    m = [row + [r] for row, r in zip(rows, rhs)]
+    n = len(m)
+    for i in range(n):
+        p = max(range(i, n), key=lambda r: abs(m[r][i]))
+        m[i], m[p] = m[p], m[i]
+        for r in range(i + 1, n):
+            f = m[r][i] / m[i][i]
+            m[r] = [x - f * y for x, y in zip(m[r], m[i])]
+    x: list[decimal.Decimal] = []
+    for i in reversed(range(n)):
+        x.insert(0, (m[i][n] - sum(map(mul, m[i][i + 1:n], x))) / m[i][i])
+    return x
+
+
+def _fit_b_tail(d: int, b: list[int], D: int) -> decimal.Decimal:
     """sum_{n > N} b_n, N = len(b) - 1, from the fixed-point B-series
     alone: b_n = b[n] / 10^D is fitted at the FIT_ANCHORS anchors N j /
     FIT_ANCHORS, j = 1 .. FIT_ANCHORS, by as many terms c_kj n^{-d/2-k}
     log^j n, k = 0, 1, ..., with j = 0 at odd d and j = k .. 0, highest
     first, at even d, whose singularity carries logarithms; each term sums
-    exactly over n > N as (-1)^j zeta^(j)(d/2 + k, N + 1).  Independent of
-    m_d and of the A-side coefficient tables."""
-    from mpmath import mp, mpf, zeta
-
+    exactly over n > N as zeta(d/2 + k, N + 1, j).  Independent of m_d and
+    of the A-side coefficient tables.  In the active decimal context."""
     N = len(b) - 1
     terms = [(k, j) for k in range(FIT_ANCHORS)
              for j in (range(k, -1, -1) if d % 2 == 0 else (0,))][:FIT_ANCHORS]
     anchors = [N * i // FIT_ANCHORS for i in range(1, FIT_ANCHORS + 1)]
-    s = mpf(d) / 2
-    rows = [[mpf(n) ** (-s - k) * mp.log(n) ** j for k, j in terms] for n in anchors]
-    coeffs = mp.lu_solve(rows, [mpf(b[n]) / mpf(10) ** D for n in anchors])
-    return sum(c * (-1) ** j * zeta(s + k, N + 1, j) for c, (k, j) in zip(coeffs, terms))
+    s = decimal.Decimal(d) / 2
+    rows = [[_power_log(n, s + k, j) for k, j in terms] for n in anchors]
+    coeffs = _solve(rows, [decimal.Decimal(b[n]).scaleb(-D) for n in anchors])
+    return sum(c * zeta(s + k, N + 1, j) for c, (k, j) in zip(coeffs, terms))
 
 
 def normalized_a_series(d: int, N: int) -> np.ndarray:

@@ -76,6 +76,13 @@ KINDS = ("X", "A", "B")
 # n = 195.  The DP oracles are refused on the same count at radius n.
 LAYER_POINT_BUDGET = 10**7
 
+# The DP oracles are also refused past this many point-steps: the points of
+# |x|_1 <= n times the steps, n for full_distribution_dp and 2n for
+# first_returns_dp.  A point-step takes about 0.6 us, so the largest
+# admitted, full_distribution_dp(3, 51) at 9.3e6, runs 6.3 s (2-vCPU Intel
+# Xeon, CPython 3.11), and (3, 60), 13 s, is refused.
+DP_STEP_BUDGET = 10**7
+
 
 def term_digits(kind: str, d: int, n: int, count: int = 1) -> int:
     """About 2n log10(base) decimal digits for each of count walk counts
@@ -371,11 +378,14 @@ def _dp_shift_sum(counts: dict[tuple[int, ...], BigCount],
     return new
 
 
-def _check_dp(d: int, n: int) -> None:
+def _check_dp(d: int, n: int, steps: int) -> None:
     """CapacityError if the cross-polytope |x|_1 <= n, which holds every
-    point the DP oracles keep, exceeds LAYER_POINT_BUDGET."""
-    check_budget("the DP d=%d, n=%d" % (d, n), _cross_polytope_points(d, n),
-                 "lattice points in |x|_1 <= %d" % n, LAYER_POINT_BUDGET)
+    point the DP oracles keep, exceeds LAYER_POINT_BUDGET, or its points
+    times the steps exceed DP_STEP_BUDGET."""
+    points = _cross_polytope_points(d, n)
+    what = "the DP d=%d, n=%d" % (d, n)
+    check_budget(what, points, "lattice points in |x|_1 <= %d" % n, LAYER_POINT_BUDGET)
+    check_budget(what, steps * points, "point-steps (%d steps)" % steps, DP_STEP_BUDGET)
 
 
 def full_distribution_dp(d: int, n: int) -> LatticeDistribution:
@@ -386,7 +396,7 @@ def full_distribution_dp(d: int, n: int) -> LatticeDistribution:
     """
     if d < 1 or n < 0:
         raise ValueError("need d >= 1 and n >= 0")
-    _check_dp(d, n)
+    _check_dp(d, n, n)
     counts = {(0,) * d: 1}
     for _ in range(n):
         counts = _dp_shift_sum(counts, n)
@@ -404,7 +414,7 @@ def first_returns_dp(d: int, n: int) -> BigCount:
     """
     if d < 1 or n < 1:
         raise ValueError("need d >= 1 and n >= 1")
-    _check_dp(d, n)
+    _check_dp(d, n, 2 * n)
     origin = (0,) * d
     counts = {origin: 1}
     for t in range(1, 2 * n + 1):

@@ -12,7 +12,7 @@ import pytest
 from mpmath import mp, mpf
 
 import lattice_returns as lr
-from lattice_returns.asymptotics import MAX_ORDER, a_coeffs, correction_factor
+from lattice_returns.asymptotics import MAX_ORDER, a_coeffs, bernoulli, correction_factor
 from lattice_returns.errors import DependencyError, UnsupportedOrderError
 
 # ---------------------------------------------------------------------------
@@ -96,6 +96,12 @@ def test_a_is_g_convolution_of_r():
                 acc += lr.g_coeff(k) * lr.r_coeff(m - k, d)
             acc += lr.g_coeff(m)
             assert lr.a_coeff(m, d) == acc
+
+
+def test_bernoulli_numbers_against_mpmath():
+    # B_1 = -1/2 in both
+    assert [bernoulli(m) for m in range(81)] == [
+        Fraction(*map(int, mp.bernfrac(m))) for m in range(81)]
 
 
 def test_unsupported_order():

@@ -1025,9 +1025,9 @@ print(code, *sorted({"numpy", "mpmath"} & set(sys.modules)))
     (["seq", "--kind", "X", "--d", "8", "--N", "10"], ""),
     (["layers", "--d", "4", "--n", "3", "--h", "0"], ""),
     (["--help"], ""),
-    (["constants", "--d", "3", "--N", "100"], " mpmath"),
-    (["asym", "--kind", "A", "--d", "4", "--n", "64"], " mpmath"),
-    (["asym", "--kind", "B", "--d", "3", "--n", "64"], " mpmath numpy"),
+    (["constants", "--d", "3", "--N", "100"], ""),
+    (["asym", "--kind", "A", "--d", "4", "--n", "64"], ""),
+    (["asym", "--kind", "B", "--d", "3", "--n", "64"], " numpy"),
     (["asym", "--kind", "B", "--d", "2", "--n", "500", "1000"], ""),
     (["constants", "--d", "2", "--N", "100"], ""),
     (["seq", "--kind", "B", "--d", "3", "--N", "50"], ""),
@@ -1038,11 +1038,9 @@ print(code, *sorted({"numpy", "mpmath"} & set(sys.modules)))
         "asym-B-d2", "constants-d2", "seq-B", "verify-all", "verify-hadamard",
         "verify-lucas-B"])
 def test_import_floor_exact_commands_load_neither_numpy_nor_mpmath(argv, loaded):
-    # A fresh interpreter: the exact commands, first returns and every
-    # verify suite included, must not pay for the numerics at start-up,
-    # nor constants and asym --kind A for numpy, nor the recurrent d = 2
-    # bundle and B-table, which call no mpmath function, for either; the
-    # asym --kind B control at d = 3 shows the probe can fail.
+    # A fresh interpreter: no command loads mpmath, whose tails are summed
+    # in decimal, and only asym --kind B at d >= 3 loads numpy, for its
+    # pinned float column; that control case shows the probe can fail.
     out = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, *argv],
                          capture_output=True, text=True, env=_src_env(), check=True)
     assert out.stdout == "0" + loaded + "\n"
@@ -1065,6 +1063,73 @@ def test_constants_and_the_recurrent_b_tables_run_without_numpy():
     out = subprocess.run([sys.executable, "-c", _NO_NUMPY_PROBE], capture_output=True,
                          text=True, env=_src_env(), check=True)
     assert out.stdout == " ".join(["0"] * 14) + "\n" and out.stderr == ""
+
+
+# sha256 of stdout, from the commit whose constants summed their tails with
+# mpmath: the decimal tails print the same bytes.
+_A_POINTS = "--n 2 3 7 8 300 1024"
+PINNED_STDOUT = {
+    "constants --d 3": "b03ce575bcea6ab5d9f1f4b0b63b4d262afe08433a0bfad00cd2e0d91c7f793a",
+    "constants --d 4": "55bc48baa7dc84d3fe1b6819925c94914014a2b789f6a2018ce40b6cc06ab0c7",
+    "constants --d 5": "e994bb340293e72202973aafbc1946155edd37f81d0aeb37f591b65d6352cbe7",
+    "constants --d 6": "3aacdc6d55fda0bcaf8b85a9089b84e822f8ea9f50280acd1d490caa75ec4e59",
+    "constants --d 7": "add5143b5697f376e0b900191821643bbc42dc633653481db39edc6f589d688b",
+    "constants --d 8": "231c0aecc9bc55c38ac934fd19ee2cb4d95049a1b07aefa85840e86ae6048528",
+    "constants --d 9": "84c27b870682ad7969b287d280aba0aed91d1b7a8e211feefe53033061375c51",
+    "constants --d 10": "2aa52cac1d9eee3c198b0d430996e05b1c09bd8a643ce54259abe3c6163aab21",
+    "constants --d 11": "8fa81c0a1cb7d538ac880eb64da3ab4ecc8e541c7ad3f365a655da43ab67fcfe",
+    "constants --d 12": "98f7e8b5901547281f12d052a198011238f23b834d1c8b7ca885341491321fdf",
+    "constants --d 3 --N 8": "35f139a17ad39c744598fe727b9ee2209a240584e5a8d96b47a2846d98e0be2c",
+    "constants --d 5 --N 9": "081140107b3f1f56c999158e4449d14e695fee9a07801f3776ec107e2e6e414f",
+    "asym --kind A --d 1 " + _A_POINTS:
+        "21616071ea617861d5aabb35d81571c4810553738edd09c50cad44555b16a68a",
+    "asym --kind A --d 2 " + _A_POINTS:
+        "13db30540b51809a95c6de5a8b0a593e4e634eb4d4a9fde95a2a121966204e86",
+    "asym --kind A --d 3 " + _A_POINTS:
+        "782168af8546eb92f47fb71fac32931ad4e45435524248e40cf589d362bc2ffb",
+    "asym --kind A --d 4 " + _A_POINTS:
+        "1ad3e2e67e384ce53ac84f0d0773f9dfccb9d8d3d9b59a5eca8cb8a3aa6fce1b",
+    "asym --kind A --d 5 " + _A_POINTS:
+        "d2fa92b4b4cc841dc3661a43abf33191586f42adc7c56b449420f39a45bb45f8",
+    "asym --kind A --d 6 " + _A_POINTS:
+        "b7c38e69a6b2fdbebf3dcbd462dd5577787e957a2ccc3b645d953914c5b6e2be",
+    "asym --kind A --d 7 " + _A_POINTS:
+        "2be6d91634fbf32769e868915f99eee222f207bfb8dda0b9bd7bfb292c852f40",
+    "asym --kind A --d 8 " + _A_POINTS:
+        "2c949caff39543ae55ff91d2a14ed962e3b926a5425c566946cf61a1e7caf5b7",
+}
+
+
+@pytest.mark.parametrize("command", PINNED_STDOUT)
+def test_constants_and_asym_print_the_pinned_bytes(capsys, command):
+    code, out, _ = run_cli(capsys, *command.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_STDOUT[command]
+
+
+_NO_MPMATH_PROBE = """
+import contextlib, hashlib, io, sys
+sys.modules["mpmath"] = None  # any import of mpmath now raises ImportError
+from lattice_returns.cli import main
+for command in sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = main(command.split())
+    print(code, hashlib.sha256(out.getvalue().encode()).hexdigest())
+"""
+
+
+def test_constants_and_asym_run_without_mpmath():
+    commands = (["constants --d %d" % d for d in range(1, 13)]
+                + ["asym --kind A --d %d %s" % (d, _A_POINTS) for d in range(1, 9)]
+                + ["asym --kind B --d %d --n 10 100 1000" % d for d in range(1, 9)])
+    out = subprocess.run([sys.executable, "-c", _NO_MPMATH_PROBE, *commands],
+                         capture_output=True, text=True, env=_src_env(), check=True)
+    results = dict(zip(commands, out.stdout.splitlines()))
+    assert len(results) == len(commands) and out.stderr == ""
+    for command, line in results.items():
+        code, digest = line.split()
+        assert code == "0", command
+        assert digest == PINNED_STDOUT.get(command, digest), command
 
 
 def test_the_direct_route_is_made_only_when_read(capsys, monkeypatch):

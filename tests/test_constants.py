@@ -6,6 +6,7 @@ literature anchors; everything else is checked by two-route consistency
 reference values from independent routes.
 """
 
+import decimal
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -286,9 +287,47 @@ def test_b_tail_fit_improves_partial_sum():
     b, D = bundle.first_returns
     assert len(b) == 2001
     p_ref = lr.polya_probability(3, 50000).p
-    with mp.workdps(40):
-        corrected = float(mpf(sum(b)) / mpf(10) ** D + _fit_b_tail(3, b, D))
+    with decimal.localcontext(constants.TAIL_CONTEXT):
+        corrected = float(decimal.Decimal(sum(b)).scaleb(-D) + _fit_b_tail(3, b, D))
     assert abs(corrected - p_ref) < 1e-15 < 1e-3 < abs(bundle.partial_sum_raw - p_ref)
+
+
+def _zeta_arguments() -> list[tuple[Fraction, int]]:
+    """Every (s, j) the bundles pass to constants.zeta, d = 3..100: the
+    tails' s = d/2 + k - w, k < TAIL_TERMS, w = 0, 1, with j = 0 (but not
+    the pole s = 1 of m~_4, which diverges), and the fit's s = d/2 + k."""
+    args = {(Fraction(d, 2) + k - w, 0) for d in range(3, 101)
+            for k in range(constants.TAIL_TERMS) for w in (0, 1)} - {(1, 0)}
+    for d in range(3, 101):
+        terms = [(k, j) for k in range(constants.FIT_ANCHORS)
+                 for j in (range(k, -1, -1) if d % 2 == 0 else (0,))]
+        args |= {(Fraction(d, 2) + k, j) for k, j in terms[:constants.FIT_ANCHORS]}
+    return sorted(args)
+
+
+@pytest.mark.parametrize("a", [9, 100, 601, 2001, 10**4 + 1, 10**5 + 1, 10**7 + 1])
+def test_zeta_against_mpmath(a):
+    # mpmath's zeta(s, a) loses about s log10(a) digits to cancellation, so
+    # the oracle runs at that many digits more than the 40 it is held to.
+    worst = 0
+    for s, j in _zeta_arguments():
+        with decimal.localcontext(constants.TAIL_CONTEXT):
+            value = constants.zeta(decimal.Decimal(s.numerator) / s.denominator, a, j)
+        with mp.workdps(40 + int(s * math.log10(a))):
+            ref = mp.zeta(mpf(s.numerator) / s.denominator, a, j) * (-1) ** j
+            worst = max(worst, abs(mpf(str(value)) / ref - 1))
+    assert worst <= 1e-30
+
+
+def test_zeta_refuses_the_pole_and_reads_log_1_as_0():
+    with decimal.localcontext(constants.TAIL_CONTEXT):
+        with pytest.raises(ValueError, match="pole"):
+            constants.zeta(decimal.Decimal(1), 10**5 + 1)
+        # the fit's first anchor at N = 8 is n = 1, where log^0 1 = 1
+        assert constants._power_log(1, decimal.Decimal("1.5"), 0) == 1
+        assert constants._power_log(1, decimal.Decimal(2), 1) == 0
+    bundle = lr.build_bundle(3, 8)
+    assert abs(bundle.p_direct - bundle.p) < 1e-3
 
 
 @pytest.mark.parametrize("d", range(1, 9))

@@ -475,6 +475,21 @@ def test_capacity_guards():
         lr.first_returns_dp(4, 62)
 
 
+def test_dp_point_step_budget_edges():
+    # n points-steps for full_distribution_dp, 2n for first_returns_dp: at
+    # d = 3 the last admitted are n = 51 (9.3e6) and n = 43 (9.4e6)
+    walks._check_dp(3, 51, 51)
+    walks._check_dp(3, 43, 86)
+    with pytest.raises(CapacityError, match=r"^the DP d=3, n=52 needs about 1e\+07 "
+                                            r"point-steps \(52 steps\), over the budget "
+                                            r"1e\+07$"):
+        lr.full_distribution_dp(3, 52)
+    with pytest.raises(CapacityError, match=r"^the DP d=3, n=44 .* \(88 steps\)"):
+        lr.first_returns_dp(3, 44)
+    with pytest.raises(CapacityError, match=r"^the DP d=3, n=60 needs about 1\.77e\+07 "):
+        lr.full_distribution_dp(3, 60)
+
+
 def test_check_budget_admits_the_budget_and_names_what_is_over_it():
     check_budget("the thing", 10**7, "units", 10**7)
     with pytest.raises(CapacityError) as err:
